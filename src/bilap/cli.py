@@ -49,6 +49,9 @@ def _load_config(path: str) -> dict:
     return out
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     """Fill unset optional values from --config; explicit flags keep precedence."""
     if not getattr(args, "config", None):
@@ -56,11 +59,14 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     conf = _load_config(args.config)
     for action in parser._actions:
         name = action.dest
-        if name in ("help", "config") or name not in conf:
-            continue
-        if getattr(args, name) is None:
+        if name not in ("help", "config") and name in conf and getattr(args, name) is None:
             value = conf[name]
-            args.__dict__[name] = action.type(value) if action.type else value
+            if action.nargs == 0:  # an on/off flag such as --correct/--no-correct
+                _require(value.lower() in _BOOLEANS, f"{name}={value}: not true|false|yes|no|1|0")
+                value = _BOOLEANS[value.lower()]
+            elif action.type:
+                value = action.type(value)
+            args.__dict__[name] = value
 
 
 def _defaults(args: argparse.Namespace, **values):
@@ -86,7 +92,6 @@ def _require(cond: bool, message: str):
 
 
 def _cmd_eta0(args) -> str:
-    _defaults(args, alpha=None, kappa=None)
     _require(args.alpha is not None and args.kappa is not None,
              "eta0 requires --alpha and --kappa")
     _require(0.0 < args.alpha < math.pi, "alpha must lie in (0, pi)")
@@ -105,7 +110,6 @@ def _cmd_eta0(args) -> str:
 
 
 def _cmd_region_map(args) -> str:
-    _defaults(args, amin=None, amax=None, kmin=None, kmax=None, na=None, nk=None)
     _defaults(args, amin=math.pi / 200.0, amax=math.pi * (1.0 - 1.0 / 200.0),
               kmin=-12.0, kmax=-0.05, na=50, nk=50)
     _require(0.0 < args.amin < args.amax < math.pi, "alpha range must be inside (0, pi)")
@@ -116,7 +120,6 @@ def _cmd_region_map(args) -> str:
 
 
 def _cmd_corner_det(args) -> str:
-    _defaults(args, alpha=None, kappa=None, eta=None)
     _require(None not in (args.alpha, args.kappa, args.eta),
              "corner-det requires --alpha, --kappa and --eta")
     _require(0.0 < args.alpha < math.pi, "alpha must lie in (0, pi)")
@@ -134,7 +137,6 @@ def _cmd_corner_det(args) -> str:
 
 
 def _cmd_kernel1d(args) -> str:
-    _defaults(args, t=None, delta=None, kappa=None, samples=None)
     _require((args.t is None) != (args.delta is None),
              "kernel1d requires exactly one of --t or --delta")
     if args.t is not None:
@@ -178,31 +180,43 @@ def _load_domain_file(path: str):
     return _make_grid(conf["domain"], n)
 
 
+def _load_cells(path: str, shape: tuple, to_index) -> tuple:
+    """(index arrays, values) of a CSV with rows a,b,value under one header line;
+    to_index(a, b columns) must give whole indices inside shape in every row."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    _require(table.shape[1] == 3, f"{path}: expected rows of three values")
+    ij = to_index(table[:, :2])
+    ok = ((ij == np.floor(ij)) & (ij >= 0) & (ij < np.array(shape))).all(axis=1)
+    _require(ok.all(), f"{path}: row {np.argmin(ok) + 1} is off the {shape[0]}x{shape[1]} grid")
+    return tuple(ij.astype(int).T), table[:, 2]
+
+
 def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
     """Builders: 'one', 'constant:<v>', 'split-x:<x0>:<left>:<right>',
     'patch:<x0>:<x1>:<y0>:<y1>:<inside>:<outside>' or 'file:<csv>' with rows i,j,value."""
     if spec in ("one", "1"):
         return twostep.SigmaField.constant(grid, 1.0)
-    parts = spec.split(":")
+    kind, _, rest = spec.partition(":")
+    if kind == "file":
+        cells = np.ones((grid.nx, grid.ny))
+        index, values = _load_cells(rest, cells.shape, lambda ij: ij)
+        cells[index] = values
+        return twostep.SigmaField(cells)
+    _require(kind in ("constant", "split-x", "patch"), f"unknown sigma spec '{spec}'")
+    # a wrong number of values fails to unpack with a ValueError (exit code 1)
+    values = [float(v) for v in rest.split(":")]
+    if kind == "constant":
+        (value,) = values
+        return twostep.SigmaField.constant(grid, value)
     cx = (np.arange(grid.nx) + 0.5) * grid.h
     cy = (np.arange(grid.ny) + 0.5) * grid.h
     CX, CY = np.meshgrid(cx, cy, indexing="ij")
-    if parts[0] == "constant":
-        return twostep.SigmaField.constant(grid, float(parts[1]))
-    if parts[0] == "split-x":
-        x0, left, right = (float(s) for s in parts[1:4])
+    if kind == "split-x":
+        x0, left, right = values
         return twostep.SigmaField(np.where(CX < x0, left, right))
-    if parts[0] == "patch":
-        x0, x1, y0, y1, inside, outside = (float(s) for s in parts[1:7])
-        inpatch = (CX >= x0) & (CX < x1) & (CY >= y0) & (CY < y1)
-        return twostep.SigmaField(np.where(inpatch, inside, outside))
-    if parts[0] == "file":
-        cells = np.ones((grid.nx, grid.ny))
-        data = np.loadtxt(parts[1], delimiter=",", skiprows=1)
-        for i, j, value in np.atleast_2d(data):
-            cells[int(i), int(j)] = value
-        return twostep.SigmaField(cells)
-    raise _ArgumentError(f"unknown sigma spec '{spec}'")
+    x0, x1, y0, y1, inside, outside = values
+    inpatch = (CX >= x0) & (CX < x1) & (CY >= y0) & (CY < y1)
+    return twostep.SigmaField(np.where(inpatch, inside, outside))
 
 
 def _rhs_from_spec(grid: Grid2D, spec: str) -> np.ndarray:
@@ -214,16 +228,15 @@ def _rhs_from_spec(grid: Grid2D, spec: str) -> np.ndarray:
     if spec == "generic":
         return np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0
     if spec.startswith("file:"):
-        table = np.loadtxt(spec[5:], delimiter=",", skiprows=1)
         field = np.zeros_like(X)
-        for x, y, value in np.atleast_2d(table):
-            field[round(x / grid.h), round(y / grid.h)] = value
+        # each (x, y) goes to the nearest node, ties to the even index
+        index, values = _load_cells(spec[5:], field.shape, lambda xy: np.rint(xy / grid.h))
+        field[index] = values
         return field
     raise _ArgumentError(f"unknown rhs spec '{spec}' (sine2d|one|generic|file:<csv>)")
 
 
 def _cmd_solve(args) -> str:
-    _defaults(args, domain_file=None, domain=None, n=None, sigma_file=None, rhs=None)
     _defaults(args, domain="lshape", n=64, sigma_file="one", rhs="generic", correct=True)
     if args.domain_file:
         grid = _load_domain_file(args.domain_file)
@@ -243,7 +256,6 @@ def _cmd_solve(args) -> str:
 
 
 def _cmd_cone(args) -> str:
-    _defaults(args, alpha=None, mu=None, d=None, beta=None, l=None)
     _defaults(args, d=3, beta=0.0, l=1)
     _require((args.alpha is None) != (args.mu is None),
              "cone requires exactly one of --alpha or --mu")
@@ -264,7 +276,6 @@ def _cmd_cone(args) -> str:
 
 
 def _cmd_classify(args) -> str:
-    _defaults(args, beta=None, l=None, d=None, lambda1=None)
     _defaults(args, beta=0.0, l=1, d=3)
     _require(args.lambda1 is not None and args.lambda1 > 0.0,
              "classify requires --lambda1 > 0")
@@ -366,10 +377,7 @@ def run(argv: Sequence[str]) -> int:
         )
         _apply_config(args, sub.choices[args.command])
         text = _COMMANDS[args.command](args)
-    except _ArgumentError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (ValueError, OSError) as exc:
+    except (_ArgumentError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except NumericalFailure as exc:

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bisection import bisect_rows
 from .errors import BracketFailure, NoConvergence
 
 __all__ = [
@@ -149,18 +150,6 @@ def legendre_p_integral(nu: float, theta: float, n_nodes: int = 200) -> float:
     return float((4.0 / math.pi) * np.sum(w * g))
 
 
-def _bisect(f, a: float, b: float, rtol: float = 1e-14) -> float:
-    fa = f(a)
-    while (b - a) > rtol * (1.0 + 0.5 * (a + b)):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 def cap_first_eigenvalue(alpha: float) -> float:
     """First Dirichlet eigenvalue mu_1 of the spherical cap of half-angle alpha.
 
@@ -178,8 +167,9 @@ def cap_first_eigenvalue(alpha: float) -> float:
         nu = min(nu + 0.05, 50.0)
         val = f(nu)
         if prev_val * val <= 0.0:
-            root = _bisect(f, prev_nu, nu)
-            return root * (root + 1.0)
+            # legendre_p sums its series on Python floats, one degree at a time
+            root = bisect_rows(lambda _, nus: [f(float(v)) for v in nus], [prev_nu], [nu], 1e-14)[0]
+            return float(root * (root + 1.0))
         prev_nu, prev_val = nu, val
     raise BracketFailure(f"no degree bracket found on (0, 50] for alpha={alpha}")
 
@@ -190,8 +180,8 @@ def critical_aperture() -> float:
     Solves P_{1/2}(cos alpha) = 0 on (pi/2, 0.9*pi); the result is verified
     against the integral-representation evaluation to 1e-6.
     """
-    f = lambda a: legendre_p(0.5, math.cos(a))
-    alpha_c = _bisect(f, 0.5 * math.pi, _CAP_ALPHA_MAX)
+    f = lambda _, alphas: [legendre_p(0.5, math.cos(a)) for a in alphas]
+    alpha_c = float(bisect_rows(f, [0.5 * math.pi], [_CAP_ALPHA_MAX], 1e-14)[0])
     if abs(legendre_p_integral(0.5, alpha_c)) > 1e-6:
         raise NoConvergence("series and quadrature evaluations disagree at alpha_c")
     return alpha_c

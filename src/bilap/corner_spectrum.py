@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bisection import bisect_rows
 from .errors import NotSingular, NumericalFailure
 
 __all__ = [
@@ -46,6 +47,10 @@ __all__ = [
 ]
 
 REGION_MAP_CSV_HEADER = "alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual"
+# below this angle alpha - sin(alpha) loses more than 6.7e-14 relative to cancellation
+_SERIES_ANGLE = 0.1
+# cells per lockstep block of the exponent search: about 2 MB of scan arrays
+_SEARCH_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -106,51 +111,46 @@ def dispersion(p: CornerProblem, eta):
     return float(out) if scalar else out
 
 
-def _scaled_terms(p: CornerProblem, eta):
-    """Terms of dispersion/cosh(2*pi*eta); bounded for every eta >= 0."""
-    a, k = p.alpha, p.kappa
-    e = abs(eta)
+def _scaled_terms(alpha, kappa, eta):
+    """Terms of dispersion/cosh(2*pi*eta), broadcast over alpha, kappa and eta.
+
+    Each sinh(x)^2 / cosh(2*pi*eta) is formed so that it neither overflows at
+    large eta nor cancels at small eta, where every term is O(eta^2).
+    """
+    a, k = alpha, kappa
+    e = np.abs(eta)
     b = 2.0 * math.pi * e
-    exp = np.exp if isinstance(e, np.ndarray) else math.exp
-    den = 1.0 + exp(-2.0 * b)
-    sech = 2.0 * exp(-b) / den
+    den = 2.0 + 2.0 * np.exp(-2.0 * b)
 
-    def ratio(arg):  # cosh(arg)/cosh(b) for 0 <= arg <= b
-        return exp(arg - b) * (1.0 + exp(-2.0 * arg)) / den
+    def ratio(x, gap):  # sinh(x)^2 / cosh(b); gap = b - 2x, given without cancellation
+        return np.exp(-gap) * np.expm1(-2.0 * x) ** 2 / den
 
-    poly = (-1.0 + k - k * k) + e * e * (1.0 - k) ** 2 * (math.cos(2.0 * a) - 1.0)
-    return (poly * sech, k, k * (k - 1.0) * ratio(2.0 * a * e),
-            -(k - 1.0) * ratio(2.0 * (math.pi - a) * e))
+    return (e * e * (1.0 - k) ** 2 * (np.cos(2.0 * a) - 1.0) * (4.0 * np.exp(-b) / den),
+            2.0 * k * ratio(math.pi * e, 0.0),
+            2.0 * k * (k - 1.0) * ratio(a * e, 2.0 * (math.pi - a) * e),
+            -2.0 * (k - 1.0) * ratio((math.pi - a) * e, 2.0 * a * e))
 
 
 def scaled_dispersion(p: CornerProblem, eta):
     """dispersion(p, eta) / cosh(2*pi*eta): same zero set on (0, inf), no overflow."""
-    t0, t1, t2, t3 = _scaled_terms(p, eta)
-    return t0 + t1 + t2 + t3
+    return sum(_scaled_terms(p.alpha, p.kappa, eta))
 
 
-def _scaled_dispersion_vec(p: CornerProblem, etas: np.ndarray) -> np.ndarray:
-    a, k = p.alpha, p.kappa
-    e = np.abs(etas)
-    b = 2.0 * math.pi * e
-    den = 1.0 + np.exp(-2.0 * b)
-    sech = 2.0 * np.exp(-b) / den
-    r1 = np.exp(2.0 * a * e - b) * (1.0 + np.exp(-4.0 * a * e)) / den
-    r2 = np.exp(-2.0 * a * e) * (1.0 + np.exp(-4.0 * (math.pi - a) * e)) / den
-    poly = (-1.0 + k - k * k) + e * e * (1.0 - k) ** 2 * (math.cos(2.0 * a) - 1.0)
-    return poly * sech + k + k * (k - 1.0) * r1 - (k - 1.0) * r2
-
-
-def _scaled_scale(p: CornerProblem, eta: float) -> float:
-    t0, t1, t2, t3 = _scaled_terms(p, eta)
-    return abs(t0) + abs(t1) + abs(t2) + abs(t3)
+def _x_minus_sin(x: float) -> float:
+    """x - sin(x); below _SERIES_ANGLE the series x^3/3! - ... - x^11/11!,
+    whose next term is under 1e-19 relative."""
+    if x >= _SERIES_ANGLE:
+        return x - math.sin(x)
+    y = x * x
+    return x * y / 6.0 * (1.0 - y / 20.0 * (1.0 - y / 42.0 * (1.0 - y / 72.0 * (1.0 - y / 110.0))))
 
 
 def taylor_coefficient(p: CornerProblem) -> float:
     """Coefficient of eta^2 in the small-eta expansion of the dispersion function."""
     a, k = p.alpha, p.kappa
     s = math.sin(a)
-    a2 = a * a - s * s
+    # a^2 - sin^2 a = (a - sin a)(a + sin a), which keeps small angles accurate
+    a2 = a * a - s * s if a >= _SERIES_ANGLE else _x_minus_sin(a) * (a + s)
     a1 = a2 - a * math.pi
     a0 = a2 + (math.pi * math.pi - 2.0 * a * math.pi)
     return 2.0 * a2 * k * k - 4.0 * a1 * k + 2.0 * a0
@@ -166,7 +166,7 @@ def critical_interval(alpha: float) -> tuple:
         raise ValueError(f"alpha must lie in (0, pi), got {alpha}")
     sa = math.sin(alpha)
     sb = math.sin(math.pi - alpha)
-    ell_minus = -(math.pi - alpha + sb) / (alpha - sa)
+    ell_minus = -(math.pi - alpha + sb) / _x_minus_sin(alpha)
     ell_plus = -(math.pi - alpha - sb) / (alpha + sa)
     return ell_minus, ell_plus
 
@@ -186,9 +186,41 @@ def classify_region(p: CornerProblem, eps_boundary: float = 1e-9) -> RegionRepor
     return RegionReport(g_value=g, ell_minus=lm, ell_plus=lp, membership=member)
 
 
-def _sign_floor(p: CornerProblem) -> float:
-    # below this magnitude the scaled dispersion is roundoff noise near eta = 0
-    return 4e-15 * (1.0 + p.kappa * p.kappa)
+def _search(alpha, kappa, eta_min=1e-4, ratio=1.1, eta_max=10.0, max_doublings=60):
+    """find_singular_exponent on the rows (alpha[i], kappa[i]) in lockstep:
+    (result or None per row, flags of the rows whose tail stayed positive)."""
+    # tail: the first eta_max * 2**j at which the scaled dispersion is negative
+    ladder = eta_max * 2.0 ** np.arange(max_doublings)
+    negative = sum(_scaled_terms(alpha[:, None], kappa[:, None], ladder)) < 0.0
+    failed = ~negative.any(axis=1)
+    tail = np.where(failed, eta_max, ladder[negative.argmax(axis=1)])
+
+    # geometric grid below each row's tail, then the tail itself, repeated so
+    # that every row of the block has the same length
+    n = int(math.ceil(math.log(tail.max() / eta_min) / math.log(ratio))) + 1
+    etas = np.minimum(eta_min * ratio ** np.arange(n + 1), tail[:, None])
+    vals = sum(_scaled_terms(alpha[:, None], kappa[:, None], etas))
+    # values under this floor do not count for their sign; within about 1e-7
+    # (relative) of ell_minus or ell_plus it also hides the sign of g * eta^2
+    keep = np.abs(vals) > 4e-15 * (1.0 + kappa[:, None] ** 2)
+    # sign changes between consecutive kept values: carry each kept column's
+    # index and sign forward over the dropped ones
+    last = np.maximum.accumulate(np.where(keep, np.arange(n + 1), 0), axis=1)
+    signs = np.take_along_axis(np.where(keep, np.sign(vals), 0.0), last, axis=1)
+    flips = signs[:, :-1] * signs[:, 1:] < 0.0
+
+    rows = np.flatnonzero(flips.any(axis=1) & ~failed)
+    col = flips[rows].argmax(axis=1)
+    lo, hi = etas[rows, last[rows, col]], etas[rows, col + 1]
+    f = lambda i, x: sum(_scaled_terms(alpha[rows[i]], kappa[rows[i]], x))
+    eta0 = bisect_rows(f, lo, hi, 1e-14)
+    terms = _scaled_terms(alpha[rows], kappa[rows], eta0)
+    residual = np.abs(sum(terms)) / sum(np.abs(t) for t in terms)
+    results = [None] * len(alpha)
+    for j, r in enumerate(rows):
+        results[r] = SingularExponentResult(float(eta0[j]), float(residual[j]),
+                                            (float(lo[j]), float(hi[j])), int(flips[r].sum()))
+    return results, failed
 
 
 def find_singular_exponent(
@@ -200,51 +232,19 @@ def find_singular_exponent(
 ) -> Optional[SingularExponentResult]:
     """Locate the positive dispersion zero by geometric scan plus bisection.
 
+    One row of the lockstep search that region_map runs over blocks of cells.
     The scan runs over a geometric grid eta_min * ratio**j up to an adaptive
-    eta_max, doubled until the (cosh-dominated) tail is confirmed negative.
-    Returns None when the scan shows no sign change; the scan works on the
-    cosh-scaled dispersion, whose zeros on (0, inf) are the same.
+    eta_max, doubled until the (cosh-dominated) tail is confirmed negative;
+    the first sign change is bisected to 1e-14 * (1 + eta).  Returns None when
+    the scan shows no sign change; the scan works on the cosh-scaled
+    dispersion, whose zeros on (0, inf) are the same.
     """
-    lo = eta_max
-    for _ in range(max_doublings):
-        if _scaled_dispersion_vec(p, np.array([lo]))[0] < 0.0:
-            break
-        lo *= 2.0
-    else:
+    results, failed = _search(np.array([p.alpha]), np.array([p.kappa]),
+                              eta_min, ratio, eta_max, max_doublings)
+    if failed[0]:
         raise NumericalFailure(
-            f"tail sign not confirmed after {max_doublings} doublings of eta_max"
-        )
-    n = int(math.ceil(math.log(lo / eta_min) / math.log(ratio))) + 1
-    etas = eta_min * ratio ** np.arange(n + 1)
-    etas = np.append(etas[etas < lo], lo)
-    vals = _scaled_dispersion_vec(p, etas)
-
-    keep = np.abs(vals) > _sign_floor(p)
-    ke, kv = etas[keep], vals[keep]
-    if len(ke) < 2:
-        return None
-    signs = np.sign(kv)
-    flips = np.where(signs[:-1] * signs[1:] < 0)[0]
-    if len(flips) == 0:
-        return None
-
-    a, b = ke[flips[0]], ke[flips[0] + 1]
-    fa = scaled_dispersion(p, a)
-    while (b - a) > 1e-14 * (1.0 + 0.5 * (a + b)):
-        mid = 0.5 * (a + b)
-        fm = scaled_dispersion(p, mid)
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    eta0 = 0.5 * (a + b)
-    residual = abs(scaled_dispersion(p, eta0)) / _scaled_scale(p, eta0)
-    return SingularExponentResult(
-        eta0=eta0,
-        residual=residual,
-        bracket=(ke[flips[0]], ke[flips[0] + 1]),
-        sign_changes_found=int(len(flips)),
-    )
+            f"tail sign not confirmed after {max_doublings} doublings of eta_max")
+    return results[0]
 
 
 def even_derivative_at_zero(p: CornerProblem, k: int) -> float:
@@ -269,7 +269,7 @@ def even_derivative_at_zero(p: CornerProblem, k: int) -> float:
 
 def _basis(lam: complex, theta: float):
     """Derivative stack (value, d1, d2, d3, d4) of the two clamped basis
-    functions at angle ``theta``.
+    functions at the angle or array of angles ``theta``.
 
     Basis one is cos(lam*t) - cos((lam-2)*t); basis two is
     (lam-2)*sin(lam*t) - lam*sin((lam-2)*t).  Both vanish together with their
@@ -355,17 +355,16 @@ class AngularProfile:
     kappa: float
     coeffs: np.ndarray
 
-    def derivatives(self, theta: float):
-        """(value, d1, d2, d3, d4) of the profile at angle theta in [0, pi]."""
-        if theta <= self.alpha:
-            B1, B2 = _basis(self.lam, theta)
-            a, b = self.coeffs[0], self.coeffs[1]
-        else:
-            B1, B2 = _basis(self.lam, theta - math.pi)
-            a, b = self.coeffs[2], self.coeffs[3]
-        return tuple(a * B1[i] + b * B2[i] for i in range(5))
+    def derivatives(self, theta):
+        """(value, d1, d2, d3, d4) of the profile at angles theta in [0, pi]."""
+        inner = theta <= self.alpha
+        B1, B2 = _basis(self.lam, theta)
+        C1, C2 = _basis(self.lam, theta - math.pi)
+        a, b, c, d = self.coeffs
+        return tuple(np.where(inner, a * B1[i] + b * B2[i], c * C1[i] + d * C2[i])[()]
+                     for i in range(5))
 
-    def value(self, theta: float) -> complex:
+    def value(self, theta) -> complex:
         return self.derivatives(theta)[0]
 
     def interface_residual(self) -> float:
@@ -381,18 +380,20 @@ class AngularProfile:
         assembly error only.
         """
         lam = self.lam
-        x, w = np.polynomial.legendre.leggauss(nodes_per_segment)
+        return math.sqrt(_profile_norm2(
+            self, lambda d: d[4] + lam * lam * d[2] + (lam - 2.0) ** 2 * (d[2] + lam * lam * d[0]),
+            nodes_per_segment))
 
-        def seg(lo, hi):
-            t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-            total = 0.0
-            for ti, wi in zip(t, w):
-                d = self.derivatives(ti)
-                res = d[4] + lam * lam * d[2] + (lam - 2.0) ** 2 * (d[2] + lam * lam * d[0])
-                total += 0.5 * (hi - lo) * wi * abs(res) ** 2
-            return total
 
-        return math.sqrt(seg(0.0, self.alpha) + seg(self.alpha, math.pi))
+def _profile_norm2(profile: AngularProfile, integrand, nodes_per_segment: int) -> float:
+    """Squared L2 norm of integrand(profile derivatives): composite
+    Gauss-Legendre on (0, alpha) and (alpha, pi)."""
+    x, w = np.polynomial.legendre.leggauss(nodes_per_segment)
+    total = 0.0
+    for lo, hi in ((0.0, profile.alpha), (profile.alpha, math.pi)):
+        t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        total += 0.5 * (hi - lo) * float(np.sum(w * np.abs(integrand(profile.derivatives(t))) ** 2))
+    return total
 
 
 def angular_profile(p: CornerProblem, lam: complex, singular_tol: float = 1e-6) -> AngularProfile:
@@ -441,8 +442,9 @@ def region_map(
 ) -> list:
     """Exponent search over a rectangular (alpha, kappa) grid.
 
-    Cells are evaluated independently in a fixed order; a NumericalFailure in
-    one cell flags that cell without aborting the sweep.
+    Cells come in alpha-major order.  Blocks of _SEARCH_BLOCK cells run the
+    exponent search in lockstep, each row as find_singular_exponent would; a
+    cell whose tail is not confirmed negative is flagged failed.
     """
     a_lo, a_hi = alpha_range
     k_lo, k_hi = kappa_range
@@ -454,17 +456,14 @@ def region_map(
         raise ValueError("grid sizes must be at least 2")
     alphas = np.linspace(a_lo, a_hi, n_alpha)
     kappas = np.linspace(k_lo, k_hi, n_kappa)
+    A, K = (m.ravel() for m in np.meshgrid(alphas, kappas, indexing="ij"))
     cells = []
-    for a in alphas:
-        for k in kappas:
-            prob = CornerProblem(float(a), float(k))
-            report = classify_region(prob, eps_boundary)
-            try:
-                result = find_singular_exponent(prob)
-                failed = False
-            except NumericalFailure:
-                result, failed = None, True
-            cells.append(RegionCell(float(a), float(k), report, result, failed))
+    for start in range(0, A.size, _SEARCH_BLOCK):
+        a, k = A[start:start + _SEARCH_BLOCK], K[start:start + _SEARCH_BLOCK]
+        results, failed = _search(a, k)
+        for ai, ki, result, bad in zip(a.tolist(), k.tolist(), results, failed.tolist()):
+            report = classify_region(CornerProblem(ai, ki), eps_boundary)
+            cells.append(RegionCell(ai, ki, report, result, bad))
     return cells
 
 
@@ -519,15 +518,5 @@ def singular_sequence_lower_bound(
     """
     factor = growth_factor(m, delta)
     lam_m = 1.0 + 1j * eta0 + 1.0 / m
-    x, w = np.polynomial.legendre.leggauss(nodes_per_segment)
-
-    def seg(lo, hi):
-        t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        total = 0.0
-        for ti, wi in zip(t, w):
-            d = profile.derivatives(ti)
-            total += 0.5 * (hi - lo) * wi * abs(d[2] + lam_m * lam_m * d[0]) ** 2
-        return total
-
-    norm2 = seg(0.0, profile.alpha) + seg(profile.alpha, math.pi)
+    norm2 = _profile_norm2(profile, lambda d: d[2] + lam_m * lam_m * d[0], nodes_per_segment)
     return norm2 * factor

@@ -16,6 +16,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .bisection import bisect_rows
+from .errors import NumericalFailure
+
 __all__ = [
     "TwoSegmentDomain",
     "ThreeSegmentDomain",
@@ -30,6 +33,9 @@ __all__ = [
     "kernel_basis",
     "scan_critical_contrasts",
 ]
+
+# contrasts per stacked determinant call of the scan: about 0.5 MB of 8x8 systems
+_KAPPA_CHUNK = 1000
 
 
 @dataclass(frozen=True)
@@ -74,13 +80,15 @@ def quadratic_coefficients(t: float) -> tuple:
     """(p, q) of the contrast quadratic kappa^2 + p*kappa + q for ratio t = b/a < 0.
 
     The discriminant p^2 - 4q factors as 16 t^2 (t-1)^2 (t^2 - t + 1), which is
-    positive for every t < 0; a non-positive value signals a broken invariant.
+    positive for every t < 0.  NumericalFailure when doubles cannot show it:
+    p*p underflows below |t| ~ 1e-162, p*p and 4q overflow above |t| ~ 1e77.
     """
     if not t < 0.0:
         raise ValueError(f"segment ratio must be negative, got {t}")
-    p = -4.0 * t + 6.0 * t * t - 4.0 * t ** 3
-    q = t ** 4
-    assert p * p - 4.0 * q > 0.0, "contrast quadratic lost its positive discriminant"
+    p = -4.0 * t + 6.0 * t * t - 4.0 * t * t * t
+    q = t * t * t * t
+    if not p * p - 4.0 * q > 0.0:  # false too when the powers overflow to inf - inf
+        raise NumericalFailure(f"contrast quadratic shows no positive discriminant at t={t}")
     return p, q
 
 
@@ -107,49 +115,52 @@ def critical_contrasts_three_segment(delta: float) -> ContrastRoots:
 Domain = Union[TwoSegmentDomain, ThreeSegmentDomain]
 
 
-def build_kernel_system(dom: Domain, kappa: float) -> np.ndarray:
+def build_kernel_system(dom: Domain, kappa) -> np.ndarray:
     """Interface-condition matrix whose null vectors are kernel fields.
 
     Two segments: 4x4 in the clamped-basis coefficients (A1, B1, A2, B2),
     matching value, slope, weighted curvature and weighted third derivative
     at 0.  Three segments: 8x8 in (outer-left, middle monomial, outer-right)
     coefficients with the same four conditions at each of x = -delta, delta.
-    Clamped end conditions are built into the outer bases.
+    Clamped end conditions are built into the outer bases.  An array of
+    contrasts gives the stack of their matrices, contrast axes first.
     """
-    if kappa == 0.0:
+    k = np.asarray(kappa, dtype=float)
+    if np.any(k == 0.0):
         raise ValueError("kappa must be nonzero")
     if isinstance(dom, TwoSegmentDomain):
         a, b = dom.a, dom.b
-        return np.array(
-            [
-                [-a ** 3, a * a, b ** 3, -b * b],
-                [3.0 * a * a, -2.0 * a, -3.0 * b * b, 2.0 * b],
-                [-6.0 * a, 2.0, 6.0 * kappa * b, -2.0 * kappa],
-                [6.0, 0.0, -6.0 * kappa, 0.0],
-            ]
-        )
-    d = dom.delta
-    xl = 1.0 - d   # (x + 1) at x = -delta
-    xr = d - 1.0   # (x - 1) at x = +delta
-    return np.array(
-        [
+        rows = [
+            [-a ** 3, a * a, b ** 3, -b * b],
+            [3.0 * a * a, -2.0 * a, -3.0 * b * b, 2.0 * b],
+            [-6.0 * a, 2.0, 6.0 * k * b, -2.0 * k],
+            [6.0, 0.0, -6.0 * k, 0.0],
+        ]
+    else:
+        d = dom.delta
+        xl = 1.0 - d   # (x + 1) at x = -delta
+        xr = d - 1.0   # (x - 1) at x = +delta
+        rows = [
             # x = -delta: value, slope, kappa-weighted curvature, weighted 3rd
             [xl ** 3, xl * xl, -1.0, d, -d * d, d ** 3, 0.0, 0.0],
             [3.0 * xl * xl, 2.0 * xl, 0.0, -1.0, 2.0 * d, -3.0 * d * d, 0.0, 0.0],
-            [6.0 * xl, 2.0, 0.0, 0.0, -2.0 * kappa, 6.0 * kappa * d, 0.0, 0.0],
-            [6.0, 0.0, 0.0, 0.0, 0.0, -6.0 * kappa, 0.0, 0.0],
+            [6.0 * xl, 2.0, 0.0, 0.0, -2.0 * k, 6.0 * k * d, 0.0, 0.0],
+            [6.0, 0.0, 0.0, 0.0, 0.0, -6.0 * k, 0.0, 0.0],
             # x = +delta
             [0.0, 0.0, 1.0, d, d * d, d ** 3, -xr ** 3, -xr * xr],
             [0.0, 0.0, 0.0, 1.0, 2.0 * d, 3.0 * d * d, -3.0 * xr * xr, -2.0 * xr],
-            [0.0, 0.0, 0.0, 0.0, 2.0 * kappa, 6.0 * kappa * d, -6.0 * xr, -2.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, 6.0 * kappa, -6.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 2.0 * k, 6.0 * k * d, -6.0 * xr, -2.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 6.0 * k, -6.0, 0.0],
         ]
-    )
+    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
+    return np.stack(entries, axis=-1).reshape(k.shape + (len(rows), len(rows)))
 
 
-def kernel_determinant(dom: Domain, kappa: float) -> float:
-    """Determinant of the interface system; zero exactly at critical contrasts."""
-    return float(np.linalg.det(build_kernel_system(dom, kappa)))
+def kernel_determinant(dom: Domain, kappa):
+    """Determinant of the interface system (an array of them for an array of
+    contrasts); zero exactly at critical contrasts."""
+    det = np.linalg.det(build_kernel_system(dom, kappa))
+    return float(det) if np.ndim(kappa) == 0 else det
 
 
 @dataclass(frozen=True)
@@ -160,36 +171,34 @@ class PiecewiseCubic:
     refs: tuple                   # expansion point of each segment
     coeffs: tuple                 # nseg tuples (c0, c1, c2, c3)
 
-    def _segment(self, x: float) -> int:
-        for s in range(len(self.coeffs) - 1):
-            if x <= self.breakpoints[s + 1]:
-                return s
-        return len(self.coeffs) - 1
+    def derivative(self, x, order: int = 0):
+        """Derivative of the given order at x, a point or an array of points.
 
-    def derivative(self, x: float, order: int = 0) -> float:
-        s = self._segment(x)
-        c = self.coeffs[s]
-        u = x - self.refs[s]
+        A point on an inner breakpoint belongs to the segment on its left.
+        """
+        x = np.asarray(x, dtype=float)
+        s = np.searchsorted(self.breakpoints[1:-1], x)
+        c0, c1, c2, c3 = np.moveaxis(np.asarray(self.coeffs)[s], -1, 0)
+        u = x - np.asarray(self.refs)[s]
         if order == 0:
-            return c[0] + u * (c[1] + u * (c[2] + u * c[3]))
-        if order == 1:
-            return c[1] + u * (2.0 * c[2] + 3.0 * u * c[3])
-        if order == 2:
-            return 2.0 * c[2] + 6.0 * u * c[3]
-        if order == 3:
-            return 6.0 * c[3]
-        return 0.0
+            out = c0 + u * (c1 + u * (c2 + u * c3))
+        elif order == 1:
+            out = c1 + u * (2.0 * c2 + 3.0 * u * c3)
+        elif order == 2:
+            out = 2.0 * c2 + 6.0 * u * c3
+        elif order == 3:
+            out = 6.0 * c3
+        else:
+            out = np.zeros_like(x)
+        return out[()]
 
-    def value(self, x: float) -> float:
+    def value(self, x):
         return self.derivative(x, 0)
 
     def sample(self, n: int = 1001) -> np.ndarray:
         """Columns x, v, v', v'' on a uniform n-point grid over the domain."""
         xs = np.linspace(self.breakpoints[0], self.breakpoints[-1], n)
-        out = np.empty((n, 4))
-        for i, x in enumerate(xs):
-            out[i] = (x, self.value(x), self.derivative(x, 1), self.derivative(x, 2))
-        return out
+        return np.column_stack([xs] + [self.derivative(xs, order) for order in (0, 1, 2)])
 
 
 def _null_vector(M: np.ndarray) -> np.ndarray:
@@ -237,25 +246,18 @@ def scan_critical_contrasts(
 ) -> ContrastRoots:
     """Brute-force oracle: determinant sign changes on a geometric contrast grid.
 
-    The kernel reduction to the interface system is exact, so bisection on the
-    determinant recovers each critical contrast to machine accuracy without
-    touching the closed forms.
+    The determinants of the n-point grid come from stacked systems,
+    _KAPPA_CHUNK contrasts per call; every sign change is then bisected in
+    lockstep with the others, to 1e-12 * (1 + |kappa|).  The kernel reduction
+    to the interface system is exact, so this recovers each critical contrast
+    to machine accuracy without touching the closed forms.
     """
     if not kappa_lo < kappa_hi < 0.0:
         raise ValueError("need kappa_lo < kappa_hi < 0")
     grid = -np.geomspace(-kappa_lo, -kappa_hi, n)
-    vals = np.array([kernel_determinant(dom, k) for k in grid])
+    vals = np.concatenate([kernel_determinant(dom, grid[i:i + _KAPPA_CHUNK])
+                           for i in range(0, n, _KAPPA_CHUNK)])
     signs = np.sign(vals)
-    roots = []
-    for i in np.where(signs[:-1] * signs[1:] < 0)[0]:
-        a, b = grid[i], grid[i + 1]
-        fa = kernel_determinant(dom, a)
-        while (b - a) > 1e-12 * max(1.0, abs(a)):
-            mid = 0.5 * (a + b)
-            fm = kernel_determinant(dom, mid)
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
-    return ContrastRoots(roots=tuple(sorted(roots)), source=RootSource.DETERMINANT_SCAN)
+    i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    roots = bisect_rows(lambda _, k: kernel_determinant(dom, k), grid[i], grid[i + 1], 1e-12)
+    return ContrastRoots(roots=tuple(sorted(roots.tolist())), source=RootSource.DETERMINANT_SCAN)

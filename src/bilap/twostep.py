@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
@@ -374,23 +375,15 @@ def constrained_solve(
                 f"source pairs with kernel field {m}: |<f, psi>| = {abs(val):.3e}"
             )
 
-    n = len(singularities)
-    keep = n - pairing.kernel_dim
+    keep = len(singularities) - pairing.kernel_dim
     sinv = sigma.inverse_at_nodes(grid)
     p0, res_p = solve_poisson_dirichlet(grid, f)
-    if keep == 0:
-        # fully degenerate pairing matrix: nothing to correct against
-        v, res_v = solve_poisson_dirichlet(grid, sinv * p0)
-        return FieldSolution(p=p0, v=v, residual_p=res_p, residual_v=res_v,
-                             correction=np.zeros(0))
     # column-pivoted QR of the pairing matrix picks a well-conditioned complement
-    _, _, piv = _qr_column_pivots(pairing.matrix)
+    piv = scipy.linalg.qr(pairing.matrix, mode="r", pivoting=True)[1]
     complement = sorted(piv[:keep])
     gammas = [singularities[i].dual for i in complement]
     w = pairing_weights(grid, exclude_corners=True)
-    Mt = np.array(
-        [[float(np.sum(w * sinv * gi * gj)) for gj in gammas] for gi in gammas]
-    )
+    Mt = pairing.matrix[np.ix_(complement, complement)]
     rhs = np.array([float(np.sum(w * sinv * p0 * gi)) for gi in gammas])
     # subtracting sum_k coeff_k gamma_k zeroes every complement pairing; kernel
     # pairings are already below the rank tolerance
@@ -399,9 +392,3 @@ def constrained_solve(
     v, res_v = solve_poisson_dirichlet(grid, sinv * p)
     return FieldSolution(p=p, v=v, residual_p=res_p, residual_v=res_v, correction=coeff)
 
-
-def _qr_column_pivots(M: np.ndarray):
-    import scipy.linalg
-
-    q, r, piv = scipy.linalg.qr(M, pivoting=True)
-    return q, r, piv

@@ -1,0 +1,127 @@
+"""Tests for the command-line contract: exit codes 0 (success), 1 (argument
+error) and 2 (numerical failure), byte-identical repeat output, --config
+precedence, and clean rejection of malformed specs and files."""
+
+import pytest
+
+from bilap.cli import run
+
+
+def invoke(capsys, *argv):
+    """(exit code, stdout, stderr) of one in-process invocation."""
+    code = run(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+SOLVE = ("solve", "--domain", "lshape", "--n", "16")
+
+
+class TestExitCodes:
+    def test_success(self, capsys):
+        code, out, err = invoke(capsys, "eta0", "--alpha", "1.0", "--kappa", "-5")
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "alpha,kappa,g,membership,eta0,residual"
+
+    @pytest.mark.parametrize("argv", [
+        ("eta0", "--alpha", "4.0", "--kappa", "-1"),
+        ("eta0", "--alpha", "1.0"),
+        ("eta0", "--alpha", "one", "--kappa", "-1"),
+        ("region-map", "--bogus", "1"),
+        ("solve", "--domain", "disk"),
+    ])
+    def test_argument_errors(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+    def test_numerical_failure(self, capsys):
+        # the tail stays positive through every doubling of eta_max
+        code, out, err = invoke(capsys, "eta0", "--alpha", "1e-20", "--kappa", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: ")
+
+    def test_tiny_angle_reports_an_exponent(self, capsys):
+        code, out, _ = invoke(capsys, "eta0", "--alpha", "1e-9", "--kappa", "-1")
+        row = out.splitlines()[1].split(",")
+        assert code == 0 and row[3] == "Inside" and float(row[4]) > 0.0
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("argv", [
+        ("region-map", "--na", "6", "--nk", "5"),
+        SOLVE + ("--sigma-file", "split-x:0.5:1:-3"),
+        ("kernel1d", "--t", "-1", "--kappa", "-13.928203230275509", "--samples", "21"),
+    ])
+    def test_repeat_output_is_byte_identical(self, capsys, argv):
+        first = invoke(capsys, *argv)
+        second = invoke(capsys, *argv)
+        assert first[0] == 0 and first == second
+
+
+class TestConfig:
+    def test_flag_takes_precedence(self, capsys, tmp_path):
+        conf = write(tmp_path, "c.conf", "n=8\nrhs=one\n")
+        flagged = invoke(capsys, *SOLVE, "--rhs", "one", "--config", conf)
+        plain = invoke(capsys, *SOLVE, "--rhs", "one")
+        from_config = invoke(capsys, "solve", "--domain", "lshape", "--config", conf)
+        assert flagged == plain
+        assert from_config[0] == 0 and from_config[1] != plain[1]
+
+    @pytest.mark.parametrize("value,flag", [("false", "--no-correct"), ("no", "--no-correct"),
+                                            ("0", "--no-correct"), ("TRUE", "--correct"),
+                                            ("yes", "--correct"), ("1", "--correct")])
+    def test_boolean_values(self, capsys, tmp_path, value, flag):
+        conf = write(tmp_path, "c.conf", f"correct={value}\n")
+        assert invoke(capsys, *SOLVE, "--config", conf) == invoke(capsys, *SOLVE, flag)
+
+    def test_corrected_and_uncorrected_differ(self, capsys):
+        assert invoke(capsys, *SOLVE, "--correct")[1] != invoke(capsys, *SOLVE, "--no-correct")[1]
+
+    def test_flag_overrides_boolean_in_config(self, capsys, tmp_path):
+        conf = write(tmp_path, "c.conf", "correct=false\n")
+        flagged = invoke(capsys, *SOLVE, "--correct", "--config", conf)
+        assert flagged == invoke(capsys, *SOLVE, "--correct")
+
+    @pytest.mark.parametrize("value", ["maybe", "", "off"])
+    def test_bad_boolean_exits_1(self, capsys, tmp_path, value):
+        conf = write(tmp_path, "c.conf", f"correct={value}\n")
+        code, out, err = invoke(capsys, *SOLVE, "--config", conf)
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("spec", ["constant", "constant:", "constant:1:2", "split-x:0.5:1",
+                                      "split-x:0.5:1:2:3", "patch:0.1:0.2:0.1", "patch", "disk:1"])
+    def test_sigma_spec(self, capsys, spec):
+        code, out, err = invoke(capsys, *SOLVE, "--sigma-file", spec)
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("rows", ["-1,0,-2.0", "0,-3,-2.0", "16,0,-2.0", "0,16,-2.0",
+                                      "1.5,2,-2.0", "3,4,-2.0\n2,20,-2.0", "3,4"])
+    def test_sigma_file_rows(self, capsys, tmp_path, rows):
+        path = write(tmp_path, "sigma.csv", f"i,j,value\n{rows}\n")
+        code, out, err = invoke(capsys, *SOLVE, "--sigma-file", f"file:{path}")
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_sigma_file_in_range(self, capsys, tmp_path):
+        path = write(tmp_path, "sigma.csv", "i,j,value\n3,4,-2.0\n15,15,-3.0\n")
+        code, out, _ = invoke(capsys, *SOLVE, "--sigma-file", f"file:{path}")
+        assert code == 0 and out != invoke(capsys, *SOLVE)[1]
+
+    @pytest.mark.parametrize("rows", ["-0.0625,0.5,1.0", "0.5,1.0625,1.0", "2.0,0.5,1.0"])
+    def test_rhs_file_rows(self, capsys, tmp_path, rows):
+        path = write(tmp_path, "rhs.csv", f"x,y,value\n{rows}\n")
+        code, out, err = invoke(capsys, *SOLVE, "--rhs", f"file:{path}")
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_rhs_file_in_range(self, capsys, tmp_path):
+        path = write(tmp_path, "rhs.csv", "x,y,value\n0.25,0.25,1.0\n1.0,1.0,5.0\n")
+        code, out, _ = invoke(capsys, *SOLVE, "--rhs", f"file:{path}")
+        assert code == 0 and out.startswith("x,y,value\n")

@@ -2,10 +2,15 @@
 search and the angular interface system."""
 
 import math
+from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bilap import corner_spectrum
 from bilap.corner_spectrum import (
     AngularProfile,
     CornerProblem,
@@ -70,6 +75,28 @@ def sample_outside(n, seed):
     return out
 
 
+def mp_dispersion(alpha, kappa, eta):
+    """The dispersion function from its definition, in 40-digit mpmath."""
+    with mp.workdps(40):
+        a, k, e = mp.mpf(alpha), mp.mpf(kappa), mp.mpf(eta)
+        return (2 * k * mp.sinh(mp.pi * e) ** 2 + 2 * k * (k - 1) * mp.sinh(a * e) ** 2
+                - 2 * (k - 1) * mp.sinh((mp.pi - a) * e) ** 2
+                + e * e * (1 - k) ** 2 * (mp.cos(2 * a) - 1))
+
+
+def mp_critical_interval(alpha):
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        s = mp.sin(a)
+        return -(mp.pi - a + s) / (a - s), -(mp.pi - a - s) / (a + s)
+
+
+def changes_sign_at(alpha, kappa, eta0, rel=1e-8):
+    lo = mp_dispersion(alpha, kappa, eta0 * (1 - rel))
+    hi = mp_dispersion(alpha, kappa, eta0 * (1 + rel))
+    return mp.sign(lo) * mp.sign(hi) < 0
+
+
 class TestDispersion:
     def test_zero_at_origin_exactly(self):
         assert dispersion(CornerProblem(math.pi / 2, -1.0), 0.0) == 0.0
@@ -108,10 +135,19 @@ class TestDispersion:
     def test_vector_evaluation(self):
         p = CornerProblem(1.0, -2.0)
         etas = np.linspace(0.0, 2.0, 7)
-        vec = dispersion(p, etas)
-        assert vec.shape == (7,)
-        for e, v in zip(etas, vec):
-            assert v == dispersion(p, float(e))
+        for f in (dispersion, scaled_dispersion):
+            vec = f(p, etas)
+            assert vec.shape == (7,)
+            for e, v in zip(etas, vec):
+                assert v == f(p, float(e))
+
+    def test_scaled_form_keeps_relative_accuracy_at_small_eta(self):
+        # the terms of the scaled form are O(eta^2), like the dispersion
+        for alpha, kappa, eta in ((1.0, -5.0, 1e-3), (2.0, -0.3, 1e-6), (0.5, -20.0, 0.02)):
+            p = CornerProblem(alpha, kappa)
+            with mp.workdps(40):
+                ref = mp_dispersion(alpha, kappa, eta) / mp.cosh(2 * mp.pi * mp.mpf(eta))
+            assert abs(scaled_dispersion(p, eta) - ref) <= 1e-13 * abs(ref)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -141,6 +177,32 @@ class TestTaylorCoefficient:
             lhs = taylor_coefficient(CornerProblem(a, k))
             rhs = k * k * taylor_coefficient(CornerProblem(math.pi - a, 1.0 / k))
             assert rhs == pytest.approx(lhs, rel=1e-12)
+
+
+class TestSmallAngle:
+    """alpha - sin(alpha) and alpha^2 - sin^2(alpha) cancel in double precision
+    as alpha -> 0; both come from their series there."""
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-3])
+    def test_against_mpmath(self, alpha):
+        lm, lp = critical_interval(alpha)
+        ref_lm, ref_lp = mp_critical_interval(alpha)
+        assert abs(lm - ref_lm) <= 1e-14 * abs(ref_lm)
+        assert abs(lp - ref_lp) <= 1e-14 * abs(ref_lp)
+        for kappa in (-1.0, 2.0 * float(ref_lm)):
+            with mp.workdps(80):
+                a, k = mp.mpf(alpha), mp.mpf(kappa)
+                # eta^2 coefficient of the dispersion, term by term from its definition
+                ref = (2 * k * mp.pi ** 2 + 2 * k * (k - 1) * a ** 2
+                       - 2 * (k - 1) * (mp.pi - a) ** 2 - 2 * (1 - k) ** 2 * mp.sin(a) ** 2)
+                g = taylor_coefficient(CornerProblem(alpha, kappa))
+                assert abs(g - ref) <= 1e-13 * abs(ref)
+
+    def test_exponent_at_tiny_angle(self):
+        p = CornerProblem(1e-9, -1.0)
+        assert classify_region(p).membership is Membership.INSIDE
+        res = find_singular_exponent(p)
+        assert res is not None and changes_sign_at(p.alpha, p.kappa, res.eta0)
 
 
 class TestCriticalInterval:
@@ -259,6 +321,47 @@ class TestExponentSearch:
                 )
 
 
+def margin_kappa(data, alpha):
+    """kappa in [-30, -0.05], drawn either log-uniformly or at a relative
+    distance in [1e-4, 0.1] from ell_minus or ell_plus, and never closer."""
+    lm, lp = mp_critical_interval(alpha)
+    if data.draw(st.booleans()):
+        kappa = -math.exp(data.draw(st.floats(math.log(0.05), math.log(30.0))))
+    else:
+        edge = lm if data.draw(st.booleans()) else lp
+        m = math.exp(data.draw(st.floats(math.log(1e-4), math.log(0.1))))
+        kappa = float(edge * (1 + m if data.draw(st.booleans()) else 1 - m))
+    assume(-30.0 <= kappa <= -0.05)
+    assume(min(abs(kappa / lm - 1), abs(kappa / lp - 1)) >= 1e-4)
+    return kappa, kappa < lm or lp < kappa
+
+
+class TestSearchOracle:
+    """The exponent search against mpmath, apart from the program's own
+    classification."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(alpha=st.floats(0.1, math.pi - 0.1), data=st.data())
+    def test_inside_iff_found_and_sign_change(self, alpha, data):
+        kappa, inside = margin_kappa(data, alpha)
+        res = find_singular_exponent(CornerProblem(alpha, kappa))
+        assert (res is not None) == inside
+        if res is not None:
+            assert changes_sign_at(alpha, kappa, res.eta0)
+
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(a0=st.floats(0.05, 2.0), width=st.floats(0.1, 1.0),
+           k1=st.floats(-3.0, -0.05), height=st.floats(0.5, 20.0))
+    def test_region_map_matches_single_searches(self, a0, width, k1, height):
+        # blocks of 16 cells: the 63 cells span four of them
+        with mock.patch.object(corner_spectrum, "_SEARCH_BLOCK", 16):
+            cells = region_map((a0, a0 + width), (k1 - height, k1), 7, 9)
+        assert len(cells) == 63
+        for c in cells:
+            assert not c.failed
+            assert c.result == find_singular_exponent(CornerProblem(c.alpha, c.kappa))
+
+
 class TestTransmissionSystem:
     def test_excluded_lambdas(self):
         p = CornerProblem(1.0, -3.0)
@@ -320,6 +423,15 @@ class TestAngularProfile:
         for theta in (0.0, math.pi):
             d = prof.derivatives(theta)
             assert abs(d[0]) <= 1e-12 and abs(d[1]) <= 1e-12
+
+    def test_array_evaluation(self, profile):
+        _, _, prof = profile
+        thetas = np.append(np.linspace(0.0, math.pi, 13), prof.alpha)
+        stack = prof.derivatives(thetas)
+        for i, theta in enumerate(thetas):
+            # same arithmetic; numpy's complex loops may round the last bit apart
+            np.testing.assert_allclose([d[i] for d in stack], prof.derivatives(float(theta)),
+                                       rtol=1e-14, atol=0.0)
 
     def test_not_singular_raises(self):
         p = CornerProblem(math.pi / 2, -1.0)

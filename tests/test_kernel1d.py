@@ -1,10 +1,15 @@
 """Tests for the 1D kernel detection: closed forms against the determinant scan."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bilap.errors import NumericalFailure
 from bilap.kernel1d import (
     ContrastRoots,
     PiecewiseCubic,
@@ -40,6 +45,22 @@ class TestQuadraticCoefficients:
     def test_rejects_positive_ratio(self):
         with pytest.raises(ValueError):
             quadratic_coefficients(0.5)
+
+    @pytest.mark.parametrize("t", [-1e-170, -1e100])
+    def test_unrepresentable_discriminant(self, t):
+        # p*p underflows to zero at -1e-170; t^4 overflows at -1e100
+        with pytest.raises(NumericalFailure):
+            quadratic_coefficients(t)
+
+    def test_guard_survives_optimized_mode(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("from bilap.errors import NumericalFailure\n"
+                "from bilap.kernel1d import quadratic_coefficients\n"
+                "try:\n    print(quadratic_coefficients(-1e-170))\n"
+                "except NumericalFailure:\n    print('NumericalFailure')\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert out.stdout.strip() == "NumericalFailure", out.stderr
 
 
 class TestClosedFormContrasts:
@@ -103,6 +124,17 @@ class TestKernelSystem:
 
     def test_nonroot_determinant(self):
         assert abs(kernel_determinant(TwoSegmentDomain(-1.0, 1.0), -2.0)) > 1.0
+
+    @pytest.mark.parametrize("dom", [TwoSegmentDomain(-1.5, 2.0), ThreeSegmentDomain(0.4)])
+    def test_contrast_array_stacks_scalar_systems(self, dom):
+        kappas = -np.geomspace(1e-3, 1e3, 9).reshape(3, 3)
+        stack = build_kernel_system(dom, kappas)
+        dets = kernel_determinant(dom, kappas)
+        assert dets.shape == (3, 3)
+        for idx in np.ndindex(3, 3):
+            k = float(kappas[idx])
+            assert np.array_equal(stack[idx], build_kernel_system(dom, k))
+            assert dets[idx] == kernel_determinant(dom, k)
 
 
 class TestDeterminantScanOracle:
@@ -176,6 +208,19 @@ class TestKernelBasis:
                 ]
             )
             assert np.abs(M @ coeffs).max() <= 1e-10
+
+    def test_array_evaluation(self):
+        cubic = kernel_basis(ThreeSegmentDomain(0.5), -1.0)
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 41), cubic.breakpoints])
+        for order in range(5):
+            values = cubic.derivative(xs, order)
+            assert values.shape == xs.shape
+            for x, v in zip(xs, values):
+                assert v == cubic.derivative(float(x), order)
+        # a point on an inner breakpoint takes the cubic of the segment on its left
+        left = cubic.coeffs[0]
+        u = -0.5 - cubic.refs[0]
+        assert cubic.value(-0.5) == left[0] + u * (left[1] + u * (left[2] + u * left[3]))
 
     def test_sampling_shape(self):
         cubic = kernel_basis(TwoSegmentDomain(-1.0, 1.0), -7.0 - 4.0 * math.sqrt(3.0))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bilap.errors import FrameError, NotSolvable, SingularPairingMatrix
 from bilap.grid import (
@@ -17,6 +18,7 @@ from bilap.grid import (
     solve_poisson_dirichlet,
 )
 from bilap.twostep import (
+    PairingMatrix,
     SigmaField,
     assemble_pairing_matrix,
     complete_singularity,
@@ -27,6 +29,7 @@ from bilap.twostep import (
     kernel_fields,
     kernel_residual,
     singular_coefficient,
+    pairing_weights,
     singular_pairing,
     solve_poisson_dirichlet_1d,
     two_step_solve,
@@ -407,3 +410,24 @@ class TestKernelOnset:
         a = constrained_solve(g, sigma, f, [s], pm)
         b = corrected_two_step_solve(g, sigma, f, [s])
         assert np.array_equal(a.v, b.v)
+
+    def test_constrained_solve_keeps_one_dual_field(self):
+        # two corners, the pairing kernel forced to dimension 1 from the SVD of
+        # the real matrix: one dual field is kept and corrected against
+        g = notched_grid(32)
+        sigma = SigmaField.constant(g)
+        sings = [compute_dual_singularity(g, i) for i in range(2)]
+        pm = assemble_pairing_matrix(g, sigma, sings)
+        _, svals, vt = np.linalg.svd(pm.matrix)
+        forced = PairingMatrix(matrix=pm.matrix, singular_values=svals, kernel_dim=1,
+                               kernel_basis=vt[1:], tol=pm.tol)
+        psi = kernel_fields(g, sigma, sings, forced)[0]
+        f0 = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
+        f = f0 - duality_pairing(g, f0, psi) / duality_pairing(g, psi, psi) * psi
+        sol = constrained_solve(g, sigma, f, sings, forced)
+        assert sol.correction.shape == (1,)
+        # the kept field is the complement picked by column-pivoted QR
+        kept = sings[int(scipy.linalg.qr(pm.matrix, pivoting=True)[2][0])].dual
+        weighted = pairing_weights(g) * sigma.inverse_at_nodes(g) * kept
+        p0 = solve_poisson_dirichlet(g, f)[0]
+        assert abs(np.sum(weighted * sol.p)) <= 1e-12 * np.sum(np.abs(weighted * p0))
