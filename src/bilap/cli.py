@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -25,6 +26,12 @@ class _ArgumentError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1e6 is a number, not an option (argparse only
+        # takes -N and -N.N for numbers)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with code 2 on bad usage; route through our own code 1
     def error(self, message):
         raise _ArgumentError(message)
@@ -52,27 +59,16 @@ def _load_config(path: str) -> dict:
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset optional values from --config; explicit flags keep precedence."""
-    if not getattr(args, "config", None):
-        return
-    conf = _load_config(args.config)
-    for action in parser._actions:
-        name = action.dest
-        if name not in ("help", "config") and name in conf and getattr(args, name) is None:
-            value = conf[name]
-            if action.nargs == 0:  # an on/off flag such as --correct/--no-correct
-                _require(value.lower() in _BOOLEANS, f"{name}={value}: not true|false|yes|no|1|0")
-                value = _BOOLEANS[value.lower()]
-            elif action.type:
-                value = action.type(value)
-            args.__dict__[name] = value
-
-
-def _defaults(args: argparse.Namespace, **values):
-    for key, val in values.items():
-        if getattr(args, key, None) is None:
-            args.__dict__[key] = val
+def _config_defaults(path: str, args: argparse.Namespace) -> dict:
+    """The --config values for the chosen subcommand's options, booleans parsed
+    strictly; the rest stay strings for argparse to convert."""
+    conf = {k: v for k, v in _load_config(path).items()
+            if k in vars(args) and k not in ("command", "config")}
+    for key, value in conf.items():
+        if isinstance(getattr(args, key), bool):  # an on/off flag such as --correct
+            _require(value.lower() in _BOOLEANS, f"{key}={value}: not true|false|yes|no|1|0")
+            conf[key] = _BOOLEANS[value.lower()]
+    return conf
 
 
 def _emit(text: str, output: Optional[str]):
@@ -110,8 +106,6 @@ def _cmd_eta0(args) -> str:
 
 
 def _cmd_region_map(args) -> str:
-    _defaults(args, amin=math.pi / 200.0, amax=math.pi * (1.0 - 1.0 / 200.0),
-              kmin=-12.0, kmax=-0.05, na=50, nk=50)
     _require(0.0 < args.amin < args.amax < math.pi, "alpha range must be inside (0, pi)")
     _require(args.kmin < args.kmax < 0.0, "kappa range must be negative")
     _require(args.na >= 2 and args.nk >= 2, "grid sizes must be at least 2")
@@ -152,10 +146,11 @@ def _cmd_kernel1d(args) -> str:
         lines.append(f"{i},{_fmt(root)}")
     text = "\n".join(lines) + "\n"
     if args.kappa is not None:
+        _require(args.samples >= 1, "--samples must be positive")
         basis = kernel1d.kernel_basis(dom, args.kappa, tol=1e-8)
         _require(basis is not None,
                  f"kappa={args.kappa} is not a critical contrast of this domain")
-        rows = basis.sample(args.samples or 1001)
+        rows = basis.sample(args.samples)
         text += "x,v,v1,v2\n"
         text += "\n".join(",".join(_fmt(x) for x in row) for row in rows) + "\n"
     return text
@@ -237,7 +232,6 @@ def _rhs_from_spec(grid: Grid2D, spec: str) -> np.ndarray:
 
 
 def _cmd_solve(args) -> str:
-    _defaults(args, domain="lshape", n=64, sigma_file="one", rhs="generic", correct=True)
     if args.domain_file:
         grid = _load_domain_file(args.domain_file)
     else:
@@ -256,7 +250,6 @@ def _cmd_solve(args) -> str:
 
 
 def _cmd_cone(args) -> str:
-    _defaults(args, d=3, beta=0.0, l=1)
     _require((args.alpha is None) != (args.mu is None),
              "cone requires exactly one of --alpha or --mu")
     if args.alpha is not None:
@@ -276,7 +269,6 @@ def _cmd_cone(args) -> str:
 
 
 def _cmd_classify(args) -> str:
-    _defaults(args, beta=0.0, l=1, d=3)
     _require(args.lambda1 is not None and args.lambda1 > 0.0,
              "classify requires --lambda1 > 0")
     cls = cones.fredholm_classify(
@@ -293,7 +285,8 @@ def _cmd_classify(args) -> str:
 # -- parser / dispatch --------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The parser and its subparsers by command name."""
     parser = _Parser(prog="bilap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -307,12 +300,12 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("region-map", help="exponent sweep over an (alpha, kappa) grid")
-    p.add_argument("--amin", type=float)
-    p.add_argument("--amax", type=float)
-    p.add_argument("--kmin", type=float)
-    p.add_argument("--kmax", type=float)
-    p.add_argument("--na", type=int)
-    p.add_argument("--nk", type=int)
+    p.add_argument("--amin", type=float, default=math.pi / 200.0)
+    p.add_argument("--amax", type=float, default=math.pi * (1.0 - 1.0 / 200.0))
+    p.add_argument("--kmin", type=float, default=-12.0)
+    p.add_argument("--kmax", type=float, default=-0.05)
+    p.add_argument("--na", type=int, default=50)
+    p.add_argument("--nk", type=int, default=50)
     common(p)
 
     p = sub.add_parser("corner-det", help="interface determinant at lambda = 1 + i*eta")
@@ -325,35 +318,35 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=float, help="segment ratio b/a < 0 (two segments)")
     p.add_argument("--delta", type=float, help="inner half-width (three segments)")
     p.add_argument("--kappa", type=float, help="emit kernel samples at this contrast")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=int, default=1001)
     common(p)
 
     p = sub.add_parser("solve", help="two-step solve on a masked polygon grid")
     p.add_argument("--domain-file", dest="domain_file")
-    p.add_argument("--domain", choices=("rectangle", "lshape", "notched"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--sigma-file", dest="sigma_file")
-    p.add_argument("--rhs")
-    p.add_argument("--correct", dest="correct", action="store_true", default=None)
+    p.add_argument("--domain", choices=("rectangle", "lshape", "notched"), default="lshape")
+    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--sigma-file", dest="sigma_file", default="one")
+    p.add_argument("--rhs", default="generic")
+    p.add_argument("--correct", dest="correct", action="store_true", default=True)
     p.add_argument("--no-correct", dest="correct", action="store_false")
     common(p)
 
     p = sub.add_parser("cone", help="cap eigenvalue, exponent and classification")
     p.add_argument("--alpha", type=float)
     p.add_argument("--mu", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--l", type=int)
+    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--l", type=int, default=1)
     common(p)
 
     p = sub.add_parser("classify", help="weighted-index classification from lambda1")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--l", type=int)
-    p.add_argument("--d", type=int)
+    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--l", type=int, default=1)
+    p.add_argument("--d", type=int, default=3)
     p.add_argument("--lambda1", type=float)
     common(p)
 
-    return parser
+    return parser, sub.choices
 
 
 _COMMANDS = {
@@ -369,13 +362,13 @@ _COMMANDS = {
 
 def run(argv: Sequence[str]) -> int:
     """Dispatch one invocation; returns the process exit code."""
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-        sub = next(
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        _apply_config(args, sub.choices[args.command])
+        if args.config:
+            # config values become the subcommand's defaults, so flags keep precedence
+            subparsers[args.command].set_defaults(**_config_defaults(args.config, args))
+            args = parser.parse_args(list(argv))
         text = _COMMANDS[args.command](args)
     except (_ArgumentError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

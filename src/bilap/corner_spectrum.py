@@ -145,14 +145,27 @@ def _x_minus_sin(x: float) -> float:
     return x * y / 6.0 * (1.0 - y / 20.0 * (1.0 - y / 42.0 * (1.0 - y / 72.0 * (1.0 - y / 110.0))))
 
 
+def _pi_minus(alpha: float) -> float:
+    """pi - alpha; below _SERIES_ANGLE it keeps the low part of pi that
+    math.pi drops (pi - math.pi = 1.2246467991473532e-16)."""
+    b = math.pi - alpha
+    return b + 1.2246467991473532e-16 if b < _SERIES_ANGLE else b
+
+
 def taylor_coefficient(p: CornerProblem) -> float:
     """Coefficient of eta^2 in the small-eta expansion of the dispersion function."""
     a, k = p.alpha, p.kappa
     s = math.sin(a)
-    # a^2 - sin^2 a = (a - sin a)(a + sin a), which keeps small angles accurate
+    b = _pi_minus(a)
+    # a^2 - sin^2 a = (a - sin a)(a + sin a), which keeps small angles accurate;
+    # near pi the same holds for a0 = b^2 - sin^2 b, and a1 = -a b - sin^2 a
     a2 = a * a - s * s if a >= _SERIES_ANGLE else _x_minus_sin(a) * (a + s)
-    a1 = a2 - a * math.pi
-    a0 = a2 + (math.pi * math.pi - 2.0 * a * math.pi)
+    if b >= _SERIES_ANGLE:
+        a1 = a2 - a * math.pi
+        a0 = a2 + (math.pi * math.pi - 2.0 * a * math.pi)
+    else:
+        a1 = -a * b - s * s
+        a0 = _x_minus_sin(b) * (b + s)
     return 2.0 * a2 * k * k - 4.0 * a1 * k + 2.0 * a0
 
 
@@ -164,10 +177,10 @@ def critical_interval(alpha: float) -> tuple:
     """
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha must lie in (0, pi), got {alpha}")
-    sa = math.sin(alpha)
-    sb = math.sin(math.pi - alpha)
-    ell_minus = -(math.pi - alpha + sb) / _x_minus_sin(alpha)
-    ell_plus = -(math.pi - alpha - sb) / (alpha + sa)
+    b = _pi_minus(alpha)
+    sb = math.sin(b)
+    ell_minus = -(b + sb) / _x_minus_sin(alpha)
+    ell_plus = -_x_minus_sin(b) / (alpha + math.sin(alpha))
     return ell_minus, ell_plus
 
 

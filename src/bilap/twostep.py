@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 EXCLUSION_RADIUS_CELLS = 4.0
+_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,28 +67,33 @@ class SigmaField:
 
     def inverse_at_nodes(self, grid: Grid2D) -> np.ndarray:
         """1/sigma transferred cell-to-node by arithmetic mean over touching cells."""
-        return _cells_to_nodes(grid, 1.0 / self.cells)
+        return _node_mean(grid, 1.0 / self.cells)
 
     def at_nodes(self, grid: Grid2D) -> np.ndarray:
-        return _cells_to_nodes(grid, self.cells)
+        return _node_mean(grid, self.cells)
 
 
-def _cells_to_nodes(grid: Grid2D, cell_values: np.ndarray) -> np.ndarray:
-    acc = np.zeros((grid.nx + 1, grid.ny + 1))
-    cnt = np.zeros((grid.nx + 1, grid.ny + 1))
-    ci, cj = np.nonzero(grid.cell_mask)
-    vals = cell_values[ci, cj]
+def _node_sum(grid: Grid2D, cell_values: np.ndarray) -> np.ndarray:
+    """Per node, the sum of the values of the mask cells touching it; each node
+    takes its additions in a fixed order and cells off the mask add 0.0."""
+    vals = np.where(grid.cell_mask, cell_values, 0.0)
+    out = np.zeros((grid.nx + 1, grid.ny + 1))
     for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        np.add.at(acc, (ci + di, cj + dj), vals)
-        np.add.at(cnt, (ci + di, cj + dj), 1.0)
-    out = np.zeros_like(acc)
-    np.divide(acc, cnt, out=out, where=cnt > 0)
+        out[di:di + grid.nx, dj:dj + grid.ny] += vals
     return out
+
+
+def _node_mean(grid: Grid2D, cell_values: np.ndarray) -> np.ndarray:
+    count = _node_sum(grid, np.ones((grid.nx, grid.ny)))
+    total = _node_sum(grid, cell_values)
+    return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
 
 
 @dataclass(frozen=True)
 class FieldSolution:
-    """Intermediate and final fields of a two-step solve with solver residuals."""
+    """Intermediate and final fields of a two-step solve with solver residuals:
+    Lap v = (1/sigma) p, and a corrected solve has p = p0 + sum_i correction[i]
+    * dual_i with Lap p0 = f (uncorrected: p = p0 and correction is None)."""
 
     p: np.ndarray
     v: np.ndarray
@@ -102,10 +108,21 @@ def two_step_solve(grid: Grid2D, sigma: SigmaField, f: np.ndarray) -> FieldSolut
     On a non-convex mask this yields the relaxed-space solution, which need
     not coincide with the finite-energy one.
     """
+    return _split(grid, sigma.inverse_at_nodes(grid), f)
+
+
+def _split(grid: Grid2D, sinv: np.ndarray, f: np.ndarray, duals=(), matrix=None,
+           w=None) -> FieldSolution:
+    """Lap p0 = f; given the pairing ``matrix`` of ``duals``, p = p0 + sum_i c_i dual_i
+    with c zeroing each sum(w * sinv * p * dual_i); then Lap v = sinv * p."""
     p, res_p = solve_poisson_dirichlet(grid, f)
-    sinv = sigma.inverse_at_nodes(grid)
+    coeff = None
+    if matrix is not None:
+        rhs = np.array([-np.sum(w * (sinv * p) * d) for d in duals])
+        coeff = np.linalg.solve(matrix, rhs)
+        p = p + sum(a * d for a, d in zip(coeff, duals))
     v, res_v = solve_poisson_dirichlet(grid, sinv * p)
-    return FieldSolution(p=p, v=v, residual_p=res_p, residual_v=res_v)
+    return FieldSolution(p=p, v=v, residual_p=res_p, residual_v=res_v, correction=coeff)
 
 
 # -- 1D twin (clamped interval, same two-step split) -------------------------
@@ -169,8 +186,7 @@ def compute_dual_singularity(grid: Grid2D, corner_index: int) -> CornerSingulari
         grid, np.zeros_like(leading), boundary_values=lift_data
     )
     dual = lift + leading
-    dual[grid.boundary] = 0.0
-    dual[~(grid.interior | grid.boundary)] = 0.0
+    dual[~grid.interior] = 0.0
     return CornerSingularity(corner_index=corner_index, dual=dual)
 
 
@@ -187,12 +203,13 @@ def complete_singularity(
 def pairing_weights(grid: Grid2D, exclude_corners: bool = True) -> np.ndarray:
     """Nodal weights of the cellwise trapezoid rule over the mask.
 
+    Each kept cell gives a quarter of its area to each of its four nodes.  A
+    corrected solve builds them once, for its pairing matrix and its correction.
     With ``exclude_corners`` the cells whose centers fall within four mesh
     widths of a registered corner are dropped: integrands built from dual
     fields behave like r^(-4/3) there and the exclusion error vanishes under
     refinement while keeping every evaluation finite.
     """
-    w = np.zeros((grid.nx + 1, grid.ny + 1))
     h = grid.h
     keep = grid.cell_mask.copy()
     if exclude_corners and grid.corners:
@@ -201,11 +218,7 @@ def pairing_weights(grid: Grid2D, exclude_corners: bool = True) -> np.ndarray:
         CX, CY = np.meshgrid(cx, cy, indexing="ij")
         for c in grid.corners:
             keep &= np.hypot(CX - c.x, CY - c.y) >= EXCLUSION_RADIUS_CELLS * h
-    ci, cj = np.nonzero(keep)
-    quarter = h * h / 4.0
-    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        np.add.at(w, (ci + di, cj + dj), quarter)
-    return w
+    return _node_sum(grid, np.where(keep, h * h / 4.0, 0.0))
 
 
 def singular_pairing(grid: Grid2D, a: np.ndarray, b: np.ndarray) -> float:
@@ -247,7 +260,7 @@ def assemble_pairing_matrix(
     grid: Grid2D,
     sigma: SigmaField,
     singularities: Sequence[CornerSingularity],
-    tol: float = 1e-8,
+    tol: float = _RANK_TOL,
 ) -> PairingMatrix:
     """Pairings (1/sigma * dual_i, dual_j) with an SVD rank estimate.
 
@@ -256,16 +269,19 @@ def assemble_pairing_matrix(
     the attainable pairing magnitude (the same sums with absolute-value
     integrands), so a 1x1 matrix near zero is correctly flagged singular.
     """
-    n = len(singularities)
+    return _pairing_matrix(sigma.inverse_at_nodes(grid), pairing_weights(grid),
+                           [s.dual for s in singularities], tol)
+
+
+def _pairing_matrix(sinv: np.ndarray, w: np.ndarray, duals, tol: float) -> PairingMatrix:
+    n = len(duals)
     if n < 1:
         raise ValueError("need at least one singularity")
-    sinv = sigma.inverse_at_nodes(grid)
-    w = pairing_weights(grid, exclude_corners=True)
     M = np.empty((n, n))
     scale = 0.0
     for i in range(n):
         for j in range(i, n):
-            prod = w * sinv * singularities[i].dual * singularities[j].dual
+            prod = w * sinv * duals[i] * duals[j]
             M[i, j] = M[j, i] = float(np.sum(prod))
             scale = max(scale, float(np.sum(np.abs(prod))))
     _, svals, vt = np.linalg.svd(M)
@@ -293,20 +309,13 @@ def corrected_two_step_solve(
     """
     if not singularities:
         return two_step_solve(grid, sigma, f)
-    pm = assemble_pairing_matrix(grid, sigma, singularities)
-    if pm.kernel_dim > 0:
-        raise SingularPairingMatrix(
-            f"pairing matrix has kernel dimension {pm.kernel_dim}"
-        )
-    p0, res_p = solve_poisson_dirichlet(grid, f)
     sinv = sigma.inverse_at_nodes(grid)
-    rhs = np.array(
-        [-singular_pairing(grid, sinv * p0, s.dual) for s in singularities]
-    )
-    coeff = np.linalg.solve(pm.matrix, rhs)
-    p = p0 + sum(a * s.dual for a, s in zip(coeff, singularities))
-    v, res_v = solve_poisson_dirichlet(grid, sinv * p)
-    return FieldSolution(p=p, v=v, residual_p=res_p, residual_v=res_v, correction=coeff)
+    w = pairing_weights(grid)
+    duals = [s.dual for s in singularities]
+    pm = _pairing_matrix(sinv, w, duals, _RANK_TOL)
+    if pm.kernel_dim > 0:
+        raise SingularPairingMatrix(f"pairing matrix has kernel dimension {pm.kernel_dim}")
+    return _split(grid, sinv, f, duals, pm.matrix, w)
 
 
 def kernel_fields(
@@ -355,16 +364,14 @@ def constrained_solve(
     pairing: PairingMatrix,
     solvability_tol: float = 1e-6,
 ) -> FieldSolution:
-    """Corrected solve in the rank-deficient case, defined modulo kernel fields.
+    """Corrected solve that also serves a rank-deficient pairing, modulo kernel fields.
 
     The complement of the pairing kernel is picked by column-pivoted QR; dual
-    coefficients are solved on that complement only.  Sources must be
-    orthogonal to every kernel field within solvability_tol (relative), else
-    NotSolvable.
+    coefficients are solved on that complement only, and ``correction`` holds
+    them in the order of the kept fields, with the sign convention of
+    FieldSolution.  Sources must be orthogonal to every kernel field within
+    solvability_tol (relative), else NotSolvable.
     """
-    if pairing.kernel_dim == 0:
-        return corrected_two_step_solve(grid, sigma, f, singularities)
-
     psis = kernel_fields(grid, sigma, singularities, pairing)
     fnorm = math.sqrt(abs(duality_pairing(grid, f, f)))
     for m, psi in enumerate(psis):
@@ -376,19 +383,9 @@ def constrained_solve(
             )
 
     keep = len(singularities) - pairing.kernel_dim
-    sinv = sigma.inverse_at_nodes(grid)
-    p0, res_p = solve_poisson_dirichlet(grid, f)
-    # column-pivoted QR of the pairing matrix picks a well-conditioned complement
-    piv = scipy.linalg.qr(pairing.matrix, mode="r", pivoting=True)[1]
-    complement = sorted(piv[:keep])
-    gammas = [singularities[i].dual for i in complement]
-    w = pairing_weights(grid, exclude_corners=True)
-    Mt = pairing.matrix[np.ix_(complement, complement)]
-    rhs = np.array([float(np.sum(w * sinv * p0 * gi)) for gi in gammas])
-    # subtracting sum_k coeff_k gamma_k zeroes every complement pairing; kernel
-    # pairings are already below the rank tolerance
-    coeff = np.linalg.solve(Mt, rhs)
-    p = p0 - sum(c * gi for c, gi in zip(coeff, gammas))
-    v, res_v = solve_poisson_dirichlet(grid, sinv * p)
-    return FieldSolution(p=p, v=v, residual_p=res_p, residual_v=res_v, correction=coeff)
-
+    # column-pivoted QR of the pairing matrix picks a well-conditioned complement;
+    # pairings along the kernel are already below the rank tolerance
+    c = sorted(scipy.linalg.qr(pairing.matrix, mode="r", pivoting=True)[1][:keep])
+    duals = [singularities[i].dual for i in c]
+    return _split(grid, sigma.inverse_at_nodes(grid), f, duals, pairing.matrix[np.ix_(c, c)],
+                  pairing_weights(grid))

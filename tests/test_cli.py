@@ -35,11 +35,22 @@ class TestExitCodes:
         ("eta0", "--alpha", "one", "--kappa", "-1"),
         ("region-map", "--bogus", "1"),
         ("solve", "--domain", "disk"),
+        ("kernel1d", "--t", "-1", "--kappa", "-13.928203230275509", "--samples", "0"),
     ])
     def test_argument_errors(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("region-map", "--na", "2", "--nk", "2", "--kmin", "-1e6"),
+        ("eta0", "--alpha", "1.0", "--kappa", "-1e-3"),
+        ("kernel1d", "--t", "-2.5e0"),
+    ])
+    def test_negative_scientific_values(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        joined = invoke(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+        assert code == 0 and err == "" and (code, out, err) == joined
 
     def test_numerical_failure(self, capsys):
         # the tail stays positive through every doubling of eta_max
@@ -88,6 +99,17 @@ class TestConfig:
         conf = write(tmp_path, "c.conf", "correct=false\n")
         flagged = invoke(capsys, *SOLVE, "--correct", "--config", conf)
         assert flagged == invoke(capsys, *SOLVE, "--correct")
+
+    def test_config_sets_region_map_size(self, capsys, tmp_path):
+        conf = write(tmp_path, "c.conf", "na=3\nnk=4\n")
+        code, out, _ = invoke(capsys, "region-map", "--config", conf)
+        assert code == 0 and len(out.splitlines()) == 1 + 3 * 4
+        assert (code, out) == invoke(capsys, "region-map", "--na", "3", "--nk", "4")[:2]
+
+    def test_config_value_of_wrong_type_exits_1(self, capsys, tmp_path):
+        conf = write(tmp_path, "c.conf", "n=abc\n")
+        code, out, err = invoke(capsys, *SOLVE[:3], "--config", conf)
+        assert code == 1 and out == "" and err.startswith("error: ")
 
     @pytest.mark.parametrize("value", ["maybe", "", "off"])
     def test_bad_boolean_exits_1(self, capsys, tmp_path, value):

@@ -205,6 +205,25 @@ class TestSmallAngle:
         assert res is not None and changes_sign_at(p.alpha, p.kappa, res.eta0)
 
 
+class TestNearPi:
+    """pi - alpha - sin(alpha) and (pi - alpha)^2 - sin^2(alpha) cancel as
+    alpha -> pi, the mirror of the small-angle case; the oracle uses the true pi."""
+
+    @pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-3])
+    def test_against_mpmath(self, d):
+        alpha = math.pi - d
+        _, lp = critical_interval(alpha)
+        ref_lp = mp_critical_interval(alpha)[1]
+        assert abs(lp - ref_lp) <= 1e-12 * abs(ref_lp)
+        for kappa in (0.5 * lp, 2.0 * lp):
+            with mp.workdps(80):
+                a, k = mp.mpf(alpha), mp.mpf(kappa)
+                ref = (2 * k * mp.pi ** 2 + 2 * k * (k - 1) * a ** 2
+                       - 2 * (k - 1) * (mp.pi - a) ** 2 - 2 * (1 - k) ** 2 * mp.sin(a) ** 2)
+                g = taylor_coefficient(CornerProblem(alpha, kappa))
+                assert abs(g - ref) <= 1e-12 * abs(ref) and (g > 0) == (ref > 0)
+
+
 class TestCriticalInterval:
     def test_right_angle_values(self):
         lm, lp = critical_interval(math.pi / 2)

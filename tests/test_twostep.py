@@ -2,6 +2,7 @@
 corrected two-step solve and the pairing-matrix machinery."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bilap.grid import (
     rectangle_grid,
     solve_poisson_dirichlet,
 )
+import bilap.twostep
 from bilap.twostep import (
     PairingMatrix,
     SigmaField,
@@ -49,6 +51,15 @@ def patch_sigma(grid, t, radius=0.25, center=(0.5, 0.5)):
     CX, CY = np.meshgrid(cx, cy, indexing="ij")
     inside = np.hypot(CX - center[0], CY - center[1]) < radius
     return SigmaField(np.where(inside, -t, 1.0))
+
+
+def scatter_reference(grid, keep, cell_values):
+    """Per-cell np.add.at of the kept cells' values onto their four nodes."""
+    ci, cj = np.nonzero(keep)
+    out = np.zeros((grid.nx + 1, grid.ny + 1))
+    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        np.add.at(out, (ci + di, cj + dj), cell_values[ci, cj])
+    return out
 
 
 class TestGrid:
@@ -156,6 +167,33 @@ class TestTwoStep:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             SigmaField(np.zeros((4, 4)))
+
+
+class TestNodeTransfer:
+    @pytest.mark.parametrize("grid", [rectangle_grid(16), lshape_grid(32), notched_grid(32)],
+                             ids=["rectangle", "lshape", "notched"])
+    def test_bitwise_equal_to_scatter(self, grid):
+        rng = np.random.default_rng(grid.nx + len(grid.corners))
+        shape = (grid.nx, grid.ny)
+        cells = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 3.0, shape)
+        sigma = SigmaField(cells)
+        assert (cells < 0).any() and (cells > 0).any()
+        count = scatter_reference(grid, grid.cell_mask, np.ones(shape))
+        for field, values in ((sigma.at_nodes(grid), cells),
+                              (sigma.inverse_at_nodes(grid), 1.0 / cells)):
+            ref = np.zeros_like(count)
+            np.divide(scatter_reference(grid, grid.cell_mask, values), count, out=ref,
+                      where=count > 0)
+            assert field.tobytes() == ref.tobytes()
+        CX, CY = np.meshgrid((np.arange(grid.nx) + 0.5) * grid.h,
+                             (np.arange(grid.ny) + 0.5) * grid.h, indexing="ij")
+        far = np.ones(shape, dtype=bool)
+        for c in grid.corners:
+            far &= np.hypot(CX - c.x, CY - c.y) >= 4.0 * grid.h
+        quarter = np.full(shape, grid.h * grid.h / 4.0)
+        for exclude, keep in ((False, grid.cell_mask), (True, grid.cell_mask & far)):
+            ref = scatter_reference(grid, keep, quarter)
+            assert pairing_weights(grid, exclude_corners=exclude).tobytes() == ref.tobytes()
 
 
 class TestDualSingularity:
@@ -283,6 +321,32 @@ class TestCorrection:
             diff = unc.v - cor.v
             rels.append(np.linalg.norm(diff - predicted) / np.linalg.norm(diff))
         assert rels[1] < rels[0]
+
+    def test_correction_moves_p_along_duals(self, corrected):
+        g, sigma, f, s, unc, cor = corrected
+        p0 = solve_poisson_dirichlet(g, f)[0]
+        expected = p0 + cor.correction[0] * s.dual
+        assert np.max(np.abs(cor.p - expected)) <= 1e-14 * np.max(np.abs(cor.p))
+
+    def test_weights_and_inverse_built_once(self, monkeypatch):
+        g = notched_grid(32)
+        sigma = SigmaField.constant(g)
+        sings = [compute_dual_singularity(g, i) for i in range(2)]
+        f = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bilap.twostep, "pairing_weights",
+                            counted("weights", bilap.twostep.pairing_weights))
+        monkeypatch.setattr(SigmaField, "inverse_at_nodes",
+                            counted("inverse", SigmaField.inverse_at_nodes))
+        corrected_two_step_solve(g, sigma, f, sings)
+        assert calls == {"weights": 1, "inverse": 1}
 
     def test_no_corners_delegates(self):
         g = rectangle_grid(16)
@@ -431,3 +495,6 @@ class TestKernelOnset:
         weighted = pairing_weights(g) * sigma.inverse_at_nodes(g) * kept
         p0 = solve_poisson_dirichlet(g, f)[0]
         assert abs(np.sum(weighted * sol.p)) <= 1e-12 * np.sum(np.abs(weighted * p0))
+        # the sign convention of FieldSolution: p = p0 + correction * kept
+        expected = p0 + sol.correction[0] * kept
+        assert np.max(np.abs(sol.p - expected)) <= 1e-14 * np.max(np.abs(sol.p))
