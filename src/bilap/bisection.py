@@ -19,7 +19,7 @@ def bisect_rows(f, lo, hi, tol: float) -> np.ndarray:
         if not active.size:
             return mid
         f_mid = np.asarray(f(active, mid[active]), dtype=float)
-        left = f_lo[active] * f_mid <= 0.0
+        left = np.sign(f_lo[active]) * np.sign(f_mid) <= 0.0  # no overflow of f * f
         hi[active[left]] = mid[active[left]]
         right = active[~left]
         lo[right], f_lo[right] = mid[right], f_mid[~left]

@@ -243,10 +243,14 @@ def _cmd_solve(args) -> str:
         sol = twostep.corrected_two_step_solve(grid, sigma, rhs, sing)
     else:
         sol = twostep.two_step_solve(grid, sigma, rhs)
-    lines = ["x,y,value"]
-    for i, j in zip(grid.ii, grid.jj):
-        lines.append(f"{_fmt(grid.node_x[i])},{_fmt(grid.node_y[j])},{_fmt(sol.v[i, j])}")
-    return "\n".join(lines) + "\n"
+    # x and y take n+1 values each: format them once per axis, then look them up;
+    # "%.17g" % v is the string _fmt(v) gives
+    xs = [_fmt(x) for x in grid.node_x]
+    ys = [_fmt(y) for y in grid.node_y]
+    rows = map(",".join, zip(map(xs.__getitem__, grid.ii.tolist()),
+                             map(ys.__getitem__, grid.jj.tolist()),
+                             map("%.17g".__mod__, sol.v[grid.ii, grid.jj].tolist())))
+    return "\n".join(["x,y,value", *rows]) + "\n"
 
 
 def _cmd_cone(args) -> str:

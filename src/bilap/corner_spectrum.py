@@ -51,6 +51,8 @@ REGION_MAP_CSV_HEADER = "alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residu
 _SERIES_ANGLE = 0.1
 # cells per lockstep block of the exponent search: about 2 MB of scan arrays
 _SEARCH_BLOCK = 128
+# relative size below which a scaled dispersion value has no trusted sign
+_SIGN_FLOOR = 4e-15
 
 
 @dataclass(frozen=True)
@@ -157,10 +159,11 @@ def taylor_coefficient(p: CornerProblem) -> float:
     a, k = p.alpha, p.kappa
     s = math.sin(a)
     b = _pi_minus(a)
-    # a^2 - sin^2 a = (a - sin a)(a + sin a), which keeps small angles accurate;
-    # near pi the same holds for a0 = b^2 - sin^2 b, and a1 = -a b - sin^2 a
+    # a^2 - sin^2 a = (a - sin a)(a + sin a), which keeps small angles accurate.
+    # Above pi/2 the forms in a and pi cancel by a factor of about pi / b, so
+    # there a0 = b^2 - sin^2 b = (b - sin b)(b + sin b) and a1 = -a b - sin^2 a
     a2 = a * a - s * s if a >= _SERIES_ANGLE else _x_minus_sin(a) * (a + s)
-    if b >= _SERIES_ANGLE:
+    if a <= 0.5 * math.pi:
         a1 = a2 - a * math.pi
         a0 = a2 + (math.pi * math.pi - 2.0 * a * math.pi)
     else:
@@ -202,20 +205,25 @@ def classify_region(p: CornerProblem, eps_boundary: float = 1e-9) -> RegionRepor
 def _search(alpha, kappa, eta_min=1e-4, ratio=1.1, eta_max=10.0, max_doublings=60):
     """find_singular_exponent on the rows (alpha[i], kappa[i]) in lockstep:
     (result or None per row, flags of the rows whose tail stayed positive)."""
-    # tail: the first eta_max * 2**j at which the scaled dispersion is negative
-    ladder = eta_max * 2.0 ** np.arange(max_doublings)
-    negative = sum(_scaled_terms(alpha[:, None], kappa[:, None], ladder)) < 0.0
-    failed = ~negative.any(axis=1)
-    tail = np.where(failed, eta_max, ladder[negative.argmax(axis=1)])
+    # the terms hold (1 - kappa)^2: beyond |kappa| ~ 1e154 they overflow, no
+    # tail value is negative and the row fails; below it only far rungs of the
+    # ladder overflow, after the first negative one
+    with np.errstate(over="ignore", invalid="ignore"):
+        # tail: the first eta_max * 2**j at which the scaled dispersion is negative
+        ladder = eta_max * 2.0 ** np.arange(max_doublings)
+        negative = sum(_scaled_terms(alpha[:, None], kappa[:, None], ladder)) < 0.0
+        failed = ~negative.any(axis=1)
+        tail = np.where(failed, eta_max, ladder[negative.argmax(axis=1)])
 
-    # geometric grid below each row's tail, then the tail itself, repeated so
-    # that every row of the block has the same length
-    n = int(math.ceil(math.log(tail.max() / eta_min) / math.log(ratio))) + 1
-    etas = np.minimum(eta_min * ratio ** np.arange(n + 1), tail[:, None])
-    vals = sum(_scaled_terms(alpha[:, None], kappa[:, None], etas))
-    # values under this floor do not count for their sign; within about 1e-7
-    # (relative) of ell_minus or ell_plus it also hides the sign of g * eta^2
-    keep = np.abs(vals) > 4e-15 * (1.0 + kappa[:, None] ** 2)
+        # geometric grid below each row's tail, then the tail itself, repeated so
+        # that every row of the block has the same length
+        n = int(math.ceil(math.log(tail.max() / eta_min) / math.log(ratio))) + 1
+        etas = np.minimum(eta_min * ratio ** np.arange(n + 1), tail[:, None])
+        terms = _scaled_terms(alpha[:, None], kappa[:, None], etas)
+        vals = sum(terms)
+        # a value within rounding of zero, relative to the sum of the absolute
+        # terms (the scale of `residual`), does not count for its sign
+        keep = np.abs(vals) > _SIGN_FLOOR * sum(np.abs(t) for t in terms)
     # sign changes between consecutive kept values: carry each kept column's
     # index and sign forward over the dropped ones
     last = np.maximum.accumulate(np.where(keep, np.arange(n + 1), 0), axis=1)

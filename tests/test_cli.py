@@ -2,8 +2,11 @@
 error) and 2 (numerical failure), byte-identical repeat output, --config
 precedence, and clean rejection of malformed specs and files."""
 
+import warnings
+
 import pytest
 
+from bilap import twostep
 from bilap.cli import run
 
 
@@ -57,6 +60,15 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "eta0", "--alpha", "1e-20", "--kappa", "-1")
         assert code == 2 and out == ""
         assert err.startswith("numerical failure: ")
+
+    def test_overflowing_kappa_fails_cleanly(self, capsys):
+        # (1 - kappa)^2 overflows: no exponent can be searched for, and numpy
+        # must not warn on the way to exit code 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, "eta0", "--alpha", "1", "--kappa=-1e200")
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: ") and "Warning" not in err
 
     def test_tiny_angle_reports_an_exponent(self, capsys):
         code, out, _ = invoke(capsys, "eta0", "--alpha", "1e-9", "--kappa", "-1")
@@ -147,3 +159,30 @@ class TestMalformedInput:
         path = write(tmp_path, "rhs.csv", "x,y,value\n0.25,0.25,1.0\n1.0,1.0,5.0\n")
         code, out, _ = invoke(capsys, *SOLVE, "--rhs", f"file:{path}")
         assert code == 0 and out.startswith("x,y,value\n")
+
+
+class TestSolveCsv:
+    @pytest.mark.parametrize("domain", ["lshape", "notched", "rectangle"])
+    def test_matches_per_field_format(self, capsys, monkeypatch, domain):
+        # the CSV against one format(value, ".17g") per field per node, on the
+        # field the CLI solved for; a sign-changing sigma gives negative values
+        # and values that print with exponents
+        solved = {}
+
+        def capture(solve):
+            def wrapper(grid, *args):
+                solved["grid"], solved["sol"] = grid, solve(grid, *args)
+                return solved["sol"]
+            return wrapper
+
+        for name in ("two_step_solve", "corrected_two_step_solve"):
+            monkeypatch.setattr(twostep, name, capture(getattr(twostep, name)))
+        code, out, _ = invoke(capsys, "solve", "--domain", domain, "--n", "32",
+                              "--sigma-file", "split-x:0.4:1:-3")
+        g, v = solved["grid"], solved["sol"].v
+        fmt = lambda x: format(float(x), ".17g")
+        ref = ["x,y,value"] + [f"{fmt(g.node_x[i])},{fmt(g.node_y[j])},{fmt(v[i, j])}"
+                               for i, j in zip(g.ii, g.jj)]
+        assert code == 0 and out == "\n".join(ref) + "\n"
+        values = [row.rsplit(",", 1)[1] for row in ref[1:]]
+        assert any(x.startswith("-") for x in values) and any("e" in x for x in values)

@@ -224,6 +224,20 @@ class TestNearPi:
                 assert abs(g - ref) <= 1e-12 * abs(ref) and (g > 0) == (ref > 0)
 
 
+    @pytest.mark.parametrize("d", [0.1001, 0.2, 0.5])
+    def test_just_above_series_angle(self, d):
+        # outside the series, the forms in alpha and pi cancel by about pi / d
+        alpha = math.pi - d
+        _, lp = critical_interval(alpha)
+        for kappa in (0.5 * lp, 2.0 * lp):
+            with mp.workdps(80):
+                a, k = mp.mpf(alpha), mp.mpf(kappa)
+                ref = (2 * k * mp.pi ** 2 + 2 * k * (k - 1) * a ** 2
+                       - 2 * (k - 1) * (mp.pi - a) ** 2 - 2 * (1 - k) ** 2 * mp.sin(a) ** 2)
+                g = taylor_coefficient(CornerProblem(alpha, kappa))
+                assert abs(g - ref) <= 1e-14 * abs(ref)
+
+
 class TestCriticalInterval:
     def test_right_angle_values(self):
         lm, lp = critical_interval(math.pi / 2)
@@ -321,6 +335,16 @@ class TestExponentSearch:
             r2 = find_singular_exponent(CornerProblem(math.pi - alpha, 1.0 / kappa))
             assert r1 is not None and r2 is not None
             assert abs(r1.eta0 - r2.eta0) <= 1e-10
+
+    @pytest.mark.parametrize("kappa", [-1e15, -1e100, -1e150])
+    def test_huge_contrast_keeps_its_exponent(self, kappa):
+        # near the root the values are O(|kappa|) against a kappa^2 overall
+        # scale: the sign floor must follow the terms, not 1 + kappa^2; at
+        # -1e150 the product of two values overflows, their signs do not
+        p = CornerProblem(1.0, kappa)
+        assert classify_region(p).membership is Membership.INSIDE
+        res = find_singular_exponent(p)
+        assert res is not None and changes_sign_at(p.alpha, p.kappa, res.eta0)
 
     def test_root_counts_inside_and_outside(self):
         for p in sample_inside(100, seed=20):

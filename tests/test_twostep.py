@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as splinalg
 
 from bilap.errors import FrameError, NotSolvable, SingularPairingMatrix
 from bilap.grid import (
@@ -127,6 +128,25 @@ class TestPoisson:
         f[g.interior] = -rng.uniform(0.0, 1.0, g.n_interior)
         u, _ = solve_poisson_dirichlet(g, f)
         assert np.all(u[g.interior] >= 0.0)
+
+    def test_factor_orders_for_symmetry(self):
+        # minimum degree on A^T + A fills L+U with about 0.59 of COLAMD's
+        # entries here; a silent return to COLAMD fails the first bound
+        A = notched_grid(128).laplacian().tocsc()
+        lu = notched_grid(128).factor()
+        mmd = splinalg.splu(A, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+        colamd = splinalg.splu(A)
+        fill = lu.L.nnz + lu.U.nnz
+        assert abs(fill - (mmd.L.nnz + mmd.U.nnz)) <= 0.05 * (mmd.L.nnz + mmd.U.nnz)
+        assert fill < 0.95 * (colamd.L.nnz + colamd.U.nnz)
+
+    @pytest.mark.parametrize("make,n", [(rectangle_grid, 64), (lshape_grid, 64), (notched_grid, 64)])
+    def test_solve_matches_colamd_reference(self, make, n):
+        g = make(n)
+        f = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
+        u, _ = solve_poisson_dirichlet(g, f)
+        ref = splinalg.splu(g.laplacian().tocsc()).solve(g.restrict(f))
+        assert np.max(np.abs(g.restrict(u) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_1d_solver(self):
         errs = []
@@ -498,3 +518,31 @@ class TestKernelOnset:
         # the sign convention of FieldSolution: p = p0 + correction * kept
         expected = p0 + sol.correction[0] * kept
         assert np.max(np.abs(sol.p - expected)) <= 1e-14 * np.max(np.abs(sol.p))
+
+    def test_constrained_solve_builds_weights_once(self, monkeypatch):
+        # the solvability check takes its three sums from one set of plain
+        # weights; the split builds the corner-excluded ones
+        g = notched_grid(32)
+        sigma = SigmaField.constant(g)
+        sings = [compute_dual_singularity(g, i) for i in range(2)]
+        pm = assemble_pairing_matrix(g, sigma, sings)
+        _, svals, vt = np.linalg.svd(pm.matrix)
+        forced = PairingMatrix(matrix=pm.matrix, singular_values=svals, kernel_dim=1,
+                               kernel_basis=vt[1:], tol=pm.tol)
+        f = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
+        calls = Counter()
+        weights = bilap.twostep.pairing_weights
+
+        def counted(grid, exclude_corners=True):
+            calls[exclude_corners] += 1
+            return weights(grid, exclude_corners)
+
+        monkeypatch.setattr(bilap.twostep, "pairing_weights", counted)
+        with pytest.raises(NotSolvable):
+            constrained_solve(g, sigma, f, sings, forced)
+        assert calls == {False: 1}
+        psi = kernel_fields(g, sigma, sings, forced)[0]
+        f = f - duality_pairing(g, f, psi) / duality_pairing(g, psi, psi) * psi
+        calls.clear()
+        constrained_solve(g, sigma, f, sings, forced)
+        assert calls == {False: 1, True: 1}
