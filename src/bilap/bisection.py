@@ -8,8 +8,8 @@ def bisect_rows(f, lo, hi, tol: float) -> np.ndarray:
 
     ``f(rows, x)`` returns the values of the functions of rows ``rows[j]`` at
     the points ``x[j]``.  Every unfinished row halves its bracket in each
-    round, keeping the left half when f(lo) * f(mid) <= 0, until
-    hi - lo <= tol * (1 + |mid|).
+    round, keeping the left half when the signs of f(lo) and f(mid) differ
+    or either is zero, until hi - lo <= tol * (1 + |mid|).
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     f_lo = np.asarray(f(np.arange(lo.size), lo), dtype=float)

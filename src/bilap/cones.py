@@ -37,6 +37,10 @@ __all__ = [
 
 _SERIES_CAP = 10 ** 5
 _CAP_ALPHA_MAX = 0.9 * math.pi
+# Gauss-Legendre nodes of the integral representation of P_nu
+_INTEGRAL_NODES = 200
+# distance from a band edge within which the range is not closed
+_EDGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ def legendre_p(nu: float, x: float) -> float:
     raise NoConvergence(f"Legendre series cap {_SERIES_CAP} hit at nu={nu}, x={x}")
 
 
-def legendre_p_integral(nu: float, theta: float, n_nodes: int = 200) -> float:
+def legendre_p_integral(nu: float, theta: float) -> float:
     """Independent evaluation of P_nu(cos theta) by an integral representation.
 
     Gauss-Legendre quadrature of the half-angle integral after the square-root
@@ -139,7 +143,7 @@ def legendre_p_integral(nu: float, theta: float, n_nodes: int = 200) -> float:
     """
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must lie in (0, pi)")
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(_INTEGRAL_NODES)
     ymax = math.sqrt(0.5 * theta)
     y = 0.5 * ymax * (nodes + 1.0)
     w = 0.5 * ymax * weights
@@ -187,21 +191,20 @@ def critical_aperture() -> float:
     return alpha_c
 
 
-def fredholm_classify(w: WeightedIndex, lambda1_plus: float,
-                      eq_tol: float = 1e-12) -> Classification:
+def fredholm_classify(w: WeightedIndex, lambda1_plus: float) -> Classification:
     """Four-way classification of the weighted Laplacian at index (beta, l, d).
 
     The operator is an isomorphism iff beta - l + d/2 lies strictly between
     1 - lambda1_plus and d - 1 + lambda1_plus; below the band it is injective
     with non-dense range, above it onto with kernel, and on either edge
-    (within eq_tol) the range is not closed.
+    (within 1e-12) the range is not closed.
     """
     if lambda1_plus <= 0.0:
         raise ValueError("lambda1_plus must be positive")
     x = w.beta - w.l + 0.5 * w.d
     lower = 1.0 - lambda1_plus
     upper = w.d - 1.0 + lambda1_plus
-    if abs(x - lower) <= eq_tol or abs(x - upper) <= eq_tol:
+    if abs(x - lower) <= _EDGE_TOL or abs(x - upper) <= _EDGE_TOL:
         return Classification.NOT_FREDHOLM
     if x < lower:
         return Classification.INJECTIVE_NOT_ONTO

@@ -53,6 +53,15 @@ _SERIES_ANGLE = 0.1
 _SEARCH_BLOCK = 128
 # relative size below which a scaled dispersion value has no trusted sign
 _SIGN_FLOOR = 4e-15
+# |g| up to which a corner problem is reported on the Boundary
+_BOUNDARY_EPS = 1e-9
+# exponent scan: geometric grid _ETA_MIN * _ETA_RATIO**j below a tail found
+# by doubling _ETA_MAX at most _MAX_DOUBLINGS times
+_ETA_MIN, _ETA_RATIO, _ETA_MAX, _MAX_DOUBLINGS = 1e-4, 1.1, 10.0, 60
+# normalized determinant up to which the angular system counts as singular
+_SINGULAR_TOL = 1e-6
+# Gauss-Legendre nodes per angular segment of the profile norms
+_PROFILE_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -187,38 +196,37 @@ def critical_interval(alpha: float) -> tuple:
     return ell_minus, ell_plus
 
 
-def classify_region(p: CornerProblem, eps_boundary: float = 1e-9) -> RegionReport:
-    """Place (alpha, kappa) relative to the ill-posedness region by the sign of g."""
-    if not eps_boundary > 0.0:
-        raise ValueError("eps_boundary must be positive")
+def classify_region(p: CornerProblem) -> RegionReport:
+    """Place (alpha, kappa) relative to the ill-posedness region by the sign of g;
+    Boundary where |g| <= 1e-9."""
     g = taylor_coefficient(p)
     lm, lp = critical_interval(p.alpha)
-    if g > eps_boundary:
+    if g > _BOUNDARY_EPS:
         member = Membership.INSIDE
-    elif g < -eps_boundary:
+    elif g < -_BOUNDARY_EPS:
         member = Membership.OUTSIDE
     else:
         member = Membership.BOUNDARY
     return RegionReport(g_value=g, ell_minus=lm, ell_plus=lp, membership=member)
 
 
-def _search(alpha, kappa, eta_min=1e-4, ratio=1.1, eta_max=10.0, max_doublings=60):
+def _search(alpha, kappa):
     """find_singular_exponent on the rows (alpha[i], kappa[i]) in lockstep:
     (result or None per row, flags of the rows whose tail stayed positive)."""
     # the terms hold (1 - kappa)^2: beyond |kappa| ~ 1e154 they overflow, no
     # tail value is negative and the row fails; below it only far rungs of the
     # ladder overflow, after the first negative one
     with np.errstate(over="ignore", invalid="ignore"):
-        # tail: the first eta_max * 2**j at which the scaled dispersion is negative
-        ladder = eta_max * 2.0 ** np.arange(max_doublings)
+        # tail: the first _ETA_MAX * 2**j at which the scaled dispersion is negative
+        ladder = _ETA_MAX * 2.0 ** np.arange(_MAX_DOUBLINGS)
         negative = sum(_scaled_terms(alpha[:, None], kappa[:, None], ladder)) < 0.0
         failed = ~negative.any(axis=1)
-        tail = np.where(failed, eta_max, ladder[negative.argmax(axis=1)])
+        tail = np.where(failed, _ETA_MAX, ladder[negative.argmax(axis=1)])
 
         # geometric grid below each row's tail, then the tail itself, repeated so
         # that every row of the block has the same length
-        n = int(math.ceil(math.log(tail.max() / eta_min) / math.log(ratio))) + 1
-        etas = np.minimum(eta_min * ratio ** np.arange(n + 1), tail[:, None])
+        n = int(math.ceil(math.log(tail.max() / _ETA_MIN) / math.log(_ETA_RATIO))) + 1
+        etas = np.minimum(_ETA_MIN * _ETA_RATIO ** np.arange(n + 1), tail[:, None])
         terms = _scaled_terms(alpha[:, None], kappa[:, None], etas)
         vals = sum(terms)
         # a value within rounding of zero, relative to the sum of the absolute
@@ -244,27 +252,20 @@ def _search(alpha, kappa, eta_min=1e-4, ratio=1.1, eta_max=10.0, max_doublings=6
     return results, failed
 
 
-def find_singular_exponent(
-    p: CornerProblem,
-    eta_min: float = 1e-4,
-    ratio: float = 1.1,
-    eta_max: float = 10.0,
-    max_doublings: int = 60,
-) -> Optional[SingularExponentResult]:
+def find_singular_exponent(p: CornerProblem) -> Optional[SingularExponentResult]:
     """Locate the positive dispersion zero by geometric scan plus bisection.
 
     One row of the lockstep search that region_map runs over blocks of cells.
-    The scan runs over a geometric grid eta_min * ratio**j up to an adaptive
-    eta_max, doubled until the (cosh-dominated) tail is confirmed negative;
-    the first sign change is bisected to 1e-14 * (1 + eta).  Returns None when
-    the scan shows no sign change; the scan works on the cosh-scaled
-    dispersion, whose zeros on (0, inf) are the same.
+    The scan runs over a geometric grid 1e-4 * 1.1**j up to a tail, the
+    first 10 * 2**j (j < 60) at which the (cosh-dominated) scaled dispersion
+    is negative; the first sign change is bisected to 1e-14 * (1 + eta).
+    Returns None when the scan shows no sign change; the scan works on the
+    cosh-scaled dispersion, whose zeros on (0, inf) are the same.
     """
-    results, failed = _search(np.array([p.alpha]), np.array([p.kappa]),
-                              eta_min, ratio, eta_max, max_doublings)
+    results, failed = _search(np.array([p.alpha]), np.array([p.kappa]))
     if failed[0]:
         raise NumericalFailure(
-            f"tail sign not confirmed after {max_doublings} doublings of eta_max")
+            f"tail sign not confirmed after {_MAX_DOUBLINGS} doublings of eta_max")
     return results[0]
 
 
@@ -393,7 +394,7 @@ class AngularProfile:
         M = transmission_matrix(CornerProblem(self.alpha, self.kappa), self.lam)
         return float(np.abs(M @ self.coeffs).max())
 
-    def biharmonic_residual(self, nodes_per_segment: int = 64) -> float:
+    def biharmonic_residual(self) -> float:
         """L2 norm of d2(psi) + (lam-2)^2 psi with psi = d2(phi) + lam^2 phi.
 
         Composite Gauss-Legendre on (0, alpha) and (alpha, pi); the closed
@@ -401,15 +402,14 @@ class AngularProfile:
         assembly error only.
         """
         lam = self.lam
-        return math.sqrt(_profile_norm2(
-            self, lambda d: d[4] + lam * lam * d[2] + (lam - 2.0) ** 2 * (d[2] + lam * lam * d[0]),
-            nodes_per_segment))
+        return math.sqrt(_profile_norm2(self, lambda d: d[4] + lam * lam * d[2]
+                                        + (lam - 2.0) ** 2 * (d[2] + lam * lam * d[0])))
 
 
-def _profile_norm2(profile: AngularProfile, integrand, nodes_per_segment: int) -> float:
+def _profile_norm2(profile: AngularProfile, integrand) -> float:
     """Squared L2 norm of integrand(profile derivatives): composite
     Gauss-Legendre on (0, alpha) and (alpha, pi)."""
-    x, w = np.polynomial.legendre.leggauss(nodes_per_segment)
+    x, w = np.polynomial.legendre.leggauss(_PROFILE_NODES)
     total = 0.0
     for lo, hi in ((0.0, profile.alpha), (profile.alpha, math.pi)):
         t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
@@ -417,17 +417,17 @@ def _profile_norm2(profile: AngularProfile, integrand, nodes_per_segment: int) -
     return total
 
 
-def angular_profile(p: CornerProblem, lam: complex, singular_tol: float = 1e-6) -> AngularProfile:
+def angular_profile(p: CornerProblem, lam: complex) -> AngularProfile:
     """Null coefficients of the interface system at a detected exponent.
 
     Inverse iteration on the 4x4 normal system with a fixed deterministic
-    seed; raises NotSingular when the normalized determinant is not small.
+    seed; raises NotSingular when the normalized determinant exceeds 1e-6.
     """
     lam = _check_lambda(lam)
     nd = normalized_determinant(p, lam)
-    if nd > singular_tol:
+    if nd > _SINGULAR_TOL:
         raise NotSingular(
-            f"normalized determinant {nd:.3e} exceeds tolerance {singular_tol:.1e} at {lam}"
+            f"normalized determinant {nd:.3e} exceeds tolerance {_SINGULAR_TOL:.1e} at {lam}"
         )
     M = transmission_matrix(p, lam)
     H = M.conj().T @ M
@@ -454,13 +454,7 @@ class RegionCell:
     failed: bool = False
 
 
-def region_map(
-    alpha_range: tuple,
-    kappa_range: tuple,
-    n_alpha: int,
-    n_kappa: int,
-    eps_boundary: float = 1e-9,
-) -> list:
+def region_map(alpha_range: tuple, kappa_range: tuple, n_alpha: int, n_kappa: int) -> list:
     """Exponent search over a rectangular (alpha, kappa) grid.
 
     Cells come in alpha-major order.  Blocks of _SEARCH_BLOCK cells run the
@@ -483,7 +477,7 @@ def region_map(
         a, k = A[start:start + _SEARCH_BLOCK], K[start:start + _SEARCH_BLOCK]
         results, failed = _search(a, k)
         for ai, ki, result, bad in zip(a.tolist(), k.tolist(), results, failed.tolist()):
-            report = classify_region(CornerProblem(ai, ki), eps_boundary)
+            report = classify_region(CornerProblem(ai, ki))
             cells.append(RegionCell(ai, ki, report, result, bad))
     return cells
 
@@ -528,8 +522,7 @@ def growth_factor(m: int, delta: float) -> float:
 
 
 def singular_sequence_lower_bound(
-    profile: AngularProfile, eta0: float, m: int, delta: float,
-    nodes_per_segment: int = 64,
+    profile: AngularProfile, eta0: float, m: int, delta: float
 ) -> float:
     """Lower bound on the energy of the m-th truncated singular field.
 
@@ -539,5 +532,5 @@ def singular_sequence_lower_bound(
     """
     factor = growth_factor(m, delta)
     lam_m = 1.0 + 1j * eta0 + 1.0 / m
-    norm2 = _profile_norm2(profile, lambda d: d[2] + lam_m * lam_m * d[0], nodes_per_segment)
+    norm2 = _profile_norm2(profile, lambda d: d[2] + lam_m * lam_m * d[0])
     return norm2 * factor

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 REENTRANT_APERTURE = 1.5 * math.pi
+# relative residual that a factored Poisson solve must reach
+_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,19 +51,17 @@ class ReentrantCorner:
 
 
 class Grid2D:
-    """Uniform square-cell grid over [0,1]^2 masked to a grid-aligned polygon."""
+    """Uniform square-cell grid over [0,1]^2 masked to a grid-aligned polygon;
+    the (nx, ny) cells are those of the mask."""
 
-    def __init__(self, nx: int, ny: int, cell_mask: np.ndarray, corners=()):
+    def __init__(self, cell_mask: np.ndarray, corners=()):
+        cell_mask = self.cell_mask = np.asarray(cell_mask, dtype=bool)
+        nx, ny = self.nx, self.ny = cell_mask.shape
         if nx != ny:
             raise ValueError("square cells over the unit box require nx == ny")
-        cell_mask = np.asarray(cell_mask, dtype=bool)
-        if cell_mask.shape != (nx, ny):
-            raise ValueError(f"cell mask must have shape ({nx}, {ny})")
-        self.nx, self.ny = nx, ny
+        self._check_connected()  # also rejects an empty mask
         self.h = 1.0 / nx
-        self.cell_mask = cell_mask
         self.corners = tuple(corners)
-        self._check_connected()
 
         padded = np.zeros((nx + 2, ny + 2), dtype=bool)
         padded[1:-1, 1:-1] = cell_mask
@@ -87,7 +87,7 @@ class Grid2D:
 
         labels, count = label(self.cell_mask)
         if count != 1:
-            raise ValueError(f"cell mask must be connected, found {count} components")
+            raise ValueError(f"cell mask must be one connected region, found {count} components")
 
     def _validate_corners(self):
         for c in self.corners:
@@ -199,14 +199,13 @@ def solve_poisson_dirichlet(
     grid: Grid2D,
     rhs: np.ndarray,
     boundary_values: Optional[np.ndarray] = None,
-    residual_tol: float = 1e-10,
 ):
     """Solve the five-point system Lap u = rhs with Dirichlet data on the boundary.
 
     ``rhs`` and the optional ``boundary_values`` are full nodal arrays; the
     returned field carries the boundary data and zeros outside the domain.
     Raises NumericalFailure when the factored solve misses the residual target
-    relative to ||rhs||.
+    1e-10 relative to ||rhs||, or when the residual is not a number.
     """
     b = grid.restrict(rhs).astype(float).copy()
     if boundary_values is not None:
@@ -218,8 +217,8 @@ def solve_poisson_dirichlet(
     u = grid.factor().solve(b)
     scale = max(float(np.linalg.norm(b)), 1e-300)
     residual = float(np.linalg.norm(grid.laplacian() @ u - b)) / scale
-    if residual > residual_tol:
-        raise NumericalFailure(f"Poisson residual {residual:.3e} exceeds {residual_tol:.1e}")
+    if not residual <= _RESIDUAL_TOL:  # a nan residual fails too
+        raise NumericalFailure(f"Poisson residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}")
     return grid.extend(u, boundary_values), residual
 
 
@@ -228,7 +227,7 @@ def solve_poisson_dirichlet(
 
 def rectangle_grid(n: int) -> Grid2D:
     """Unit square, no reentrant corners."""
-    return Grid2D(n, n, np.ones((n, n), dtype=bool))
+    return Grid2D(np.ones((n, n), dtype=bool))
 
 
 def lshape_grid(n: int) -> Grid2D:
@@ -243,7 +242,7 @@ def lshape_grid(n: int) -> Grid2D:
     idx = np.arange(n)
     mask[np.ix_(idx >= n // 2, idx >= n // 2)] = False
     corner = ReentrantCorner(x=0.5, y=0.5, frame_angle=0.5 * math.pi, orientation=1.0)
-    g = Grid2D(n, n, mask, corners=(corner,))
+    g = Grid2D(mask, corners=(corner,))
     _frame_check(g, corner)
     return g
 
@@ -264,7 +263,7 @@ def notched_grid(n: int) -> Grid2D:
         ReentrantCorner(x=3.0 / 8.0, y=0.5, frame_angle=0.5 * math.pi, orientation=1.0),
         ReentrantCorner(x=5.0 / 8.0, y=0.5, frame_angle=0.5 * math.pi, orientation=-1.0),
     )
-    g = Grid2D(n, n, mask, corners=corners)
+    g = Grid2D(mask, corners=corners)
     for c in corners:
         _frame_check(g, c)
     return g

@@ -36,6 +36,8 @@ __all__ = [
 
 # contrasts per stacked determinant call of the scan: about 0.5 MB of 8x8 systems
 _KAPPA_CHUNK = 1000
+# |det| relative to the Hadamard bound above which a kernel system is regular
+_REGULAR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -208,15 +210,15 @@ def _null_vector(M: np.ndarray) -> np.ndarray:
     return v / v[pivot]
 
 
-def kernel_basis(dom: Domain, kappa: float, tol: float = 1e-8) -> Optional[PiecewiseCubic]:
+def kernel_basis(dom: Domain, kappa: float) -> Optional[PiecewiseCubic]:
     """Kernel field at a critical contrast, or None when the system is regular.
 
-    Regularity is judged by |det| against tol times the Hadamard row-norm
+    Regularity is judged by |det| against 1e-8 times the Hadamard row-norm
     bound.  The returned cubic is normalized to unit largest coefficient.
     """
     M = build_kernel_system(dom, kappa)
     scale = float(np.prod(np.linalg.norm(M, axis=1)))
-    if abs(np.linalg.det(M)) > tol * scale:
+    if abs(np.linalg.det(M)) > _REGULAR_TOL * scale:
         return None
     v = _null_vector(M)
     if isinstance(dom, TwoSegmentDomain):

@@ -1,24 +1,24 @@
 """Two-step resolution of the mixed-condition fourth-order problem.
 
-The mixed problem splits into two Dirichlet Poisson solves: an intermediate
-field from the source, then the solution from the coefficient-weighted
-intermediate.  On non-convex polygons the naive split lands in the relaxed
-space and misses the finite-energy solution; adding the right multiple of the
-corner dual singular field to the intermediate restores it.  The pairing
-matrix of those dual fields decides solvability: when it degenerates, kernel
-fields appear and sources must satisfy compatibility conditions.
+The mixed problem, with sigma * Lap v = 0 on the boundary, splits into two
+Dirichlet Poisson solves: an intermediate field from the source, then the
+solution from the coefficient-weighted intermediate.  On non-convex polygons
+the naive split lands in the relaxed space and misses the finite-energy
+solution; adding the right multiple of the corner dual singular fields to the
+intermediate restores it.  The pairing matrix of those dual fields decides
+solvability: when it degenerates, kernel fields appear and sources must
+satisfy compatibility conditions.  The uncorrected, corrected and constrained
+solves all run through one split.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
 
 from .errors import NotSolvable, SingularPairingMatrix
 from .grid import Grid2D, corner_polar, solve_poisson_dirichlet
@@ -29,13 +29,8 @@ __all__ = [
     "CornerSingularity",
     "PairingMatrix",
     "two_step_solve",
-    "solve_poisson_dirichlet_1d",
-    "two_step_solve_1d",
     "compute_dual_singularity",
-    "complete_singularity",
     "pairing_weights",
-    "singular_pairing",
-    "duality_pairing",
     "singular_coefficient",
     "corrected_two_step_solve",
     "assemble_pairing_matrix",
@@ -46,20 +41,20 @@ __all__ = [
 
 EXCLUSION_RADIUS_CELLS = 4.0
 _RANK_TOL = 1e-8
+_SIGMA_MIN = 1e-12
 
 
 @dataclass(frozen=True)
 class SigmaField:
-    """Cellwise coefficient, bounded away from zero in absolute value."""
+    """Cellwise coefficient, finite and bounded away from zero in absolute value."""
 
     cells: np.ndarray
-    sigma_min: float = 1e-12
 
     def __post_init__(self):
         cells = np.asarray(self.cells, dtype=float)
         object.__setattr__(self, "cells", cells)
-        if not np.all(np.abs(cells) >= self.sigma_min):
-            raise ValueError("sigma must satisfy |sigma| >= sigma_min everywhere")
+        if not np.all(np.isfinite(cells) & (np.abs(cells) >= _SIGMA_MIN)):
+            raise ValueError(f"sigma must be finite with |sigma| >= {_SIGMA_MIN:g} everywhere")
 
     @classmethod
     def constant(cls, grid: Grid2D, value: float = 1.0) -> "SigmaField":
@@ -125,48 +120,21 @@ def _split(grid: Grid2D, sinv: np.ndarray, f: np.ndarray, duals=(), matrix=None,
     return FieldSolution(p=p, v=v, residual_p=res_p, residual_v=res_v, correction=coeff)
 
 
-# -- 1D twin (clamped interval, same two-step split) -------------------------
-
-
-def solve_poisson_dirichlet_1d(n: int, rhs_interior: np.ndarray) -> np.ndarray:
-    """Second-difference solve of u'' = rhs on (0,1), u(0) = u(1) = 0."""
-    h2 = (1.0 / n) ** 2
-    m = n - 1
-    A = sparse.diags(
-        [np.ones(m - 1), np.full(m, -2.0), np.ones(m - 1)], [-1, 0, 1]
-    ) / h2
-    return splinalg.spsolve(A.tocsc(), rhs_interior)
-
-
-def two_step_solve_1d(n: int, sigma_cells: np.ndarray, f_interior: np.ndarray):
-    """1D two-step split on (0,1); sigma given per cell, averaged to nodes."""
-    sigma_cells = np.asarray(sigma_cells, dtype=float)
-    if sigma_cells.shape != (n,):
-        raise ValueError(f"sigma_cells must have shape ({n},)")
-    sinv_nodes = 0.5 * (1.0 / sigma_cells[:-1] + 1.0 / sigma_cells[1:])
-    p = solve_poisson_dirichlet_1d(n, f_interior)
-    v = solve_poisson_dirichlet_1d(n, sinv_nodes * p)
-    return p, v
-
-
 # -- corner dual singular fields ---------------------------------------------
 
 
 @dataclass(frozen=True)
 class CornerSingularity:
-    """Dual singular field of one reentrant corner, plus sigma-dependent extras.
+    """Dual singular field of one reentrant corner.
 
     ``dual`` spans the obstruction to solving the intermediate Poisson step in
     full strength: it vanishes on the boundary, is discrete-harmonic away from
-    its corner, and decays like r^(-2/3) into the domain.  ``kernel_candidate``
-    solves Lap psi = (1/sigma) dual and ``pairing`` is the sigma-weighted
-    self-pairing; both are filled by complete_singularity.
+    its corner, and decays like r^(-2/3) into the domain.  It does not depend
+    on sigma; the sigma-weighted pairings of dual fields form the PairingMatrix.
     """
 
     corner_index: int
     dual: np.ndarray
-    kernel_candidate: Optional[np.ndarray] = None
-    pairing: Optional[float] = None
 
 
 def compute_dual_singularity(grid: Grid2D, corner_index: int) -> CornerSingularity:
@@ -190,16 +158,6 @@ def compute_dual_singularity(grid: Grid2D, corner_index: int) -> CornerSingulari
     return CornerSingularity(corner_index=corner_index, dual=dual)
 
 
-def complete_singularity(
-    grid: Grid2D, sigma: SigmaField, s: CornerSingularity
-) -> CornerSingularity:
-    """Attach the sigma-weighted kernel candidate and self-pairing."""
-    sinv = sigma.inverse_at_nodes(grid)
-    psi, _ = solve_poisson_dirichlet(grid, sinv * s.dual)
-    pairing = singular_pairing(grid, sinv * s.dual, s.dual)
-    return replace(s, kernel_candidate=psi, pairing=pairing)
-
-
 def pairing_weights(grid: Grid2D, exclude_corners: bool = True) -> np.ndarray:
     """Nodal weights of the cellwise trapezoid rule over the mask.
 
@@ -221,25 +179,16 @@ def pairing_weights(grid: Grid2D, exclude_corners: bool = True) -> np.ndarray:
     return _node_sum(grid, np.where(keep, h * h / 4.0, 0.0))
 
 
-def singular_pairing(grid: Grid2D, a: np.ndarray, b: np.ndarray) -> float:
-    """Corner-excluded trapezoid pairing, for integrands carrying dual fields."""
-    return float(np.sum(pairing_weights(grid, exclude_corners=True) * a * b))
-
-
-def duality_pairing(grid: Grid2D, a: np.ndarray, b: np.ndarray) -> float:
-    """Plain cellwise trapezoid pairing for regular integrands."""
-    return float(np.sum(pairing_weights(grid, exclude_corners=False) * a * b))
-
-
 def singular_coefficient(
     grid: Grid2D, g: np.ndarray, singularity: CornerSingularity
 ) -> float:
     """Strength of the corner singularity excited by the source g.
 
-    Quadrature of g times the dual field, scaled by -1/pi; drops to the
-    quadrature floor exactly when the corrected intermediate is used.
+    Corner-excluded quadrature of g times the dual field, scaled by -1/pi;
+    drops to the quadrature floor exactly when the corrected intermediate is
+    used.
     """
-    return -singular_pairing(grid, g, singularity.dual) / math.pi
+    return float(-np.sum(pairing_weights(grid) * g * singularity.dual) / math.pi)
 
 
 # -- corrected solve ----------------------------------------------------------
@@ -260,20 +209,19 @@ def assemble_pairing_matrix(
     grid: Grid2D,
     sigma: SigmaField,
     singularities: Sequence[CornerSingularity],
-    tol: float = _RANK_TOL,
 ) -> PairingMatrix:
     """Pairings (1/sigma * dual_i, dual_j) with an SVD rank estimate.
 
     Entries are computed once per unordered pair so the matrix is symmetric to
-    the last bit.  The kernel dimension counts singular values below tol times
+    the last bit.  The kernel dimension counts singular values below 1e-8 times
     the attainable pairing magnitude (the same sums with absolute-value
     integrands), so a 1x1 matrix near zero is correctly flagged singular.
     """
     return _pairing_matrix(sigma.inverse_at_nodes(grid), pairing_weights(grid),
-                           [s.dual for s in singularities], tol)
+                           [s.dual for s in singularities])
 
 
-def _pairing_matrix(sinv: np.ndarray, w: np.ndarray, duals, tol: float) -> PairingMatrix:
+def _pairing_matrix(sinv: np.ndarray, w: np.ndarray, duals) -> PairingMatrix:
     n = len(duals)
     if n < 1:
         raise ValueError("need at least one singularity")
@@ -285,11 +233,11 @@ def _pairing_matrix(sinv: np.ndarray, w: np.ndarray, duals, tol: float) -> Pairi
             M[i, j] = M[j, i] = float(np.sum(prod))
             scale = max(scale, float(np.sum(np.abs(prod))))
     _, svals, vt = np.linalg.svd(M)
-    kernel = svals <= tol * scale if scale > 0.0 else np.ones_like(svals, bool)
+    kernel = svals <= _RANK_TOL * scale if scale > 0.0 else np.ones_like(svals, bool)
     kdim = int(np.sum(kernel))
     basis = vt[n - kdim:] if kdim else np.empty((0, n))
     return PairingMatrix(
-        matrix=M, singular_values=svals, kernel_dim=kdim, kernel_basis=basis, tol=tol
+        matrix=M, singular_values=svals, kernel_dim=kdim, kernel_basis=basis, tol=_RANK_TOL
     )
 
 
@@ -312,7 +260,7 @@ def corrected_two_step_solve(
     sinv = sigma.inverse_at_nodes(grid)
     w = pairing_weights(grid)
     duals = [s.dual for s in singularities]
-    pm = _pairing_matrix(sinv, w, duals, _RANK_TOL)
+    pm = _pairing_matrix(sinv, w, duals)
     if pm.kernel_dim > 0:
         raise SingularPairingMatrix(f"pairing matrix has kernel dimension {pm.kernel_dim}")
     return _split(grid, sinv, f, duals, pm.matrix, w)
@@ -329,13 +277,13 @@ def kernel_fields(
     Each field solves Lap psi = (1/sigma) * combination, with the combination
     taken along a kernel basis vector of the pairing matrix.
     """
-    sinv = sigma.inverse_at_nodes(grid)
-    fields = []
-    for vec in pairing.kernel_basis:
-        combo = sum(c * s.dual for c, s in zip(vec, singularities))
-        psi, _ = solve_poisson_dirichlet(grid, sinv * combo)
-        fields.append(psi)
-    return fields
+    return _kernel_fields(grid, sigma.inverse_at_nodes(grid), singularities, pairing)
+
+
+def _kernel_fields(grid: Grid2D, sinv: np.ndarray, singularities, pairing) -> list:
+    """kernel_fields with 1/sigma at the nodes given."""
+    combos = (sum(c * s.dual for c, s in zip(vec, singularities)) for vec in pairing.kernel_basis)
+    return [solve_poisson_dirichlet(grid, sinv * combo)[0] for combo in combos]
 
 
 def kernel_residual(
@@ -372,8 +320,9 @@ def constrained_solve(
     FieldSolution.  Sources must be orthogonal to every kernel field within
     solvability_tol (relative), else NotSolvable.
     """
-    psis = kernel_fields(grid, sigma, singularities, pairing)
-    w = pairing_weights(grid, exclude_corners=False)  # the weights of duality_pairing
+    sinv = sigma.inverse_at_nodes(grid)
+    psis = _kernel_fields(grid, sinv, singularities, pairing)
+    w = pairing_weights(grid, exclude_corners=False)  # f and psi are regular
     fnorm = math.sqrt(abs(float(np.sum(w * f * f))))
     for m, psi in enumerate(psis):
         val = float(np.sum(w * f * psi))
@@ -388,5 +337,4 @@ def constrained_solve(
     # pairings along the kernel are already below the rank tolerance
     c = sorted(scipy.linalg.qr(pairing.matrix, mode="r", pivoting=True)[1][:keep])
     duals = [singularities[i].dual for i in c]
-    return _split(grid, sigma.inverse_at_nodes(grid), f, duals, pairing.matrix[np.ix_(c, c)],
-                  pairing_weights(grid))
+    return _split(grid, sinv, f, duals, pairing.matrix[np.ix_(c, c)], pairing_weights(grid))

@@ -39,6 +39,15 @@ class TestExitCodes:
         ("region-map", "--bogus", "1"),
         ("solve", "--domain", "disk"),
         ("kernel1d", "--t", "-1", "--kappa", "-13.928203230275509", "--samples", "0"),
+        ("classify", "--lambda1", "1", "--beta", "nan"),
+        ("kernel1d", "--t", "-1", "--kappa", "inf"),
+        ("corner-det", "--alpha", "1", "--kappa", "-1", "--eta", "nan"),
+        ("solve", "--domain", "rectangle", "--n", "0"),
+        # ranges that the CLI leaves to the library's own ValueErrors
+        ("kernel1d", "--t", "0"),
+        ("kernel1d", "--delta", "1"),
+        ("cone", "--mu", "-1"),
+        ("classify", "--lambda1", "0"),
     ])
     def test_argument_errors(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
@@ -129,16 +138,24 @@ class TestConfig:
         code, out, err = invoke(capsys, *SOLVE, "--config", conf)
         assert code == 1 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_config_value_exits_1(self, capsys, tmp_path, value):
+        conf = write(tmp_path, "c.conf", f"beta={value}\n")
+        code, out, err = invoke(capsys, "classify", "--lambda1", "1", "--config", conf)
+        assert code == 1 and out == "" and err.startswith("error: ")
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("spec", ["constant", "constant:", "constant:1:2", "split-x:0.5:1",
-                                      "split-x:0.5:1:2:3", "patch:0.1:0.2:0.1", "patch", "disk:1"])
+                                      "split-x:0.5:1:2:3", "patch:0.1:0.2:0.1", "patch", "disk:1",
+                                      "constant:inf", "split-x:0.5:1:-inf"])
     def test_sigma_spec(self, capsys, spec):
         code, out, err = invoke(capsys, *SOLVE, "--sigma-file", spec)
         assert code == 1 and out == "" and err.startswith("error: ")
 
     @pytest.mark.parametrize("rows", ["-1,0,-2.0", "0,-3,-2.0", "16,0,-2.0", "0,16,-2.0",
-                                      "1.5,2,-2.0", "3,4,-2.0\n2,20,-2.0", "3,4"])
+                                      "1.5,2,-2.0", "3,4,-2.0\n2,20,-2.0", "3,4", "3,4,inf",
+                                      "3,4,-inf"])
     def test_sigma_file_rows(self, capsys, tmp_path, rows):
         path = write(tmp_path, "sigma.csv", f"i,j,value\n{rows}\n")
         code, out, err = invoke(capsys, *SOLVE, "--sigma-file", f"file:{path}")
@@ -154,6 +171,11 @@ class TestMalformedInput:
         path = write(tmp_path, "rhs.csv", f"x,y,value\n{rows}\n")
         code, out, err = invoke(capsys, *SOLVE, "--rhs", f"file:{path}")
         assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_rhs_file_nan_is_numerical_failure(self, capsys, tmp_path):
+        path = write(tmp_path, "rhs.csv", "x,y,value\n0.25,0.25,nan\n")
+        code, out, err = invoke(capsys, *SOLVE, "--rhs", f"file:{path}")
+        assert code == 2 and out == "" and err.startswith("numerical failure: ")
 
     def test_rhs_file_in_range(self, capsys, tmp_path):
         path = write(tmp_path, "rhs.csv", "x,y,value\n0.25,0.25,1.0\n1.0,1.0,5.0\n")

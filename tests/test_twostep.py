@@ -24,19 +24,14 @@ from bilap.twostep import (
     PairingMatrix,
     SigmaField,
     assemble_pairing_matrix,
-    complete_singularity,
     compute_dual_singularity,
     constrained_solve,
     corrected_two_step_solve,
-    duality_pairing,
     kernel_fields,
     kernel_residual,
     singular_coefficient,
     pairing_weights,
-    singular_pairing,
-    solve_poisson_dirichlet_1d,
     two_step_solve,
-    two_step_solve_1d,
 )
 
 
@@ -52,6 +47,18 @@ def patch_sigma(grid, t, radius=0.25, center=(0.5, 0.5)):
     CX, CY = np.meshgrid(cx, cy, indexing="ij")
     inside = np.hypot(CX - center[0], CY - center[1]) < radius
     return SigmaField(np.where(inside, -t, 1.0))
+
+
+def pair(grid, a, b, exclude_corners=True):
+    """Trapezoid pairing of two nodal fields, corner-excluded by default."""
+    return float(np.sum(pairing_weights(grid, exclude_corners) * a * b))
+
+
+def kernel_candidate(grid, sigma, s):
+    """(psi, self-pairing) of one dual field: Lap psi = (1/sigma) dual, and the
+    sigma-weighted pairing of the dual field with itself."""
+    psi, _ = solve_poisson_dirichlet(grid, sigma.inverse_at_nodes(grid) * s.dual)
+    return psi, assemble_pairing_matrix(grid, sigma, [s]).matrix[0, 0]
 
 
 def scatter_reference(grid, keep, cell_values):
@@ -85,7 +92,7 @@ class TestGrid:
         mask[np.ix_(idx >= 8, idx >= 8)] = False
         # frame pointing into the removed quadrant
         bad = ReentrantCorner(x=0.5, y=0.5, frame_angle=0.0, orientation=1.0)
-        g = Grid2D(16, 16, mask, corners=(bad,))
+        g = Grid2D(mask, corners=(bad,))
         from bilap.grid import _frame_check
 
         with pytest.raises(FrameError):
@@ -96,13 +103,19 @@ class TestGrid:
         mask[:3, :3] = True
         mask[5:, 5:] = True
         with pytest.raises(ValueError):
-            Grid2D(8, 8, mask)
+            Grid2D(mask)
+
+    @pytest.mark.parametrize("mask", [np.ones((0, 0)), np.zeros((4, 4)), np.ones((4, 5))],
+                             ids=["no-cells", "empty", "not-square"])
+    def test_mask_rejected(self, mask):
+        with pytest.raises(ValueError):
+            Grid2D(mask)
 
     def test_corner_must_be_reentrant(self):
         mask = np.ones((8, 8), dtype=bool)
         c = ReentrantCorner(x=0.5, y=0.5, frame_angle=0.5 * math.pi, orientation=1.0)
         with pytest.raises(ValueError):
-            Grid2D(8, 8, mask, corners=(c,))
+            Grid2D(mask, corners=(c,))
 
 
 class TestPoisson:
@@ -148,23 +161,8 @@ class TestPoisson:
         ref = splinalg.splu(g.laplacian().tocsc()).solve(g.restrict(f))
         assert np.max(np.abs(g.restrict(u) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_1d_solver(self):
-        errs = []
-        for n in (32, 64):
-            x = np.arange(1, n) / n
-            u = solve_poisson_dirichlet_1d(n, -math.pi ** 2 * np.sin(math.pi * x))
-            errs.append(np.abs(u - np.sin(math.pi * x)).max())
-        assert 3.2 <= errs[0] / errs[1] <= 4.8
-
 
 class TestTwoStep:
-    def test_manufactured_1d(self):
-        n = 64
-        x = np.arange(1, n) / n
-        p, v = two_step_solve_1d(n, np.ones(n), math.pi ** 4 * np.sin(math.pi * x))
-        assert np.abs(p + math.pi ** 2 * np.sin(math.pi * x)).max() < 5e-3
-        assert np.abs(v - np.sin(math.pi * x)).max() < 5e-4
-
     def test_manufactured_2d_convergence(self):
         errs = []
         for n in (32, 64):
@@ -185,8 +183,9 @@ class TestTwoStep:
         assert sol.residual_p <= 1e-10 and sol.residual_v <= 1e-10
 
     def test_sigma_validation(self):
-        with pytest.raises(ValueError):
-            SigmaField(np.zeros((4, 4)))
+        for value in (0.0, 1e-13, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SigmaField(np.full((4, 4), value))
 
 
 class TestNodeTransfer:
@@ -261,12 +260,6 @@ class TestDualSingularity:
         pairing = g.inner(s.dual, g.apply_laplacian(w))
         assert abs(pairing) <= 1.0 * g.h ** (2.0 / 3.0)
 
-    def test_positive_self_pairing(self, lshape64):
-        g, s = lshape64
-        s = complete_singularity(g, SigmaField.constant(g), s)
-        assert s.pairing > 0.0
-        assert s.kernel_candidate is not None
-
 
 class TestCorrection:
     @pytest.fixture(scope="class")
@@ -274,7 +267,7 @@ class TestCorrection:
         g = lshape_grid(64)
         sigma = SigmaField.constant(g)
         f = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
-        s = complete_singularity(g, sigma, compute_dual_singularity(g, 0))
+        s = compute_dual_singularity(g, 0)
         unc = two_step_solve(g, sigma, f)
         cor = corrected_two_step_solve(g, sigma, f, [s])
         return g, sigma, f, s, unc, cor
@@ -308,16 +301,14 @@ class TestCorrection:
     def test_orthogonality_by_construction(self, corrected):
         g, sigma, f, s, unc, cor = corrected
         sinv = sigma.inverse_at_nodes(g)
-        num = abs(singular_pairing(g, sinv * cor.p, s.dual))
-        scale = math.sqrt(singular_pairing(g, sinv * cor.p, sinv * cor.p)) * math.sqrt(
-            singular_pairing(g, s.dual, s.dual)
-        )
+        num = abs(pair(g, sinv * cor.p, s.dual))
+        scale = math.sqrt(pair(g, sinv * cor.p, sinv * cor.p)) * math.sqrt(pair(g, s.dual, s.dual))
         assert num <= 1e-10 * scale
 
     def test_relaxed_minus_corrected_parallels_kernel_candidate(self, corrected):
         g, sigma, f, s, unc, cor = corrected
-        fpsi = duality_pairing(g, f, s.kernel_candidate)
-        predicted = (fpsi / s.pairing) * s.kernel_candidate
+        psi, self_pairing = kernel_candidate(g, sigma, s)
+        predicted = (pair(g, f, psi, exclude_corners=False) / self_pairing) * psi
         diff = unc.v - cor.v
         rel = np.linalg.norm(diff - predicted) / np.linalg.norm(diff)
         assert rel <= 0.1
@@ -333,11 +324,11 @@ class TestCorrection:
                 g = lshape_grid(n)
                 sigma = SigmaField.constant(g)
                 f = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
-                s = complete_singularity(g, sigma, compute_dual_singularity(g, 0))
+                s = compute_dual_singularity(g, 0)
                 unc = two_step_solve(g, sigma, f)
                 cor = corrected_two_step_solve(g, sigma, f, [s])
-            fpsi = duality_pairing(g, f, s.kernel_candidate)
-            predicted = (fpsi / s.pairing) * s.kernel_candidate
+            psi, self_pairing = kernel_candidate(g, sigma, s)
+            predicted = (pair(g, f, psi, exclude_corners=False) / self_pairing) * psi
             diff = unc.v - cor.v
             rels.append(np.linalg.norm(diff - predicted) / np.linalg.norm(diff))
         assert rels[1] < rels[0]
@@ -417,9 +408,7 @@ class TestKernelOnset:
         s = compute_dual_singularity(g, 0)
 
         def pairing_at(t):
-            sigma = patch_sigma(g, t)
-            sinv = sigma.inverse_at_nodes(g)
-            return singular_pairing(g, sinv * s.dual, s.dual)
+            return assemble_pairing_matrix(g, patch_sigma(g, t), [s]).matrix[0, 0]
 
         lo, hi = 0.1, 10.0
         assert pairing_at(lo) * pairing_at(hi) < 0.0
@@ -468,10 +457,8 @@ class TestKernelOnset:
         sol = constrained_solve(g, sigma, f, [s], pm, solvability_tol=2e-2)
         assert sol.residual_v <= 1e-10
         sinv = sigma.inverse_at_nodes(g)
-        num = abs(singular_pairing(g, sinv * sol.p, s.dual))
-        den = math.sqrt(singular_pairing(g, sinv * sol.p, sinv * sol.p)) * math.sqrt(
-            singular_pairing(g, s.dual, s.dual)
-        )
+        num = abs(pair(g, sinv * sol.p, s.dual))
+        den = math.sqrt(pair(g, sinv * sol.p, sinv * sol.p)) * math.sqrt(pair(g, s.dual, s.dual))
         # the kernel-direction pairing is not correctable (adding the dual
         # field leaves it fixed); it tracks the compatibility defect of f,
         # which for manufactured data sits at the quadrature level
@@ -507,7 +494,7 @@ class TestKernelOnset:
                                kernel_basis=vt[1:], tol=pm.tol)
         psi = kernel_fields(g, sigma, sings, forced)[0]
         f0 = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
-        f = f0 - duality_pairing(g, f0, psi) / duality_pairing(g, psi, psi) * psi
+        f = f0 - pair(g, f0, psi, False) / pair(g, psi, psi, False) * psi
         sol = constrained_solve(g, sigma, f, sings, forced)
         assert sol.correction.shape == (1,)
         # the kept field is the complement picked by column-pivoted QR
@@ -521,7 +508,8 @@ class TestKernelOnset:
 
     def test_constrained_solve_builds_weights_once(self, monkeypatch):
         # the solvability check takes its three sums from one set of plain
-        # weights; the split builds the corner-excluded ones
+        # weights; the split builds the corner-excluded ones; the kernel
+        # fields and the split share one 1/sigma at the nodes
         g = notched_grid(32)
         sigma = SigmaField.constant(g)
         sings = [compute_dual_singularity(g, i) for i in range(2)]
@@ -537,12 +525,19 @@ class TestKernelOnset:
             calls[exclude_corners] += 1
             return weights(grid, exclude_corners)
 
+        inverse = SigmaField.inverse_at_nodes
+
+        def counted_inverse(self, grid):
+            calls["inverse"] += 1
+            return inverse(self, grid)
+
         monkeypatch.setattr(bilap.twostep, "pairing_weights", counted)
+        monkeypatch.setattr(SigmaField, "inverse_at_nodes", counted_inverse)
         with pytest.raises(NotSolvable):
             constrained_solve(g, sigma, f, sings, forced)
-        assert calls == {False: 1}
+        assert calls == {False: 1, "inverse": 1}
         psi = kernel_fields(g, sigma, sings, forced)[0]
-        f = f - duality_pairing(g, f, psi) / duality_pairing(g, psi, psi) * psi
+        f = f - pair(g, f, psi, False) / pair(g, psi, psi, False) * psi
         calls.clear()
         constrained_solve(g, sigma, f, sings, forced)
-        assert calls == {False: 1, True: 1}
+        assert calls == {False: 1, True: 1, "inverse": 1}
