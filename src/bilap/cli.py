@@ -3,7 +3,8 @@
 Subcommands: region-map, eta0, corner-det, kernel1d, solve, cone, classify.
 Output is CSV/tabular text with floats at 17 significant digits, so identical
 invocations produce byte-identical files.  Exit codes: 0 success, 1 argument
-error, 2 numerical failure.
+error, 2 numerical failure (including a rank-deficient pairing matrix in a
+corrected solve).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cones, corner_spectrum as cs, kernel1d, twostep
-from .errors import NumericalFailure
+from .errors import NumericalFailure, SingularPairingMatrix
 from .grid import Grid2D, lshape_grid, notched_grid, rectangle_grid
 
 
@@ -159,23 +160,13 @@ def _cmd_kernel1d(args) -> str:
     return text
 
 
+_DOMAINS = {"rectangle": rectangle_grid, "lshape": lshape_grid, "notched": notched_grid}
+
+
 def _make_grid(kind: str, n: int) -> Grid2D:
-    if kind == "rectangle":
-        return rectangle_grid(n)
-    if kind == "lshape":
-        return lshape_grid(n)
-    if kind == "notched":
-        return notched_grid(n)
-    raise _ArgumentError(f"unknown domain '{kind}' (rectangle|lshape|notched)")
-
-
-def _load_domain_file(path: str):
-    conf = _load_config(path)
-    _require("domain" in conf, "domain file must set domain=")
-    n = int(conf.get("nx", conf.get("ny", "64")))
-    if "ny" in conf and int(conf["ny"]) != n:
-        raise _ArgumentError("nx and ny must agree (square cells)")
-    return _make_grid(conf["domain"], n)
+    # argparse checks --domain against _DOMAINS, but not a --config default
+    _require(kind in _DOMAINS, f"unknown domain '{kind}' ({'|'.join(_DOMAINS)})")
+    return _DOMAINS[kind](n)
 
 
 def _load_cells(path: str, shape: tuple, to_index) -> tuple:
@@ -203,6 +194,8 @@ def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
     _require(kind in ("constant", "split-x", "patch"), f"unknown sigma spec '{spec}'")
     # a wrong number of values fails to unpack with a ValueError (exit code 1)
     values = [float(v) for v in rest.split(":")]
+    # float() takes 'nan', which would silently drop a split or a patch
+    _require(all(map(math.isfinite, values)), f"sigma spec '{spec}': values must be finite")
     if kind == "constant":
         (value,) = values
         return twostep.SigmaField.constant(grid, value)
@@ -235,13 +228,10 @@ def _rhs_from_spec(grid: Grid2D, spec: str) -> np.ndarray:
 
 
 def _cmd_solve(args) -> str:
-    if args.domain_file:
-        grid = _load_domain_file(args.domain_file)
-    else:
-        grid = _make_grid(args.domain, args.n)
+    grid = _make_grid(args.domain, args.n)
     sigma = _sigma_from_spec(grid, args.sigma_file)
     rhs = _rhs_from_spec(grid, args.rhs)
-    if args.correct and grid.corners:
+    if args.correct:
         sing = [twostep.compute_dual_singularity(grid, i) for i in range(len(grid.corners))]
         sol = twostep.corrected_two_step_solve(grid, sigma, rhs, sing)
     else:
@@ -261,13 +251,13 @@ def _cmd_cone(args) -> str:
              "cone requires exactly one of --alpha or --mu")
     if args.alpha is not None:
         _require(args.d == 3, "cap cones require --d 3")
-        mu1 = cones.cap_first_eigenvalue(args.alpha)
+        mu1, lam_plus, cls = cones.classify_cap(args.alpha, args.beta, args.l)
         alpha_text = _fmt(args.alpha)
     else:
         mu1 = args.mu
+        spectrum = cones.ConeSpectrum(args.d, (mu1,))
+        lam_plus, cls = cones.classify_spectrum(spectrum, args.beta, args.l)
         alpha_text = ""
-    _, lam_plus = cones.exponent_pair(args.d, mu1)
-    cls = cones.fredholm_classify(cones.WeightedIndex(args.beta, args.l, args.d), lam_plus)
     lines = ["alpha,mu1,lambda_plus,classification"]
     lines.append(f"{alpha_text},{_fmt(mu1)},{_fmt(lam_plus)},{cls.value}")
     return "\n".join(lines) + "\n"
@@ -326,8 +316,7 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("solve", help="two-step solve on a masked polygon grid")
-    p.add_argument("--domain-file", dest="domain_file")
-    p.add_argument("--domain", choices=("rectangle", "lshape", "notched"), default="lshape")
+    p.add_argument("--domain", choices=tuple(_DOMAINS), default="lshape")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--sigma-file", dest="sigma_file", default="one")
     p.add_argument("--rhs", default="generic")
@@ -377,7 +366,7 @@ def run(argv: Sequence[str]) -> int:
     except (_ArgumentError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except NumericalFailure as exc:
+    except (NumericalFailure, SingularPairingMatrix) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
     _emit(text, args.output)

@@ -21,7 +21,6 @@ from .errors import BracketFailure, NoConvergence
 
 __all__ = [
     "ConeSpectrum",
-    "CapCone",
     "WeightedIndex",
     "Classification",
     "exponent_pair",
@@ -61,20 +60,6 @@ class ConeSpectrum:
         if any(b < a for a, b in zip(mu[1:], mu[2:])):
             raise ValueError("eigenvalues beyond the first must be nondecreasing")
         object.__setattr__(self, "mu", mu)
-
-
-@dataclass(frozen=True)
-class CapCone:
-    """Spherical cap of half-aperture alpha in dimension 3."""
-
-    alpha: float
-    d: int = 3
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < math.pi:
-            raise ValueError(f"alpha must lie in (0, pi), got {self.alpha}")
-        if self.d != 3:
-            raise ValueError("cap cones are implemented for d = 3")
 
 
 @dataclass(frozen=True)

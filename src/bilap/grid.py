@@ -36,18 +36,18 @@ _RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ReentrantCorner:
-    """Vertex of interior angle 3*pi/2 with a local polar frame.
+    """Vertex of interior angle 3*pi/2 (REENTRANT_APERTURE) with a local polar frame.
 
     ``frame_angle`` is the absolute direction of the boundary edge carrying
     theta = 0; ``orientation`` +1 sweeps counterclockwise into the domain,
-    -1 clockwise.  The opposite edge then sits at theta = 3*pi/2.
+    -1 clockwise.  The opposite edge then sits at theta = 3*pi/2.  Grid2D
+    rejects a corner whose frame does not place its edges so.
     """
 
     x: float
     y: float
     frame_angle: float
     orientation: float
-    aperture: float = REENTRANT_APERTURE
 
 
 class Grid2D:
@@ -104,6 +104,7 @@ class Grid2D:
                 raise ValueError(
                     f"corner ({c.x}, {c.y}) does not open 3*pi/2 on this mask"
                 )
+            _frame_check(self, c)
 
     # -- linear algebra -----------------------------------------------------
 
@@ -182,16 +183,16 @@ def corner_polar(grid: Grid2D, corner: ReentrantCorner):
 
 
 def _frame_check(grid: Grid2D, corner: ReentrantCorner):
-    """The two boundary edges at the corner must map to theta = 0 and aperture."""
+    """The two boundary edges at the corner must map to theta = 0 and 3*pi/2."""
     r, theta = corner_polar(grid, corner)
     near = (r > 0) & (r <= 2.5 * grid.h) & grid.boundary
     th = theta[near]
     ok0 = np.minimum(th, 2.0 * math.pi - th) < 1e-9
-    oka = np.abs(th - corner.aperture) < 1e-9
+    oka = np.abs(th - REENTRANT_APERTURE) < 1e-9
     if not (np.any(ok0) and np.any(oka) and np.all(ok0 | oka)):
         raise FrameError(
             f"corner frame at ({corner.x}, {corner.y}) does not place its edges "
-            "at theta = 0 and theta = aperture"
+            "at theta = 0 and theta = 3*pi/2"
         )
 
 
@@ -242,9 +243,7 @@ def lshape_grid(n: int) -> Grid2D:
     idx = np.arange(n)
     mask[np.ix_(idx >= n // 2, idx >= n // 2)] = False
     corner = ReentrantCorner(x=0.5, y=0.5, frame_angle=0.5 * math.pi, orientation=1.0)
-    g = Grid2D(mask, corners=(corner,))
-    _frame_check(g, corner)
-    return g
+    return Grid2D(mask, corners=(corner,))
 
 
 def notched_grid(n: int) -> Grid2D:
@@ -263,7 +262,4 @@ def notched_grid(n: int) -> Grid2D:
         ReentrantCorner(x=3.0 / 8.0, y=0.5, frame_angle=0.5 * math.pi, orientation=1.0),
         ReentrantCorner(x=5.0 / 8.0, y=0.5, frame_angle=0.5 * math.pi, orientation=-1.0),
     )
-    g = Grid2D(mask, corners=corners)
-    for c in corners:
-        _frame_check(g, c)
-    return g
+    return Grid2D(mask, corners=corners)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NotSolvable, SingularPairingMatrix
-from .grid import Grid2D, corner_polar, solve_poisson_dirichlet
+from .grid import REENTRANT_APERTURE, Grid2D, corner_polar, solve_poisson_dirichlet
 
 __all__ = [
     "SigmaField",
@@ -140,12 +140,12 @@ class CornerSingularity:
 def compute_dual_singularity(grid: Grid2D, corner_index: int) -> CornerSingularity:
     """Dual field of the given corner: singular leading term plus harmonic lift.
 
-    The leading term r^(-pi/aperture) sin(pi*theta/aperture) vanishes on the
-    two corner edges; its trace on the remaining boundary is lifted by a
+    The leading term r^(-mu) sin(mu*theta), mu = pi/(3*pi/2) = 2/3, vanishes
+    on the two corner edges; its trace on the remaining boundary is lifted by a
     discrete harmonic solve so the total vanishes on the whole boundary.
     """
     corner = grid.corners[corner_index]
-    mu = math.pi / corner.aperture
+    mu = math.pi / REENTRANT_APERTURE
     r, theta = corner_polar(grid, corner)
     with np.errstate(divide="ignore"):
         leading = np.where(r > 0.0, r ** (-mu) * np.sin(mu * theta), 0.0)
@@ -196,13 +196,20 @@ def singular_coefficient(
 
 @dataclass(frozen=True)
 class PairingMatrix:
-    """Symmetric matrix of sigma-weighted dual-field pairings with rank data."""
+    """Symmetric matrix of sigma-weighted dual-field pairings with rank data,
+    and the arrays it pairs: ``sinv`` (1/sigma at the nodes), ``weights`` (the
+    corner-excluded pairing weights) and ``duals`` (the dual fields, in order).
+    Entry (i, j) is sum(weights * sinv * duals[i] * duals[j]); ``tol`` is the
+    relative rank tolerance behind ``kernel_dim``."""
 
     matrix: np.ndarray
     singular_values: np.ndarray
     kernel_dim: int
     kernel_basis: np.ndarray  # (kernel_dim, N) rows spanning the kernel
     tol: float
+    sinv: np.ndarray
+    weights: np.ndarray
+    duals: tuple
 
 
 def assemble_pairing_matrix(
@@ -217,14 +224,12 @@ def assemble_pairing_matrix(
     the attainable pairing magnitude (the same sums with absolute-value
     integrands), so a 1x1 matrix near zero is correctly flagged singular.
     """
-    return _pairing_matrix(sigma.inverse_at_nodes(grid), pairing_weights(grid),
-                           [s.dual for s in singularities])
-
-
-def _pairing_matrix(sinv: np.ndarray, w: np.ndarray, duals) -> PairingMatrix:
-    n = len(duals)
+    n = len(singularities)
     if n < 1:
         raise ValueError("need at least one singularity")
+    sinv = sigma.inverse_at_nodes(grid)
+    w = pairing_weights(grid)
+    duals = tuple(s.dual for s in singularities)
     M = np.empty((n, n))
     scale = 0.0
     for i in range(n):
@@ -236,9 +241,8 @@ def _pairing_matrix(sinv: np.ndarray, w: np.ndarray, duals) -> PairingMatrix:
     kernel = svals <= _RANK_TOL * scale if scale > 0.0 else np.ones_like(svals, bool)
     kdim = int(np.sum(kernel))
     basis = vt[n - kdim:] if kdim else np.empty((0, n))
-    return PairingMatrix(
-        matrix=M, singular_values=svals, kernel_dim=kdim, kernel_basis=basis, tol=_RANK_TOL
-    )
+    return PairingMatrix(matrix=M, singular_values=svals, kernel_dim=kdim, kernel_basis=basis,
+                         tol=_RANK_TOL, sinv=sinv, weights=w, duals=duals)
 
 
 def corrected_two_step_solve(
@@ -257,33 +261,21 @@ def corrected_two_step_solve(
     """
     if not singularities:
         return two_step_solve(grid, sigma, f)
-    sinv = sigma.inverse_at_nodes(grid)
-    w = pairing_weights(grid)
-    duals = [s.dual for s in singularities]
-    pm = _pairing_matrix(sinv, w, duals)
+    pm = assemble_pairing_matrix(grid, sigma, singularities)
     if pm.kernel_dim > 0:
         raise SingularPairingMatrix(f"pairing matrix has kernel dimension {pm.kernel_dim}")
-    return _split(grid, sinv, f, duals, pm.matrix, w)
+    return _split(grid, pm.sinv, f, pm.duals, pm.matrix, pm.weights)
 
 
-def kernel_fields(
-    grid: Grid2D,
-    sigma: SigmaField,
-    singularities: Sequence[CornerSingularity],
-    pairing: PairingMatrix,
-) -> list:
+def kernel_fields(grid: Grid2D, pairing: PairingMatrix) -> list:
     """One discrete kernel field per pairing-matrix kernel vector.
 
     Each field solves Lap psi = (1/sigma) * combination, with the combination
-    taken along a kernel basis vector of the pairing matrix.
+    of the pairing's dual fields taken along a kernel basis vector, and 1/sigma
+    the one the pairing was assembled with.
     """
-    return _kernel_fields(grid, sigma.inverse_at_nodes(grid), singularities, pairing)
-
-
-def _kernel_fields(grid: Grid2D, sinv: np.ndarray, singularities, pairing) -> list:
-    """kernel_fields with 1/sigma at the nodes given."""
-    combos = (sum(c * s.dual for c, s in zip(vec, singularities)) for vec in pairing.kernel_basis)
-    return [solve_poisson_dirichlet(grid, sinv * combo)[0] for combo in combos]
+    combos = (sum(c * d for c, d in zip(vec, pairing.duals)) for vec in pairing.kernel_basis)
+    return [solve_poisson_dirichlet(grid, pairing.sinv * combo)[0] for combo in combos]
 
 
 def kernel_residual(
@@ -306,22 +298,20 @@ def kernel_residual(
 
 def constrained_solve(
     grid: Grid2D,
-    sigma: SigmaField,
     f: np.ndarray,
-    singularities: Sequence[CornerSingularity],
     pairing: PairingMatrix,
     solvability_tol: float = 1e-6,
 ) -> FieldSolution:
     """Corrected solve that also serves a rank-deficient pairing, modulo kernel fields.
 
-    The complement of the pairing kernel is picked by column-pivoted QR; dual
+    Sigma and the dual fields are those the pairing was assembled from.  The
+    complement of the pairing kernel is picked by column-pivoted QR; dual
     coefficients are solved on that complement only, and ``correction`` holds
     them in the order of the kept fields, with the sign convention of
     FieldSolution.  Sources must be orthogonal to every kernel field within
     solvability_tol (relative), else NotSolvable.
     """
-    sinv = sigma.inverse_at_nodes(grid)
-    psis = _kernel_fields(grid, sinv, singularities, pairing)
+    psis = kernel_fields(grid, pairing)
     w = pairing_weights(grid, exclude_corners=False)  # f and psi are regular
     fnorm = math.sqrt(abs(float(np.sum(w * f * f))))
     for m, psi in enumerate(psis):
@@ -332,9 +322,9 @@ def constrained_solve(
                 f"source pairs with kernel field {m}: |<f, psi>| = {abs(val):.3e}"
             )
 
-    keep = len(singularities) - pairing.kernel_dim
+    keep = len(pairing.duals) - pairing.kernel_dim
     # column-pivoted QR of the pairing matrix picks a well-conditioned complement;
     # pairings along the kernel are already below the rank tolerance
     c = sorted(scipy.linalg.qr(pairing.matrix, mode="r", pivoting=True)[1][:keep])
-    duals = [singularities[i].dual for i in c]
-    return _split(grid, sinv, f, duals, pairing.matrix[np.ix_(c, c)], pairing_weights(grid))
+    duals = [pairing.duals[i] for i in c]
+    return _split(grid, pairing.sinv, f, duals, pairing.matrix[np.ix_(c, c)], pairing.weights)

@@ -70,6 +70,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("numerical failure: ")
 
+    def test_singular_pairing_matrix(self, capsys):
+        # the patch contrast sits at the sign change of the 1x1 pairing matrix,
+        # so the corrected solve (the default) has no unique correction
+        code, out, err = invoke(capsys, *SOLVE, "--sigma-file",
+                                "patch:0.25:0.75:0.25:0.75:-0.4782838593387099:1")
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: ")
+
     def test_overflowing_kappa_fails_cleanly(self, capsys):
         # (1 - kappa)^2 overflows: no exponent can be searched for, and numpy
         # must not warn on the way to exit code 2
@@ -127,6 +135,18 @@ class TestConfig:
         assert code == 0 and len(out.splitlines()) == 1 + 3 * 4
         assert (code, out) == invoke(capsys, "region-map", "--na", "3", "--nk", "4")[:2]
 
+    def test_config_sets_domain_and_size(self, capsys, tmp_path):
+        conf = write(tmp_path, "c.conf", "domain=notched\nn=32\n")
+        from_config = invoke(capsys, "solve", "--config", conf)
+        assert from_config[0] == 0
+        assert from_config == invoke(capsys, "solve", "--domain", "notched", "--n", "32")
+
+    def test_config_unknown_domain_exits_1(self, capsys, tmp_path):
+        # argparse checks --domain choices on the command line only
+        conf = write(tmp_path, "c.conf", "domain=disk\n")
+        code, out, err = invoke(capsys, "solve", "--config", conf)
+        assert code == 1 and out == "" and err.startswith("error: ")
+
     def test_config_value_of_wrong_type_exits_1(self, capsys, tmp_path):
         conf = write(tmp_path, "c.conf", "n=abc\n")
         code, out, err = invoke(capsys, *SOLVE[:3], "--config", conf)
@@ -148,7 +168,8 @@ class TestConfig:
 class TestMalformedInput:
     @pytest.mark.parametrize("spec", ["constant", "constant:", "constant:1:2", "split-x:0.5:1",
                                       "split-x:0.5:1:2:3", "patch:0.1:0.2:0.1", "patch", "disk:1",
-                                      "constant:inf", "split-x:0.5:1:-inf"])
+                                      "constant:inf", "split-x:0.5:1:-inf", "split-x:nan:1:-2",
+                                      "patch:nan:0.75:0.25:0.75:-3:1"])
     def test_sigma_spec(self, capsys, spec):
         code, out, err = invoke(capsys, *SOLVE, "--sigma-file", spec)
         assert code == 1 and out == "" and err.startswith("error: ")

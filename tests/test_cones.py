@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bilap.cones import (
-    CapCone,
     Classification,
     ConeSpectrum,
     WeightedIndex,
@@ -186,11 +185,6 @@ class TestDataTypes:
             ConeSpectrum(3, (-1.0,))
         with pytest.raises(ValueError):
             ConeSpectrum(3, (2.0, 6.0, 5.0))
-
-    def test_cap_cone_validation(self):
-        CapCone(1.0)
-        with pytest.raises(ValueError):
-            CapCone(3.5)
 
     def test_weighted_index_validation(self):
         with pytest.raises(ValueError):
