@@ -13,12 +13,13 @@ import argparse
 import math
 import re
 import sys
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import cones, corner_spectrum as cs, kernel1d, twostep
-from .errors import NumericalFailure, SingularPairingMatrix
+from .errors import NumericalFailure
 from .grid import Grid2D, lshape_grid, notched_grid, rectangle_grid
 
 
@@ -40,6 +41,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _field(x) -> str:
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return "" if x is None else str(x)
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: floats at 17 significant digits, None as an empty field and
+    anything else (text, integers) as str() writes it."""
+    return "\n".join([header, *(",".join(map(_field, row)) for row in rows)]) + "\n"
 
 
 def _finite_float(text: str) -> float:
@@ -106,19 +119,21 @@ def _cmd_eta0(args) -> str:
     prob = cs.CornerProblem(args.alpha, args.kappa)
     report = cs.classify_region(prob)
     result = cs.find_singular_exponent(prob)
-    lines = ["alpha,kappa,g,membership,eta0,residual"]
-    eta0 = _fmt(result.eta0) if result else ""
-    res = _fmt(result.residual) if result else ""
-    lines.append(
-        f"{_fmt(args.alpha)},{_fmt(args.kappa)},{_fmt(report.g_value)},"
-        f"{report.membership.value},{eta0},{res}"
-    )
-    return "\n".join(lines) + "\n"
+    found = (result.eta0, result.residual) if result else (None, None)
+    return _csv("alpha,kappa,g,membership,eta0,residual",
+                [(args.alpha, args.kappa, report.g_value, report.membership.value, *found)])
 
 
 def _cmd_region_map(args) -> str:
     cells = cs.region_map((args.amin, args.amax), (args.kmin, args.kmax), args.na, args.nk)
-    return cs.region_map_csv(cells)
+
+    def row(c):  # eta0 and residual: nan where the scan failed, empty where no exponent exists
+        r = c.report
+        found = ((math.nan, math.nan) if c.failed else
+                 (c.result.eta0, c.result.residual) if c.result else (None, None))
+        return (c.alpha, c.kappa, r.g_value, r.ell_minus, r.ell_plus, r.membership.value, *found)
+
+    return _csv("alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual", map(row, cells))
 
 
 def _cmd_corner_det(args) -> str:
@@ -128,12 +143,8 @@ def _cmd_corner_det(args) -> str:
     lam = 1.0 + 1j * args.eta
     det = cs.transmission_determinant(prob, lam)
     nd = cs.normalized_determinant(prob, lam)
-    lines = ["alpha,kappa,eta,det_re,det_im,det_normalized"]
-    lines.append(
-        f"{_fmt(args.alpha)},{_fmt(args.kappa)},{_fmt(args.eta)},"
-        f"{_fmt(det.real)},{_fmt(det.imag)},{_fmt(nd)}"
-    )
-    return "\n".join(lines) + "\n"
+    return _csv("alpha,kappa,eta,det_re,det_im,det_normalized",
+                [(args.alpha, args.kappa, args.eta, det.real, det.imag, nd)])
 
 
 def _cmd_kernel1d(args) -> str:
@@ -145,18 +156,13 @@ def _cmd_kernel1d(args) -> str:
     else:
         dom = kernel1d.ThreeSegmentDomain(args.delta)
         closed = kernel1d.critical_contrasts_three_segment(args.delta)
-    lines = ["root_index,critical_contrast"]
-    for i, root in enumerate(closed.roots):
-        lines.append(f"{i},{_fmt(root)}")
-    text = "\n".join(lines) + "\n"
+    text = _csv("root_index,critical_contrast", enumerate(closed.roots))
     if args.kappa is not None:
         _require(args.samples >= 1, "--samples must be positive")
         basis = kernel1d.kernel_basis(dom, args.kappa)
         _require(basis is not None,
                  f"kappa={args.kappa} is not a critical contrast of this domain")
-        rows = basis.sample(args.samples)
-        text += "x,v,v1,v2\n"
-        text += "\n".join(",".join(_fmt(x) for x in row) for row in rows) + "\n"
+        text += _csv("x,v,v1,v2", basis.sample(args.samples).tolist())
     return text
 
 
@@ -172,7 +178,11 @@ def _make_grid(kind: str, n: int) -> Grid2D:
 def _load_cells(path: str, shape: tuple, to_index) -> tuple:
     """(index arrays, values) of a CSV with rows a,b,value under one header line;
     to_index(a, b columns) must give whole indices inside shape in every row."""
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        # numpy warns on a file with no data rows, which is rejected just below
+        warnings.simplefilter("ignore", UserWarning)
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    _require(table.size > 0, f"{path}: no data rows under the header")
     _require(table.shape[1] == 3, f"{path}: expected rows of three values")
     ij = to_index(table[:, :2])
     ok = ((ij == np.floor(ij)) & (ij >= 0) & (ij < np.array(shape))).all(axis=1)
@@ -252,15 +262,12 @@ def _cmd_cone(args) -> str:
     if args.alpha is not None:
         _require(args.d == 3, "cap cones require --d 3")
         mu1, lam_plus, cls = cones.classify_cap(args.alpha, args.beta, args.l)
-        alpha_text = _fmt(args.alpha)
     else:
         mu1 = args.mu
         spectrum = cones.ConeSpectrum(args.d, (mu1,))
         lam_plus, cls = cones.classify_spectrum(spectrum, args.beta, args.l)
-        alpha_text = ""
-    lines = ["alpha,mu1,lambda_plus,classification"]
-    lines.append(f"{alpha_text},{_fmt(mu1)},{_fmt(lam_plus)},{cls.value}")
-    return "\n".join(lines) + "\n"
+    return _csv("alpha,mu1,lambda_plus,classification",
+                [(args.alpha, mu1, lam_plus, cls.value)])
 
 
 def _cmd_classify(args) -> str:
@@ -269,11 +276,8 @@ def _cmd_classify(args) -> str:
         cones.WeightedIndex(args.beta, args.l, args.d), args.lambda1
     )
     iso = cones.isomorphism_in_dimension(args.d, args.lambda1)
-    lines = ["beta,l,d,lambda1,classification,basic_index_isomorphism"]
-    lines.append(
-        f"{_fmt(args.beta)},{args.l},{args.d},{_fmt(args.lambda1)},{cls.value},{iso}"
-    )
-    return "\n".join(lines) + "\n"
+    return _csv("beta,l,d,lambda1,classification,basic_index_isomorphism",
+                [(args.beta, args.l, args.d, args.lambda1, cls.value, iso)])
 
 
 # -- parser / dispatch --------------------------------------------------------
@@ -362,14 +366,13 @@ def run(argv: Sequence[str]) -> int:
             # config values become the subcommand's defaults, so flags keep precedence
             subparsers[args.command].set_defaults(**_config_defaults(args.config, args))
             args = parser.parse_args(list(argv))
-        text = _COMMANDS[args.command](args)
+        _emit(_COMMANDS[args.command](args), args.output)
     except (_ArgumentError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (NumericalFailure, SingularPairingMatrix) as exc:
+    except NumericalFailure as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
-    _emit(text, args.output)
     return 0
 
 

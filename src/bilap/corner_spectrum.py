@@ -41,14 +41,13 @@ __all__ = [
     "normalized_determinant",
     "angular_profile",
     "region_map",
-    "region_map_csv",
     "growth_factor",
     "singular_sequence_lower_bound",
 ]
 
-REGION_MAP_CSV_HEADER = "alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual"
-# below this angle alpha - sin(alpha) loses more than 6.7e-14 relative to cancellation
-_SERIES_ANGLE = 0.1
+# below this angle x - sin(x) comes from its series, above it from x - math.sin(x),
+# which cancels by at most a factor of 6.3 there; both stay within 4e-16 relative
+_SERIES_ANGLE = 1.0
 # cells per lockstep block of the exponent search: about 2 MB of scan arrays
 _SEARCH_BLOCK = 128
 # relative size below which a scaled dispersion value has no trusted sign
@@ -103,23 +102,12 @@ class SingularExponentResult:
 
 
 def dispersion(p: CornerProblem, eta):
-    """Dispersion function of the corner problem, even in ``eta``.
-
-    Grouped through cosh(x) - 1 = 2 sinh^2(x/2) so the value at eta = 0 is
-    exactly zero and small-eta cancellation is avoided.  Total function:
-    overflows to +-inf for very large eta instead of raising.
-    """
-    a, k = p.alpha, p.kappa
-    scalar = np.isscalar(eta)
-    e = np.asarray(eta, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (
-            2.0 * k * np.sinh(math.pi * e) ** 2
-            + 2.0 * k * (k - 1.0) * np.sinh(a * e) ** 2
-            - 2.0 * (k - 1.0) * np.sinh((math.pi - a) * e) ** 2
-            + e * e * (1.0 - k) ** 2 * (math.cos(2.0 * a) - 1.0)
-        )
-    return float(out) if scalar else out
+    """Dispersion function of the corner problem, even in ``eta``: the scaled
+    form times cosh(2*pi*eta), so exactly zero at eta = 0 and free of small-eta
+    cancellation.  Overflows to +-inf at very large eta instead of raising."""
+    with np.errstate(over="ignore"):
+        out = scaled_dispersion(p, eta) * np.cosh(2.0 * math.pi * np.asarray(eta, dtype=float))
+    return float(out) if np.isscalar(eta) else out
 
 
 def _scaled_terms(alpha, kappa, eta):
@@ -148,37 +136,31 @@ def scaled_dispersion(p: CornerProblem, eta):
 
 
 def _x_minus_sin(x: float) -> float:
-    """x - sin(x); below _SERIES_ANGLE the series x^3/3! - ... - x^11/11!,
-    whose next term is under 1e-19 relative."""
+    """x - sin(x); below _SERIES_ANGLE the series x^3/3! - ... + x^19/19!,
+    whose next term is under 1.2e-19 relative."""
     if x >= _SERIES_ANGLE:
         return x - math.sin(x)
-    y = x * x
-    return x * y / 6.0 * (1.0 - y / 20.0 * (1.0 - y / 42.0 * (1.0 - y / 72.0 * (1.0 - y / 110.0))))
+    y, t = x * x, 1.0
+    for d in (342.0, 272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):  # (2j)(2j+1), j = 9..2
+        t = 1.0 - y / d * t
+    return x * y / 6.0 * t
 
 
-def _pi_minus(alpha: float) -> float:
-    """pi - alpha; below _SERIES_ANGLE it keeps the low part of pi that
-    math.pi drops (pi - math.pi = 1.2246467991473532e-16)."""
-    b = math.pi - alpha
-    return b + 1.2246467991473532e-16 if b < _SERIES_ANGLE else b
+def _factors(alpha: float) -> tuple:
+    """(c, d, e, f) with g = 2 (c k + d)(e k + f), the eta^2 coefficient at
+    contrast k: c = a - sin a, d = b + sin a, e = a + sin a and
+    f = b - sin a = b - sin b, where a = alpha and b = pi - a."""
+    s = math.sin(alpha)
+    b = math.pi - alpha + 1.2246467991473532e-16  # with the low part of pi that math.pi drops
+    return _x_minus_sin(alpha), b + s, alpha + s, _x_minus_sin(b)
 
 
 def taylor_coefficient(p: CornerProblem) -> float:
-    """Coefficient of eta^2 in the small-eta expansion of the dispersion function."""
-    a, k = p.alpha, p.kappa
-    s = math.sin(a)
-    b = _pi_minus(a)
-    # a^2 - sin^2 a = (a - sin a)(a + sin a), which keeps small angles accurate.
-    # Above pi/2 the forms in a and pi cancel by a factor of about pi / b, so
-    # there a0 = b^2 - sin^2 b = (b - sin b)(b + sin b) and a1 = -a b - sin^2 a
-    a2 = a * a - s * s if a >= _SERIES_ANGLE else _x_minus_sin(a) * (a + s)
-    if a <= 0.5 * math.pi:
-        a1 = a2 - a * math.pi
-        a0 = a2 + (math.pi * math.pi - 2.0 * a * math.pi)
-    else:
-        a1 = -a * b - s * s
-        a0 = _x_minus_sin(b) * (b + s)
-    return 2.0 * a2 * k * k - 4.0 * a1 * k + 2.0 * a0
+    """Coefficient g of eta^2 in the small-eta expansion of the dispersion
+    function: twice the product of two factors linear in kappa, whose roots
+    are critical_interval(alpha)."""
+    c, d, e, f = _factors(p.alpha)
+    return 2.0 * (c * p.kappa + d) * (e * p.kappa + f)
 
 
 def critical_interval(alpha: float) -> tuple:
@@ -189,11 +171,9 @@ def critical_interval(alpha: float) -> tuple:
     """
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha must lie in (0, pi), got {alpha}")
-    b = _pi_minus(alpha)
-    sb = math.sin(b)
-    ell_minus = -(b + sb) / _x_minus_sin(alpha)
-    ell_plus = -_x_minus_sin(b) / (alpha + math.sin(alpha))
-    return ell_minus, ell_plus
+    c, d, e, f = _factors(alpha)
+    # c is 0 below alpha ~ 1e-108; |ell_minus| ~ 6 pi / alpha^3 overflows below 4.7e-103
+    return (-d / c if c > 0.0 else -math.inf), -f / e
 
 
 def classify_region(p: CornerProblem) -> RegionReport:
@@ -299,14 +279,16 @@ def _basis(lam: complex, theta: float):
     """
     l = lam
     m = lam - 2.0
+    # the products that complex ** forms, which at huge |lam| give inf, not OverflowError
+    l3, m3, l4, m4 = l * (l * l), m * (m * m), (l * l) * (l * l), (m * m) * (m * m)
     c1, c2 = np.cos(l * theta), np.cos(m * theta)
     s1, s2 = np.sin(l * theta), np.sin(m * theta)
     b1 = (c1 - c2, -l * s1 + m * s2, -l * l * c1 + m * m * c2,
-          l ** 3 * s1 - m ** 3 * s2, l ** 4 * c1 - m ** 4 * c2)
+          l3 * s1 - m3 * s2, l4 * c1 - m4 * c2)
     b2 = (m * s1 - l * s2, l * m * (c1 - c2),
           -l * l * m * s1 + l * m * m * s2,
-          -l ** 3 * m * c1 + l * m ** 3 * c2,
-          l ** 4 * m * s1 - l * m ** 4 * s2)
+          -l3 * m * c1 + l * m3 * c2,
+          l4 * m * s1 - l * m4 * s2)
     return b1, b2
 
 
@@ -318,6 +300,7 @@ def _check_lambda(lam: complex) -> complex:
     return lam
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite entries are rejected below
 def transmission_matrix(p: CornerProblem, lam: complex) -> np.ndarray:
     """4x4 complex interface system at theta = alpha, rows scaled to unit max entry.
 
@@ -325,6 +308,8 @@ def transmission_matrix(p: CornerProblem, lam: complex) -> np.ndarray:
     the weighted second Laplacian trace d2 + lam^2, and of its tangential
     derivative d3 + lam^2 d1.  Columns follow the four basis coefficients;
     the clamped conditions at theta = 0 and pi hold by construction.
+    Raises NumericalFailure when an entry is not finite (the entries grow
+    like cosh(pi * Im lam)).
     """
     lam = _check_lambda(lam)
     k = p.kappa
@@ -347,6 +332,8 @@ def transmission_matrix(p: CornerProblem, lam: complex) -> np.ndarray:
         dtype=complex,
     )
     scale = np.abs(M).max(axis=1)
+    if not np.isfinite(scale).all():
+        raise NumericalFailure(f"interface system overflows at lambda = {lam}")
     scale[scale == 0.0] = 1.0
     return M / scale[:, None]
 
@@ -418,10 +405,10 @@ def _profile_norm2(profile: AngularProfile, integrand) -> float:
 
 
 def angular_profile(p: CornerProblem, lam: complex) -> AngularProfile:
-    """Null coefficients of the interface system at a detected exponent.
+    """Null coefficients of the interface system at a detected exponent: the
+    right singular vector of its smallest singular value.
 
-    Inverse iteration on the 4x4 normal system with a fixed deterministic
-    seed; raises NotSingular when the normalized determinant exceeds 1e-6.
+    Raises NotSingular when the normalized determinant exceeds 1e-6.
     """
     lam = _check_lambda(lam)
     nd = normalized_determinant(p, lam)
@@ -429,13 +416,7 @@ def angular_profile(p: CornerProblem, lam: complex) -> AngularProfile:
         raise NotSingular(
             f"normalized determinant {nd:.3e} exceeds tolerance {_SINGULAR_TOL:.1e} at {lam}"
         )
-    M = transmission_matrix(p, lam)
-    H = M.conj().T @ M
-    A = H + (np.trace(H).real * 1e-16) * np.eye(4)
-    x = np.full(4, 0.5, dtype=complex)
-    for _ in range(5):
-        x = np.linalg.solve(A, x)
-        x = x / np.linalg.norm(x)
+    x = np.linalg.svd(transmission_matrix(p, lam))[2][-1].conj()
     pivot = int(np.argmax(np.abs(x)))
     coeffs = x / x[pivot]
     return AngularProfile(lam=lam, alpha=p.alpha, kappa=p.kappa, coeffs=coeffs)
@@ -480,32 +461,6 @@ def region_map(alpha_range: tuple, kappa_range: tuple, n_alpha: int, n_kappa: in
             report = classify_region(CornerProblem(ai, ki))
             cells.append(RegionCell(ai, ki, report, result, bad))
     return cells
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def region_map_csv(cells: list) -> str:
-    """CSV emission: one row per cell, floats at 17 significant digits.
-
-    The eta0/residual fields are empty when no exponent exists and 'nan'
-    for cells whose scan failed.
-    """
-    lines = [REGION_MAP_CSV_HEADER]
-    for c in cells:
-        r = c.report
-        if c.failed:
-            eta0, res = "nan", "nan"
-        elif c.result is None:
-            eta0, res = "", ""
-        else:
-            eta0, res = _fmt(c.result.eta0), _fmt(c.result.residual)
-        lines.append(
-            f"{_fmt(c.alpha)},{_fmt(c.kappa)},{_fmt(r.g_value)},{_fmt(r.ell_minus)},"
-            f"{_fmt(r.ell_plus)},{r.membership.value},{eta0},{res}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ class NotSingular(RuntimeError):
 
 
 class FrameError(ValueError):
-    """A corner's local polar frame does not map its edges to theta = 0 and theta = alpha."""
+    """A corner's local polar frame does not map its edges to theta = 0 and theta = 3*pi/2."""
 
 
-class SingularPairingMatrix(RuntimeError):
+class SingularPairingMatrix(NumericalFailure):
     """The corner pairing matrix is rank deficient; the plain corrected solve does not apply."""
 
 

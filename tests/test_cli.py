@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from bilap import twostep
+from bilap import corner_spectrum as cs, twostep
 from bilap.cli import run
 
 
@@ -65,10 +65,24 @@ class TestExitCodes:
         assert code == 0 and err == "" and (code, out, err) == joined
 
     def test_numerical_failure(self, capsys):
-        # the tail stays positive through every doubling of eta_max
-        code, out, err = invoke(capsys, "eta0", "--alpha", "1e-20", "--kappa", "-1")
+        # the tail stays positive through every doubling of eta_max; at 1e-300,
+        # alpha - sin(alpha) underflows to 0 and ell_minus is -inf
+        for alpha in ("1e-20", "1e-300"):
+            code, out, err = invoke(capsys, "eta0", "--alpha", alpha, "--kappa", "-1")
+            assert code == 2 and out == ""
+            assert err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("eta", ["400", "1e300"])
+    def test_overflowing_interface_system_fails_cleanly(self, capsys, eta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, "corner-det", "--alpha", "1", "--kappa=-1", "--eta", eta)
         assert code == 2 and out == ""
         assert err.startswith("numerical failure: ")
+
+    def test_unwritable_output_exits_1(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, *SOLVE, "--output", str(tmp_path / "missing" / "x.csv"))
+        assert code == 1 and out == "" and err.startswith("error: ")
 
     def test_singular_pairing_matrix(self, capsys):
         # the patch contrast sits at the sign change of the 1x1 pairing matrix,
@@ -198,10 +212,42 @@ class TestMalformedInput:
         code, out, err = invoke(capsys, *SOLVE, "--rhs", f"file:{path}")
         assert code == 2 and out == "" and err.startswith("numerical failure: ")
 
+    @pytest.mark.parametrize("option", ["--sigma-file", "--rhs"])
+    def test_header_only_file_exits_1(self, capsys, tmp_path, option):
+        path = write(tmp_path, "cells.csv", "a,b,value\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, *SOLVE, option, f"file:{path}")
+        assert code == 1 and out == "" and err.startswith("error: ")
+
     def test_rhs_file_in_range(self, capsys, tmp_path):
         path = write(tmp_path, "rhs.csv", "x,y,value\n0.25,0.25,1.0\n1.0,1.0,5.0\n")
         code, out, _ = invoke(capsys, *SOLVE, "--rhs", f"file:{path}")
         assert code == 0 and out.startswith("x,y,value\n")
+
+
+class TestRegionMapCsv:
+    def test_format(self, capsys):
+        code, out, _ = invoke(capsys, "region-map", "--amin=0.5", "--amax=2.5", "--kmin=-5",
+                              "--kmax=-0.2", "--na=3", "--nk=3")
+        lines = out.splitlines()
+        assert code == 0 and out.endswith("\n")
+        assert lines[0] == "alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual"
+        assert len(lines) == 10 and all(len(line.split(",")) == 8 for line in lines[1:])
+        cells = cs.region_map((0.5, 2.5), (-5.0, -0.2), 3, 3)
+        fmt = lambda x: format(x, ".17g")
+        for line, c in zip(lines[1:], cells):
+            found = (fmt(c.result.eta0), fmt(c.result.residual)) if c.result else ("", "")
+            assert line.split(",") == [fmt(c.alpha), fmt(c.kappa), fmt(c.report.g_value),
+                                       fmt(c.report.ell_minus), fmt(c.report.ell_plus),
+                                       c.report.membership.value, *found]
+
+    def test_failed_cells(self, capsys):
+        # at alpha = 1e-300 the scan fails (eta0 and residual are nan) and
+        # ell_minus is -inf
+        code, out, _ = invoke(capsys, "region-map", "--amin=1e-300", "--amax=0.1", "--na=2", "--nk=2")
+        rows = [line.split(",") for line in out.splitlines()[1:3]]
+        assert code == 0 and all(r[3] == "-inf" and r[6:] == ["nan", "nan"] for r in rows)
 
 
 class TestSolveCsv:

@@ -24,14 +24,13 @@ from bilap.corner_spectrum import (
     growth_factor,
     normalized_determinant,
     region_map,
-    region_map_csv,
     scaled_dispersion,
     singular_sequence_lower_bound,
     taylor_coefficient,
     transmission_determinant,
     transmission_matrix,
 )
-from bilap.errors import NotSingular
+from bilap.errors import NotSingular, NumericalFailure
 
 # high-precision reference for h at (pi/2, -1, 1): -11 - cosh(2 pi) + 4 cosh(pi)
 H_PI2_M1_AT_1 = -232.37894838166213
@@ -149,6 +148,23 @@ class TestDispersion:
                 ref = mp_dispersion(alpha, kappa, eta) / mp.cosh(2 * mp.pi * mp.mpf(eta))
             assert abs(scaled_dispersion(p, eta) - ref) <= 1e-13 * abs(ref)
 
+    def test_against_mpmath_terms(self):
+        # error relative to the sum of the absolute terms, the scale at which
+        # the four terms of the definition cancel
+        rng = np.random.default_rng(18)
+        worst = 0.0
+        with mp.workdps(30):
+            for _ in range(3000):
+                alpha, eta = rng.uniform(0.01, math.pi - 0.01), 10.0 ** rng.uniform(-4.0, 0.8)
+                kappa = -(10.0 ** rng.uniform(-2.0, 2.0))
+                a, k, e = mp.mpf(alpha), mp.mpf(kappa), mp.mpf(eta)
+                terms = (2 * k * mp.sinh(mp.pi * e) ** 2, 2 * k * (k - 1) * mp.sinh(a * e) ** 2,
+                         -2 * (k - 1) * mp.sinh((mp.pi - a) * e) ** 2,
+                         e * e * (1 - k) ** 2 * (mp.cos(2 * a) - 1))
+                err = abs(dispersion(CornerProblem(alpha, kappa), eta) - sum(terms))
+                worst = max(worst, float(err / sum(abs(t) for t in terms)))
+        assert worst <= 1e-14
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CornerProblem(4.0, -1.0)
@@ -177,6 +193,37 @@ class TestTaylorCoefficient:
             lhs = taylor_coefficient(CornerProblem(a, k))
             rhs = k * k * taylor_coefficient(CornerProblem(math.pi - a, 1.0 / k))
             assert rhs == pytest.approx(lhs, rel=1e-12)
+
+
+class TestTaylorOracle:
+    """g = 2 F_- F_+ against 2 a2 k^2 - 4 a1 k + 2 a0 in 60-digit mpmath, with
+    a2 = a^2 - sin^2 a, a1 = a2 - pi a and a0 = (pi - a)^2 - sin^2 a, on random
+    angles (a fifth within 1e-3 of 0, a fifth within 1e-3 of pi) and contrasts,
+    half of them within a relative 1e-3 of ell_minus or ell_plus."""
+
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(19)
+        worst, points = 0.0, 0
+        with mp.workdps(60):
+            for i in range(1000):
+                u = 10.0 ** rng.uniform(-8.0, -3.0)
+                alpha = (u, math.pi - u, *rng.uniform(0.0, math.pi, 3))[i % 5]
+                lm, lp = critical_interval(alpha)
+                edges = rng.choice([lm, lp], 10) * (1.0 + rng.choice([-1.0, 1.0], 10)
+                                                    * 10.0 ** rng.uniform(-12.0, -3.0, 10))
+                a = mp.mpf(alpha)
+                s = mp.sin(a)
+                a2 = a * a - s * s
+                a1, a0 = a2 - mp.pi * a, (mp.pi - a) ** 2 - s * s
+                for kappa in (*(-(10.0 ** rng.uniform(-4.0, 6.0, 10))), *edges):
+                    g = taylor_coefficient(CornerProblem(alpha, float(kappa)))
+                    k = mp.mpf(kappa)
+                    ref = 2 * a2 * k * k - 4 * a1 * k + 2 * a0
+                    scale = abs(2 * a2 * k * k) + abs(4 * a1 * k) + abs(2 * a0)
+                    worst = max(worst, float(abs(g - ref) / scale))
+                    assert (g > 0.0) == (kappa < lm or lp < kappa)
+                    points += 1
+        assert points == 20000 and worst <= 1e-15
 
 
 class TestSmallAngle:
@@ -249,6 +296,14 @@ class TestCriticalInterval:
         for alpha in np.linspace(0.05, math.pi - 0.05, 50):
             lm, lp = critical_interval(float(alpha))
             assert lm < lp < 0.0
+
+    def test_tiny_angle(self):
+        # alpha - sin(alpha) underflows to 0; |ell_minus| ~ 6 pi / alpha^3 overflows
+        # long before (below alpha ~ 4.7e-103)
+        for alpha in (1e-300, 1e-120):
+            lm, lp = critical_interval(alpha)
+            assert lm == -math.inf and lp == pytest.approx(-math.pi / (2.0 * alpha), rel=1e-15)
+        assert critical_interval(1e-100)[0] == pytest.approx(-6.0 * math.pi / 1e-300, rel=1e-15)
 
     def test_reflection_identity(self):
         for alpha in (math.pi / 6, math.pi / 3, 2 * math.pi / 5):
@@ -430,6 +485,13 @@ class TestTransmissionSystem:
         for eta in (0.5, 1.0, 2.0):
             assert normalized_determinant(p, 1.0 + 1j * eta) > 1e-6
 
+    def test_overflow_is_a_numerical_failure(self):
+        # the outer entries grow like cosh((pi - alpha) * eta)
+        p = CornerProblem(1.0, -1.0)
+        for eta in (400.0, 1e300):
+            with pytest.raises(NumericalFailure):
+                transmission_matrix(p, 1.0 + 1j * eta)
+
     def test_conjugate_reality(self):
         p = CornerProblem(1.2, -4.0)
         for eta in (0.4, 1.3):
@@ -475,6 +537,18 @@ class TestAngularProfile:
             # same arithmetic; numpy's complex loops may round the last bit apart
             np.testing.assert_allclose([d[i] for d in stack], prof.derivatives(float(theta)),
                                        rtol=1e-14, atol=0.0)
+
+    def test_residuals_over_a_grid(self):
+        # moderate and large exponents on both sides of the critical interval
+        worst_interface = worst_biharmonic = 0.0
+        for alpha in np.linspace(0.2, 2.9, 5):
+            lm, lp = critical_interval(float(alpha))
+            for kappa in (1.5 * lm, 10.0 * lm, 100.0 * lm, 0.5 * lp, 0.01 * lp):
+                p = CornerProblem(float(alpha), kappa)
+                prof = angular_profile(p, 1.0 + 1j * find_singular_exponent(p).eta0)
+                worst_interface = max(worst_interface, prof.interface_residual())
+                worst_biharmonic = max(worst_biharmonic, prof.biharmonic_residual())
+        assert worst_interface <= 1e-14 and worst_biharmonic <= 1e-11
 
     def test_not_singular_raises(self):
         p = CornerProblem(math.pi / 2, -1.0)
@@ -532,20 +606,6 @@ class TestRegionMap:
                 assert (r1 is None) == (r2 is None)
                 if r1 is not None:
                     assert abs(r1.eta0 - r2.eta0) <= 1e-10
-
-    def test_csv_format(self):
-        cells = region_map((0.5, 2.5), (-5.0, -0.2), 3, 3)
-        text = region_map_csv(cells)
-        lines = text.strip().split("\n")
-        assert lines[0] == "alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual"
-        assert len(lines) == 10
-        for line in lines[1:]:
-            assert len(line.split(",")) == 8
-
-    def test_csv_deterministic(self):
-        a = region_map_csv(region_map((0.5, 2.5), (-5.0, -0.2), 4, 4))
-        b = region_map_csv(region_map((0.5, 2.5), (-5.0, -0.2), 4, 4))
-        assert a == b
 
     def test_validation(self):
         with pytest.raises(ValueError):
