@@ -52,7 +52,8 @@ _SERIES_ANGLE = 1.0
 _SEARCH_BLOCK = 128
 # relative size below which a scaled dispersion value has no trusted sign
 _SIGN_FLOOR = 4e-15
-# |g| up to which a corner problem is reported on the Boundary
+# |g| relative to the scale of its factors up to which a corner problem is
+# reported on the Boundary
 _BOUNDARY_EPS = 1e-9
 # exponent scan: geometric grid _ETA_MIN * _ETA_RATIO**j below a tail found
 # by doubling _ETA_MAX at most _MAX_DOUBLINGS times
@@ -176,14 +177,26 @@ def critical_interval(alpha: float) -> tuple:
     return (-d / c if c > 0.0 else -math.inf), -f / e
 
 
+def _relative_factor(x: float, y: float, k: float) -> float:
+    """(x k + y) / (|x k| + |y|) for k < 0, with k scaled to -1 when below it
+    so that nothing overflows; 0 where both terms vanish."""
+    if k < -1.0:
+        y, k = y / -k, -1.0
+    scale = abs(x * k) + abs(y)
+    return (x * k + y) / scale if scale > 0.0 else 0.0
+
+
 def classify_region(p: CornerProblem) -> RegionReport:
     """Place (alpha, kappa) relative to the ill-posedness region by the sign of g;
-    Boundary where |g| <= 1e-9."""
+    Boundary where |g| <= 1e-9 of the scale 2 (|c k| + |d|)(|e k| + |f|) of
+    its factors g = 2 (c k + d)(e k + f), tested factor by factor."""
     g = taylor_coefficient(p)
+    c, d, e, f = _factors(p.alpha)
+    rel = _relative_factor(c, d, p.kappa) * _relative_factor(e, f, p.kappa)
     lm, lp = critical_interval(p.alpha)
-    if g > _BOUNDARY_EPS:
+    if rel > _BOUNDARY_EPS:
         member = Membership.INSIDE
-    elif g < -_BOUNDARY_EPS:
+    elif rel < -_BOUNDARY_EPS:
         member = Membership.OUTSIDE
     else:
         member = Membership.BOUNDARY

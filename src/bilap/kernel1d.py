@@ -101,7 +101,8 @@ def critical_contrasts_two_segment(t: float) -> ContrastRoots:
     base = 2.0 - 3.0 * t + 2.0 * t * t
     root = 2.0 * abs(t - 1.0) * math.sqrt(t * t - t + 1.0)
     r1 = (base + root) * t
-    r2 = (base - root) * t
+    # (base - root) t without the cancellation as t -> 0: base^2 - root^2 = t^2
+    r2 = t * t / (base + root) * t
     return ContrastRoots(roots=tuple(sorted((r1, r2))), source=RootSource.CLOSED_FORM)
 
 

@@ -79,9 +79,8 @@ def _node_sum(grid: Grid2D, cell_values: np.ndarray) -> np.ndarray:
 
 
 def _node_mean(grid: Grid2D, cell_values: np.ndarray) -> np.ndarray:
-    count = _node_sum(grid, np.ones((grid.nx, grid.ny)))
     total = _node_sum(grid, cell_values)
-    return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+    return np.divide(total, grid.touching, out=np.zeros_like(total), where=grid.touching > 0)
 
 
 @dataclass(frozen=True)
@@ -170,12 +169,17 @@ def pairing_weights(grid: Grid2D, exclude_corners: bool = True) -> np.ndarray:
     """
     h = grid.h
     keep = grid.cell_mask.copy()
-    if exclude_corners and grid.corners:
-        cx = (np.arange(grid.nx) + 0.5) * h
-        cy = (np.arange(grid.ny) + 0.5) * h
-        CX, CY = np.meshgrid(cx, cy, indexing="ij")
+    if exclude_corners:
+        # cells at least this many indices from a corner lie beyond the radius
+        reach = math.ceil(EXCLUSION_RADIUS_CELLS) + 1
         for c in grid.corners:
-            keep &= np.hypot(CX - c.x, CY - c.y) >= EXCLUSION_RADIUS_CELLS * h
+            i, j = round(c.x / h), round(c.y / h)
+            si = slice(max(i - reach, 0), min(i + reach, grid.nx))
+            sj = slice(max(j - reach, 0), min(j + reach, grid.ny))
+            cx = (np.arange(grid.nx)[si] + 0.5) * h
+            cy = (np.arange(grid.ny)[sj] + 0.5) * h
+            dist = np.hypot(cx[:, None] - c.x, cy[None, :] - c.y)
+            keep[si, sj] &= dist >= EXCLUSION_RADIUS_CELLS * h
     return _node_sum(grid, np.where(keep, h * h / 4.0, 0.0))
 
 

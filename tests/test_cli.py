@@ -250,6 +250,20 @@ class TestRegionMapCsv:
         assert code == 0 and all(r[3] == "-inf" and r[6:] == ["nan", "nan"] for r in rows)
 
 
+class TestBoundaryIsRelative:
+    def test_small_g_far_from_the_edges_is_outside(self, capsys):
+        # g = -1.96e-10, with kappa 47 times below ell_plus and far above ell_minus
+        code, out, _ = invoke(capsys, "eta0", "--alpha=3.14", "--kappa=-1e-8")
+        assert code == 0 and out.splitlines()[1].split(",")[3] == "Outside"
+
+    def test_positive_g_near_pi_is_inside(self, capsys):
+        code, out, _ = invoke(capsys, "region-map", "--amin=3.14", "--amax=3.1415926",
+                              "--kmin=-1e-300", "--kmax=-1e-301", "--na=2", "--nk=2")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 0 and len(rows) == 4
+        assert all(float(r[2]) > 0.0 and r[5] == "Inside" for r in rows)
+
+
 class TestSolveCsv:
     @pytest.mark.parametrize("domain", ["lshape", "notched", "rectangle"])
     def test_matches_per_field_format(self, capsys, monkeypatch, domain):

@@ -319,6 +319,18 @@ class TestClassifyRegion:
         lm, _ = critical_interval(1.1)
         assert classify_region(CornerProblem(1.1, lm)).membership is Membership.BOUNDARY
 
+    @pytest.mark.parametrize("kappa", [-1e160, -1e200, -1e308, -math.inf])
+    def test_huge_contrast_is_inside(self, kappa):
+        # far below ell_minus; g and the scale of its factors both overflow to inf
+        for alpha in (0.3, 2.0, 3.14):
+            assert classify_region(CornerProblem(alpha, kappa)).membership is Membership.INSIDE
+
+    @pytest.mark.parametrize("alpha,member", [(1e-101, Membership.INSIDE), (1e-110, Membership.OUTSIDE)])
+    def test_tiny_angle_at_huge_contrast(self, alpha, member):
+        # kappa = -1e308 lies below ell_minus ~ -2e304 at alpha = 1e-101; at
+        # 1e-110, c = 0 and ell_minus = -inf; both factors' scales are below 1e-300
+        assert classify_region(CornerProblem(alpha, -1e308)).membership is member
+
     def test_report_fields(self):
         rep = classify_region(CornerProblem(math.pi / 2, -10.0))
         assert rep.ell_minus < rep.ell_plus < 0.0

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -89,6 +90,19 @@ class TestClosedFormContrasts:
             assert all(r < 0.0 for r in critical_contrasts_two_segment(t).roots)
         for d in rng.uniform(0.05, 0.95, 50):
             assert all(r < 0.0 for r in critical_contrasts_three_segment(float(d)).roots)
+
+    def test_two_segment_against_mpmath(self):
+        # (base -+ root) t at 50 digits; the smaller root is about t^3/4 as
+        # t -> 0, where base - root cancels in doubles
+        for t in -np.logspace(-12.0, 1.0, 27):
+            roots = critical_contrasts_two_segment(float(t)).roots
+            assert roots[0] < roots[1] < 0.0
+            with mp.workdps(50):
+                tm = mp.mpf(float(t))
+                base = 2 - 3 * tm + 2 * tm * tm
+                root = 2 * abs(tm - 1) * mp.sqrt(tm * tm - tm + 1)
+                for r, ref in zip(roots, ((base + root) * tm, (base - root) * tm)):
+                    assert abs(mp.mpf(r) - ref) <= 4e-16 * abs(ref)
 
     def test_three_segment_half(self):
         roots = critical_contrasts_three_segment(0.5).roots

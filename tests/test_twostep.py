@@ -20,6 +20,7 @@ from bilap.grid import (
     rectangle_grid,
     solve_poisson_dirichlet,
 )
+import bilap.grid
 import bilap.twostep
 from bilap.twostep import (
     SigmaField,
@@ -139,16 +140,51 @@ class TestPoisson:
         u, _ = solve_poisson_dirichlet(g, f)
         assert np.all(u[g.interior] >= 0.0)
 
-    def test_factor_orders_for_symmetry(self):
-        # minimum degree on A^T + A fills L+U with about 0.59 of COLAMD's
-        # entries here; a silent return to COLAMD fails the first bound
-        A = notched_grid(128).laplacian().tocsc()
-        lu = notched_grid(128).factor()
-        mmd = splinalg.splu(A, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
-        colamd = splinalg.splu(A)
-        fill = lu.L.nnz + lu.U.nnz
-        assert abs(fill - (mmd.L.nnz + mmd.U.nnz)) <= 0.05 * (mmd.L.nnz + mmd.U.nnz)
-        assert fill < 0.95 * (colamd.L.nnz + colamd.U.nnz)
+    @pytest.mark.parametrize("make", [lshape_grid, notched_grid])
+    @pytest.mark.parametrize("span", [300.0, 5.0], ids=["one-block", "many-blocks"])
+    def test_capacitance_matches_fast_solves(self, monkeypatch, make, span):
+        # the closed form against P Lap_R^-1 P^T built column by column with
+        # the DST-I solve on the square; a short span splits Gamma's j values
+        # into blocks of about three, as n = 1024 splits them into blocks of 170
+        monkeypatch.setattr(bilap.grid, "_EXP_SPAN", span)
+        n = 32
+        solver = make(n).factor()
+        gi, gj = solver.gi, solver.gj
+        theta = np.arange(1, n) * (math.pi / (2 * n))
+        C = bilap.grid._capacitance(n, gi + 1, gj + 1, theta)
+        ref = np.empty_like(C)
+        for q in range(len(gi)):
+            w = np.zeros(solver.inside.shape)
+            w[gi[q], gj[q]] = 1.0
+            ref[:, q] = solver.fast(w)[gi, gj]
+        assert len(gi) == {lshape_grid: n - 1, notched_grid: 5 * n // 4 - 1}[make]
+        assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("make,n", [(lshape_grid, 512), (notched_grid, 512), (lshape_grid, 1024)])
+    def test_capacitance_solve_residual(self, make, n):
+        # one correction round reaches the tolerance only with C exact to
+        # rounding: mu from arccosh(1 + lam/2), which loses digits as lam -> 0,
+        # misses it at n = 1024
+        g = make(n)
+        b = np.ones(g.n_interior)
+        u = g.factor().solve(b)
+        assert np.linalg.norm(g.laplacian() @ u - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_refinement_recovers_a_missed_residual(self, monkeypatch):
+        # a capacitance matrix off by 1e-6 leaves the first solve far above
+        # the target; one refinement step with its residual reaches it and
+        # leaves an error of order 1e-6 squared
+        exact = bilap.grid._capacitance
+        monkeypatch.setattr(bilap.grid, "_capacitance", lambda *args: exact(*args) * (1.0 + 1e-6))
+        g = lshape_grid(32)
+        f = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
+        b = g.restrict(f)
+        first = g.factor().solve(b)
+        assert np.linalg.norm(g.laplacian() @ first - b) > 1e-8 * np.linalg.norm(b)
+        u, residual = solve_poisson_dirichlet(g, f)
+        ref = splinalg.splu(g.laplacian().tocsc()).solve(b)
+        assert residual <= 1e-10
+        assert np.max(np.abs(g.restrict(u) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("make,n", [(rectangle_grid, 64), (lshape_grid, 64), (notched_grid, 64)])
     def test_solve_matches_colamd_reference(self, make, n):
