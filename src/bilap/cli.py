@@ -250,9 +250,10 @@ def _cmd_solve(args) -> str:
     # "%.17g" % v is the string _fmt(v) gives
     xs = [_fmt(x) for x in grid.node_x]
     ys = [_fmt(y) for y in grid.node_y]
-    rows = map(",".join, zip(map(xs.__getitem__, grid.ii.tolist()),
-                             map(ys.__getitem__, grid.jj.tolist()),
-                             map("%.17g".__mod__, sol.v[grid.ii, grid.jj].tolist())))
+    ii, jj = np.nonzero(grid.interior)
+    rows = map(",".join, zip(map(xs.__getitem__, ii.tolist()),
+                             map(ys.__getitem__, jj.tolist()),
+                             map("%.17g".__mod__, sol.v[ii, jj].tolist())))
     return "\n".join(["x,y,value", *rows]) + "\n"
 
 

@@ -165,7 +165,9 @@ def pairing_weights(grid: Grid2D, exclude_corners: bool = True) -> np.ndarray:
     With ``exclude_corners`` the cells whose centers fall within four mesh
     widths of a registered corner are dropped: integrands built from dual
     fields behave like r^(-4/3) there and the exclusion error vanishes under
-    refinement while keeping every evaluation finite.
+    refinement while keeping every evaluation finite.  On an lshape grid
+    with n <= 6 they drop every cell, so the pairing matrix is zero and a
+    corrected solve raises SingularPairingMatrix.
     """
     h = grid.h
     keep = grid.cell_mask.copy()

@@ -2,8 +2,13 @@
 error) and 2 (numerical failure), byte-identical repeat output, --config
 precedence, and clean rejection of malformed specs and files."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bilap import corner_spectrum as cs, twostep
@@ -285,7 +290,39 @@ class TestSolveCsv:
         g, v = solved["grid"], solved["sol"].v
         fmt = lambda x: format(float(x), ".17g")
         ref = ["x,y,value"] + [f"{fmt(g.node_x[i])},{fmt(g.node_y[j])},{fmt(v[i, j])}"
-                               for i, j in zip(g.ii, g.jj)]
+                               for i, j in zip(*np.nonzero(g.interior))]
         assert code == 0 and out == "\n".join(ref) + "\n"
         values = [row.rsplit(",", 1)[1] for row in ref[1:]]
         assert any(x.startswith("-") for x in values) and any("e" in x for x in values)
+
+
+class TestCoarseGrids:
+    def test_lshape_at_n_4_solves_uncorrected(self, capsys):
+        # the corner frame is checked on the corner's eight neighbour nodes;
+        # the outer edge y = 0, 2h away, once failed it
+        code, out, err = invoke(capsys, "solve", "--domain", "lshape", "--n", "4", "--no-correct")
+        assert code == 0 and err == "" and len(out.splitlines()) == 1 + 5
+
+    def test_lshape_at_n_4_cannot_be_corrected(self, capsys):
+        # the 4h exclusion disc around the corner holds every cell, so the
+        # pairing matrix is zero
+        code, out, err = invoke(capsys, "solve", "--domain", "lshape", "--n", "4")
+        assert code == 2 and out == "" and err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("domain,n", [("rectangle", "1"), ("lshape", "2")])
+    def test_grid_without_interior_node_exits_1(self, capsys, domain, n):
+        code, out, err = invoke(capsys, "solve", "--domain", domain, "--n", n)
+        assert code == 1 and out == "" and err.startswith("error: ") and "no interior node" in err
+
+
+def test_solve_does_not_import_scipy_sparse():
+    # the sparse Laplacian is only the tests' reference: no solve path builds it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import io, sys, contextlib\n"
+            "from bilap.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = run(['solve', '--domain', 'notched', '--n', '16'])\n"
+            "print(code, 'scipy.sparse' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.strip() == "0 False", out.stderr

@@ -74,7 +74,7 @@ def scatter_reference(grid, keep, cell_values):
 class TestGrid:
     def test_masks_rectangle(self):
         g = rectangle_grid(8)
-        assert g.n_interior == 7 * 7
+        assert g.interior.sum() == 7 * 7
         assert g.boundary.sum() == 4 * 8
 
     def test_lshape_corner_registration(self):
@@ -95,6 +95,17 @@ class TestGrid:
         bad = ReentrantCorner(x=0.5, y=0.5, frame_angle=0.0, orientation=1.0)
         with pytest.raises(FrameError):
             Grid2D(mask, corners=(bad,))
+
+    def test_frame_reads_only_the_neighbour_nodes(self):
+        # at n = 4 the outer edge y = 0 lies 2h from the corner
+        g = lshape_grid(4)
+        assert len(g.corners) == 1 and g.interior.sum() == 5
+
+    @pytest.mark.parametrize("mask", [np.ones((1, 1)), np.array([[True, True], [True, False]])],
+                             ids=["one-cell", "lshape-2"])
+    def test_mask_without_interior_node_rejected(self, mask):
+        with pytest.raises(ValueError, match="no interior node"):
+            Grid2D(mask)
 
     def test_disconnected_mask_rejected(self):
         mask = np.zeros((8, 8), dtype=bool)
@@ -136,7 +147,7 @@ class TestPoisson:
         g = lshape_grid(16)
         rng = np.random.default_rng(50)
         f = np.zeros((17, 17))
-        f[g.interior] = -rng.uniform(0.0, 1.0, g.n_interior)
+        f[g.interior] = -rng.uniform(0.0, 1.0, g.interior.sum())
         u, _ = solve_poisson_dirichlet(g, f)
         assert np.all(u[g.interior] >= 0.0)
 
@@ -166,9 +177,11 @@ class TestPoisson:
         # rounding: mu from arccosh(1 + lam/2), which loses digits as lam -> 0,
         # misses it at n = 1024
         g = make(n)
-        b = np.ones(g.n_interior)
+        b = np.ones((n + 1, n + 1))
         u = g.factor().solve(b)
-        assert np.linalg.norm(g.laplacian() @ u - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.all(u[~g.interior] == 0.0)
+        b = b[g.interior]
+        assert np.linalg.norm(g.laplacian() @ u[g.interior] - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_refinement_recovers_a_missed_residual(self, monkeypatch):
         # a capacitance matrix off by 1e-6 leaves the first solve far above
@@ -178,21 +191,51 @@ class TestPoisson:
         monkeypatch.setattr(bilap.grid, "_capacitance", lambda *args: exact(*args) * (1.0 + 1e-6))
         g = lshape_grid(32)
         f = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
-        b = g.restrict(f)
-        first = g.factor().solve(b)
+        b = f[g.interior]
+        first = g.factor().solve(f)[g.interior]
         assert np.linalg.norm(g.laplacian() @ first - b) > 1e-8 * np.linalg.norm(b)
         u, residual = solve_poisson_dirichlet(g, f)
         ref = splinalg.splu(g.laplacian().tocsc()).solve(b)
         assert residual <= 1e-10
-        assert np.max(np.abs(g.restrict(u) - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.max(np.abs(u[g.interior] - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("make,n", [(rectangle_grid, 64), (lshape_grid, 64), (notched_grid, 64)])
     def test_solve_matches_colamd_reference(self, make, n):
         g = make(n)
         f = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
         u, _ = solve_poisson_dirichlet(g, f)
-        ref = splinalg.splu(g.laplacian().tocsc()).solve(g.restrict(f))
-        assert np.max(np.abs(g.restrict(u) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        ref = splinalg.splu(g.laplacian().tocsc()).solve(f[g.interior])
+        assert np.max(np.abs(u[g.interior] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("make", [rectangle_grid, lshape_grid, notched_grid])
+    def test_boundary_data_matches_splu_reference(self, make):
+        # the Dirichlet data moved to the rhs node by node, against SuperLU on
+        # laplacian(); the result carries the data on the boundary, zeros outside
+        g = make(32)
+        f = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
+        data = nodal(g, lambda X, Y: np.cos(4.0 * X - Y) + X * Y)
+        u, residual = solve_poisson_dirichlet(g, f, boundary_values=data)
+        ii, jj = np.nonzero(g.interior)
+        b = f[ii, jj].copy()
+        for k, (i, j) in enumerate(zip(ii, jj)):
+            for ni, nj in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if g.boundary[ni, nj]:
+                    b[k] -= data[ni, nj] / g.h ** 2
+        ref = splinalg.splu(g.laplacian().tocsc()).solve(b)
+        assert residual <= 1e-10
+        assert np.max(np.abs(u[ii, jj] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(u[g.boundary], data[g.boundary])
+        assert np.all(u[~(g.interior | g.boundary)] == 0.0)
+
+    @pytest.mark.parametrize("make", [rectangle_grid, lshape_grid, notched_grid])
+    def test_stencil_matches_sparse_laplacian(self, make):
+        g = make(32)
+        u = np.zeros((33, 33))
+        u[g.interior] = np.random.default_rng(7).uniform(-1.0, 1.0, g.interior.sum())
+        lap = g.apply_laplacian(u)
+        ref = g.laplacian() @ u[g.interior]
+        assert np.all(lap[~g.interior] == 0.0)
+        assert np.max(np.abs(lap[g.interior] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestTwoStep:
