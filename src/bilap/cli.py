@@ -10,6 +10,7 @@ corrected solve).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -166,13 +167,15 @@ def _cmd_kernel1d(args) -> str:
     return text
 
 
-_DOMAINS = {"rectangle": rectangle_grid, "lshape": lshape_grid, "notched": notched_grid}
+# constructor names, looked up in this module at each call, so that a wrapper
+# put in their place (a tracer's, a test's) sees the CLI's grid builds
+_DOMAINS = {"rectangle": "rectangle_grid", "lshape": "lshape_grid", "notched": "notched_grid"}
 
 
 def _make_grid(kind: str, n: int) -> Grid2D:
     # argparse checks --domain against _DOMAINS, but not a --config default
     _require(kind in _DOMAINS, f"unknown domain '{kind}' ({'|'.join(_DOMAINS)})")
-    return _DOMAINS[kind](n)
+    return globals()[_DOMAINS[kind]](n)
 
 
 def _load_cells(path: str, shape: tuple, to_index) -> tuple:
@@ -358,13 +361,23 @@ _COMMANDS = {
 }
 
 
+# one parser for every invocation in the process, built on the first call of
+# run (not at import) and never changed after
+_shared_parser = functools.cache(_build_parser)
+
+
 def run(argv: Sequence[str]) -> int:
-    """Dispatch one invocation; returns the process exit code."""
-    parser, subparsers = _build_parser()
+    """Dispatch one invocation; returns the process exit code.
+
+    One parser serves every invocation in a process.  An invocation with
+    --config parses its arguments again on a parser of its own, so that the
+    config values it sets as defaults never reach the next invocation.
+    """
     try:
-        args = parser.parse_args(list(argv))
+        args = _shared_parser()[0].parse_args(list(argv))
         if args.config:
             # config values become the subcommand's defaults, so flags keep precedence
+            parser, subparsers = _build_parser()
             subparsers[args.command].set_defaults(**_config_defaults(args.config, args))
             args = parser.parse_args(list(argv))
         _emit(_COMMANDS[args.command](args), args.output)

@@ -48,7 +48,8 @@ __all__ = [
 # below this angle x - sin(x) comes from its series, above it from x - math.sin(x),
 # which cancels by at most a factor of 6.3 there; both stay within 4e-16 relative
 _SERIES_ANGLE = 1.0
-# cells per lockstep block of the exponent search: about 2 MB of scan arrays
+# rows per block of the exponent search's scan, which bounds its memory at
+# about 2 MB of scan arrays; the bisection then runs over every block at once
 _SEARCH_BLOCK = 128
 # relative size below which a scaled dispersion value has no trusted sign
 _SIGN_FLOOR = 4e-15
@@ -156,12 +157,24 @@ def _factors(alpha: float) -> tuple:
     return _x_minus_sin(alpha), b + s, alpha + s, _x_minus_sin(b)
 
 
+def _g(factors: tuple, kappa: float) -> float:
+    """The eta^2 coefficient g = 2 (c k + d)(e k + f) from _factors(alpha)."""
+    c, d, e, f = factors
+    return 2.0 * (c * kappa + d) * (e * kappa + f)
+
+
 def taylor_coefficient(p: CornerProblem) -> float:
     """Coefficient g of eta^2 in the small-eta expansion of the dispersion
     function: twice the product of two factors linear in kappa, whose roots
     are critical_interval(alpha)."""
-    c, d, e, f = _factors(p.alpha)
-    return 2.0 * (c * p.kappa + d) * (e * p.kappa + f)
+    return _g(_factors(p.alpha), p.kappa)
+
+
+def _roots(factors: tuple) -> tuple:
+    """(ell_minus, ell_plus), the roots of the two factors of g."""
+    c, d, e, f = factors
+    # c is 0 below alpha ~ 1e-108; |ell_minus| ~ 6 pi / alpha^3 overflows below 4.7e-103
+    return (-d / c if c > 0.0 else -math.inf), -f / e
 
 
 def critical_interval(alpha: float) -> tuple:
@@ -172,9 +185,7 @@ def critical_interval(alpha: float) -> tuple:
     """
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha must lie in (0, pi), got {alpha}")
-    c, d, e, f = _factors(alpha)
-    # c is 0 below alpha ~ 1e-108; |ell_minus| ~ 6 pi / alpha^3 overflows below 4.7e-103
-    return (-d / c if c > 0.0 else -math.inf), -f / e
+    return _roots(_factors(alpha))
 
 
 def _relative_factor(x: float, y: float, k: float) -> float:
@@ -186,26 +197,31 @@ def _relative_factor(x: float, y: float, k: float) -> float:
     return (x * k + y) / scale if scale > 0.0 else 0.0
 
 
-def classify_region(p: CornerProblem) -> RegionReport:
-    """Place (alpha, kappa) relative to the ill-posedness region by the sign of g;
-    Boundary where |g| <= 1e-9 of the scale 2 (|c k| + |d|)(|e k| + |f|) of
-    its factors g = 2 (c k + d)(e k + f), tested factor by factor."""
-    g = taylor_coefficient(p)
-    c, d, e, f = _factors(p.alpha)
-    rel = _relative_factor(c, d, p.kappa) * _relative_factor(e, f, p.kappa)
-    lm, lp = critical_interval(p.alpha)
+def _report(factors: tuple, roots: tuple, kappa: float) -> RegionReport:
+    """classify_region at contrast kappa, given _factors(alpha) and their _roots."""
+    c, d, e, f = factors
+    rel = _relative_factor(c, d, kappa) * _relative_factor(e, f, kappa)
     if rel > _BOUNDARY_EPS:
         member = Membership.INSIDE
     elif rel < -_BOUNDARY_EPS:
         member = Membership.OUTSIDE
     else:
         member = Membership.BOUNDARY
-    return RegionReport(g_value=g, ell_minus=lm, ell_plus=lp, membership=member)
+    return RegionReport(_g(factors, kappa), *roots, member)
 
 
-def _search(alpha, kappa):
-    """find_singular_exponent on the rows (alpha[i], kappa[i]) in lockstep:
-    (result or None per row, flags of the rows whose tail stayed positive)."""
+def classify_region(p: CornerProblem) -> RegionReport:
+    """Place (alpha, kappa) relative to the ill-posedness region by the sign of g;
+    Boundary where |g| <= 1e-9 of the scale 2 (|c k| + |d|)(|e k| + |f|) of
+    its factors g = 2 (c k + d)(e k + f), tested factor by factor."""
+    factors = _factors(p.alpha)
+    return _report(factors, _roots(factors), p.kappa)
+
+
+def _scan(alpha, kappa):
+    """The scan of _search over one block of rows: (flags of the rows with a
+    bracket, the brackets' ends lo and hi in row order, sign changes per row,
+    flags of the rows whose tail stayed positive)."""
     # the terms hold (1 - kappa)^2: beyond |kappa| ~ 1e154 they overflow, no
     # tail value is negative and the row fails; below it only far rungs of the
     # ladder overflow, after the first negative one
@@ -231,24 +247,39 @@ def _search(alpha, kappa):
     signs = np.take_along_axis(np.where(keep, np.sign(vals), 0.0), last, axis=1)
     flips = signs[:, :-1] * signs[:, 1:] < 0.0
 
-    rows = np.flatnonzero(flips.any(axis=1) & ~failed)
+    found = flips.any(axis=1) & ~failed
+    rows = np.flatnonzero(found)
     col = flips[rows].argmax(axis=1)
-    lo, hi = etas[rows, last[rows, col]], etas[rows, col + 1]
-    f = lambda i, x: sum(_scaled_terms(alpha[rows[i]], kappa[rows[i]], x))
-    eta0 = bisect_rows(f, lo, hi, 1e-14)
-    terms = _scaled_terms(alpha[rows], kappa[rows], eta0)
+    return found, etas[rows, last[rows, col]], etas[rows, col + 1], flips.sum(axis=1), failed
+
+
+def _search(alpha, kappa):
+    """find_singular_exponent on the rows (alpha[i], kappa[i]): (result or None
+    per row, flags of the rows whose tail stayed positive).
+
+    The scan runs block by block, _SEARCH_BLOCK rows at a time; then the
+    brackets of every block are bisected together, in one lockstep bisection.
+    """
+    blocks = [_scan(alpha[s:s + _SEARCH_BLOCK], kappa[s:s + _SEARCH_BLOCK])
+              for s in range(0, len(alpha), _SEARCH_BLOCK)]
+    found, lo, hi, changes, failed = (np.concatenate(part) for part in zip(*blocks))
+    rows = np.flatnonzero(found)
+    a, k = alpha[rows], kappa[rows]
+    eta0 = bisect_rows(lambda i, x: sum(_scaled_terms(a[i], k[i], x)), lo, hi, 1e-14)
+    terms = _scaled_terms(a, k, eta0)
     residual = np.abs(sum(terms)) / sum(np.abs(t) for t in terms)
     results = [None] * len(alpha)
-    for j, r in enumerate(rows):
+    for j, r in enumerate(rows.tolist()):
         results[r] = SingularExponentResult(float(eta0[j]), float(residual[j]),
-                                            (float(lo[j]), float(hi[j])), int(flips[r].sum()))
+                                            (float(lo[j]), float(hi[j])), int(changes[r]))
     return results, failed
 
 
 def find_singular_exponent(p: CornerProblem) -> Optional[SingularExponentResult]:
     """Locate the positive dispersion zero by geometric scan plus bisection.
 
-    One row of the lockstep search that region_map runs over blocks of cells.
+    One row of the search that region_map runs over every cell of a map, with
+    one lockstep bisection per call.
     The scan runs over a geometric grid 1e-4 * 1.1**j up to a tail, the
     first 10 * 2**j (j < 60) at which the (cosh-dominated) scaled dispersion
     is negative; the first sign change is bisected to 1e-14 * (1 + eta).
@@ -451,9 +482,10 @@ class RegionCell:
 def region_map(alpha_range: tuple, kappa_range: tuple, n_alpha: int, n_kappa: int) -> list:
     """Exponent search over a rectangular (alpha, kappa) grid.
 
-    Cells come in alpha-major order.  Blocks of _SEARCH_BLOCK cells run the
-    exponent search in lockstep, each row as find_singular_exponent would; a
-    cell whose tail is not confirmed negative is flagged failed.
+    Cells come in alpha-major order.  One search runs over the whole map, each
+    row as find_singular_exponent would, with one lockstep bisection; a cell
+    whose tail is not confirmed negative is flagged failed.  The factors of g
+    and (ell_minus, ell_plus) are formed once per alpha column.
     """
     a_lo, a_hi = alpha_range
     k_lo, k_hi = kappa_range
@@ -466,14 +498,11 @@ def region_map(alpha_range: tuple, kappa_range: tuple, n_alpha: int, n_kappa: in
     alphas = np.linspace(a_lo, a_hi, n_alpha)
     kappas = np.linspace(k_lo, k_hi, n_kappa)
     A, K = (m.ravel() for m in np.meshgrid(alphas, kappas, indexing="ij"))
-    cells = []
-    for start in range(0, A.size, _SEARCH_BLOCK):
-        a, k = A[start:start + _SEARCH_BLOCK], K[start:start + _SEARCH_BLOCK]
-        results, failed = _search(a, k)
-        for ai, ki, result, bad in zip(a.tolist(), k.tolist(), results, failed.tolist()):
-            report = classify_region(CornerProblem(ai, ki))
-            cells.append(RegionCell(ai, ki, report, result, bad))
-    return cells
+    results, failed = _search(A, K)
+    columns = [(f, _roots(f)) for f in map(_factors, alphas.tolist())]
+    return [RegionCell(a, k, _report(*columns[i // n_kappa], k), result, bad)
+            for i, (a, k, result, bad)
+            in enumerate(zip(A.tolist(), K.tolist(), results, failed.tolist()))]
 
 
 # ---------------------------------------------------------------------------

@@ -252,9 +252,10 @@ def _capacitance(n: int, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.
     return C
 
 
-def corner_polar(grid: Grid2D, corner: ReentrantCorner):
-    """Nodal polar coordinates (r, theta) in the corner's local frame."""
-    X, Y = np.meshgrid(grid.node_x, grid.node_y, indexing="ij")
+def _polar(x: np.ndarray, y: np.ndarray, corner: ReentrantCorner):
+    """Polar coordinates (r, theta) of the nodes on the axes x and y (an
+    outer product) in the corner's local frame."""
+    X, Y = np.meshgrid(x, y, indexing="ij")
     dx, dy = X - corner.x, Y - corner.y
     r = np.hypot(dx, dy)
     phi = np.arctan2(dy, dx)
@@ -262,14 +263,22 @@ def corner_polar(grid: Grid2D, corner: ReentrantCorner):
     return r, theta
 
 
+def corner_polar(grid: Grid2D, corner: ReentrantCorner):
+    """Nodal polar coordinates (r, theta) in the corner's local frame."""
+    return _polar(grid.node_x, grid.node_y, corner)
+
+
 def _frame_check(grid: Grid2D, corner: ReentrantCorner):
     """The two boundary edges at the corner must map to theta = 0 and 3*pi/2.
 
     Only the corner's eight neighbour nodes are read: on a coarse grid a wider
-    disc reaches other edges of the polygon.
+    disc reaches other edges of the polygon.  The corner is a grid node with
+    four cells around it, so all eight lie on the grid.
     """
-    r, theta = corner_polar(grid, corner)
-    near = (r > 0) & (r <= 1.5 * grid.h) & grid.boundary
+    i, j = round(corner.x / grid.h), round(corner.y / grid.h)
+    block = (slice(i - 1, i + 2), slice(j - 1, j + 2))
+    r, theta = _polar(grid.node_x[block[0]], grid.node_y[block[1]], corner)
+    near = (r > 0) & (r <= 1.5 * grid.h) & grid.boundary[block]
     th = theta[near]
     ok0 = np.minimum(th, 2.0 * math.pi - th) < 1e-9
     oka = np.abs(th - REENTRANT_APERTURE) < 1e-9
@@ -278,6 +287,12 @@ def _frame_check(grid: Grid2D, corner: ReentrantCorner):
             f"corner frame at ({corner.x}, {corner.y}) does not place its edges "
             "at theta = 0 and theta = 3*pi/2"
         )
+
+
+def _norm(field: np.ndarray) -> float:
+    """Euclidean norm of a nodal field, summed by numpy itself: np.linalg.norm
+    calls BLAS, which can stall for milliseconds when it runs two threads."""
+    return math.sqrt(float(np.einsum("ij,ij->", field, field)))
 
 
 def solve_poisson_dirichlet(
@@ -304,14 +319,14 @@ def solve_poisson_dirichlet(
     solver = grid.factor()
     u = solver.solve(b)
     r = b - grid.apply_laplacian(u)
-    scale = max(float(np.linalg.norm(b)), 1e-300)
-    residual = float(np.linalg.norm(r)) / scale
+    scale = max(_norm(b), 1e-300)
+    residual = _norm(r) / scale
     if not residual <= _RESIDUAL_TOL:
         # one step of iterative refinement: the fast solves' rounding leaves
         # a residual that grows about 4x per doubling of n and crosses the
         # target near n = 2048
         u += solver.solve(r)
-        residual = float(np.linalg.norm(b - grid.apply_laplacian(u))) / scale
+        residual = _norm(b - grid.apply_laplacian(u)) / scale
     if not residual <= _RESIDUAL_TOL:  # a nan residual fails too
         raise NumericalFailure(f"Poisson residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}")
     if boundary_values is not None:

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilap import corner_spectrum as cs, twostep
+from bilap import cli, corner_spectrum as cs, twostep
 from bilap.cli import run
+from bilap.grid import lshape_grid
 
 
 def invoke(capsys, *argv):
@@ -153,6 +154,17 @@ class TestConfig:
         code, out, _ = invoke(capsys, "region-map", "--config", conf)
         assert code == 0 and len(out.splitlines()) == 1 + 3 * 4
         assert (code, out) == invoke(capsys, "region-map", "--na", "3", "--nk", "4")[:2]
+
+    def test_config_does_not_carry_over_to_the_next_region_map(self, capsys, tmp_path):
+        conf = write(tmp_path, "c.conf", "na=3\n")
+        assert invoke(capsys, "region-map", "--config", conf)[0] == 0
+        code, out, _ = invoke(capsys, "region-map")
+        assert code == 0 and len(out.splitlines()) == 1 + 50 * 50
+
+    def test_config_does_not_carry_over_to_the_next_solve(self, capsys, tmp_path):
+        conf = write(tmp_path, "c.conf", "correct=false\n")
+        assert invoke(capsys, *SOLVE, "--config", conf) == invoke(capsys, *SOLVE, "--no-correct")
+        assert invoke(capsys, *SOLVE) == invoke(capsys, *SOLVE, "--correct")
 
     def test_config_sets_domain_and_size(self, capsys, tmp_path):
         conf = write(tmp_path, "c.conf", "domain=notched\nn=32\n")
@@ -326,3 +338,40 @@ def test_solve_does_not_import_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert out.stdout.strip() == "0 False", out.stderr
+
+
+def test_solve_builds_its_grid_through_the_module_constructor(capsys, monkeypatch):
+    # the constructor is looked up at call time, so a wrapper in its place sees the build
+    built = []
+
+    def wrapper(n):
+        built.append(n)
+        return lshape_grid(n)
+
+    monkeypatch.setattr(cli, "lshape_grid", wrapper)
+    assert invoke(capsys, "solve", "--domain", "lshape", "--n", "8", "--no-correct")[0] == 0
+    assert built == [8]
+
+
+def test_one_parser_per_process_built_on_first_run():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import argparse, io, contextlib\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from bilap.cli import run\n"
+            "counts = [len(built)]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for _ in range(3):\n"
+            "        run(['classify', '--lambda1', '1.5'])\n"
+            "        counts.append(len(built))\n"
+            "print(*counts)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    counts = [int(x) for x in out.stdout.split()]
+    # nothing at import; the first run builds the parser and its subparsers
+    assert len(counts) == 4 and counts[0] == 0 and counts[1] > 0, out.stderr
+    assert counts[1] == counts[2] == counts[3]

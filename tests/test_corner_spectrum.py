@@ -626,3 +626,36 @@ class TestRegionMap:
             region_map((0.5, 2.5), (-5.0, 0.2), 4, 4)
         with pytest.raises(ValueError):
             region_map((0.5, 2.5), (-5.0, -0.2), 1, 4)
+
+
+# a map that mixes every kind of cell: alpha = 1e-110 gives Outside cells (its
+# ell_minus is -inf) whose scan fails, kappa = -1e200 gives failed Inside
+# cells, the kappa column at ell_plus(3.1415926) Inside cells with an exponent
+# and a Boundary cell at alpha = 3.1415926
+EDGE_MAP = ((1e-110, 3.1415926), (-1e200, critical_interval(3.1415926)[1]), 6, 5)
+MAPS = {"edges": EDGE_MAP, "ordinary": ((0.2, 2.9), (-12.0, -0.05), 9, 11)}
+
+
+class TestRegionMapBlocks:
+    """The scan runs in blocks and the bisection over the whole map at once:
+    neither may change a cell."""
+
+    def test_edge_map_mixes_every_kind_of_cell(self):
+        cells = region_map(*EDGE_MAP)
+        kinds = {(c.report.membership, c.failed, c.result is not None) for c in cells}
+        assert {(Membership.OUTSIDE, True, False), (Membership.INSIDE, True, False),
+                (Membership.INSIDE, False, True), (Membership.BOUNDARY, False, False)} <= kinds
+
+    @pytest.mark.parametrize("name", MAPS)
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_cells_do_not_depend_on_the_block_size(self, name, block):
+        reference = region_map(*MAPS[name])
+        with mock.patch.object(corner_spectrum, "_SEARCH_BLOCK", block):
+            cells = region_map(*MAPS[name])
+        assert cells == reference
+        assert any(c.result is not None for c in cells)
+
+    @pytest.mark.parametrize("name", MAPS)
+    def test_reports_match_classify_region(self, name):
+        for c in region_map(*MAPS[name]):
+            assert classify_region(CornerProblem(c.alpha, c.kappa)) == c.report
