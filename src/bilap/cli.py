@@ -3,8 +3,8 @@
 Subcommands: region-map, eta0, corner-det, kernel1d, solve, cone, classify.
 Output is CSV/tabular text with floats at 17 significant digits, so identical
 invocations produce byte-identical files.  Exit codes: 0 success, 1 argument
-error, 2 numerical failure (including a rank-deficient pairing matrix in a
-corrected solve).
+error (including a size whose arrays cannot be allocated), 2 numerical failure
+(including a rank-deficient pairing matrix in a corrected solve).
 """
 
 from __future__ import annotations
@@ -381,7 +381,7 @@ def run(argv: Sequence[str]) -> int:
             subparsers[args.command].set_defaults(**_config_defaults(args.config, args))
             args = parser.parse_args(list(argv))
         _emit(_COMMANDS[args.command](args), args.output)
-    except (_ArgumentError, ValueError, OSError) as exc:
+    except (_ArgumentError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except NumericalFailure as exc:

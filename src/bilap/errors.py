@@ -17,10 +17,6 @@ class NotSingular(RuntimeError):
     """Null-vector extraction requested at a point where the system is regular."""
 
 
-class FrameError(ValueError):
-    """A corner's local polar frame does not map its edges to theta = 0 and theta = 3*pi/2."""
-
-
 class SingularPairingMatrix(NumericalFailure):
     """The corner pairing matrix is rank deficient; the plain corrected solve does not apply."""
 

@@ -4,7 +4,11 @@ Domains are grid-aligned polygons given as cell masks over a unit bounding
 box.  Nodes with all four touching cells inside are interior unknowns; nodes
 touching at least one inside cell otherwise are boundary nodes carrying
 Dirichlet data.  Every reentrant corner of such a polygon opens 3*pi/2 and is
-registered with a local polar frame for the singular-function machinery.
+a node touched by exactly three mask cells; Grid2D finds each one in its mask
+and registers it, at the node's own coordinates, with a local polar frame:
+theta = 0 lies on the corner's vertical edge (+y when the missing cell is
+above the node, -y when below) and theta sweeps from there into the domain,
+reaching the horizontal edge at 3*pi/2.
 
 Fields are nodal arrays of shape (nx + 1, ny + 1), in and out of every solve;
 the five-point operator acts on them as a slice stencil (``apply_laplacian``).
@@ -19,7 +23,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import FrameError, NumericalFailure
+from .errors import NumericalFailure
 
 __all__ = [
     "ReentrantCorner",
@@ -43,30 +47,34 @@ _EXP_SPAN = 300.0
 class ReentrantCorner:
     """Vertex of interior angle 3*pi/2 (REENTRANT_APERTURE) with a local polar frame.
 
+    The corner is node (i, j) of its grid, at (x, y) = (node_x[i], node_y[j]).
     ``frame_angle`` is the absolute direction of the boundary edge carrying
-    theta = 0; ``orientation`` +1 sweeps counterclockwise into the domain,
-    -1 clockwise.  The opposite edge then sits at theta = 3*pi/2.  Grid2D
-    rejects a corner whose frame does not place its edges so.
+    theta = 0, the corner's vertical edge: pi/2 (+y) when the cell missing at
+    the node lies above it, -pi/2 (-y) when below.  ``orientation`` +1 sweeps
+    counterclockwise into the domain, -1 clockwise; the horizontal edge then
+    sits at theta = 3*pi/2.
     """
 
     x: float
     y: float
     frame_angle: float
     orientation: float
+    i: int
+    j: int
 
 
 class Grid2D:
     """Uniform square-cell grid over [0,1]^2 masked to a grid-aligned polygon;
-    the (nx, ny) cells are those of the mask."""
+    the (nx, ny) cells are those of the mask, and ``corners`` are its
+    reentrant corners, found in the mask, in ``np.nonzero`` node order."""
 
-    def __init__(self, cell_mask: np.ndarray, corners=()):
+    def __init__(self, cell_mask: np.ndarray):
         cell_mask = self.cell_mask = np.asarray(cell_mask, dtype=bool)
         nx, ny = self.nx, self.ny = cell_mask.shape
         if nx != ny:
             raise ValueError("square cells over the unit box require nx == ny")
         self._check_connected()  # also rejects an empty mask
         self.h = 1.0 / nx
-        self.corners = tuple(corners)
 
         padded = np.zeros((nx + 2, ny + 2), dtype=bool)
         padded[1:-1, 1:-1] = cell_mask
@@ -81,7 +89,7 @@ class Grid2D:
         self.boundary = (touching > 0) & ~self.interior
         self.node_x = np.arange(nx + 1) * self.h
         self.node_y = np.arange(ny + 1) * self.h
-        self._validate_corners()
+        self.corners = tuple(map(self._corner, *np.nonzero(touching == 3)))
         self._factor = None
 
     def _check_connected(self):
@@ -91,22 +99,17 @@ class Grid2D:
         if count != 1:
             raise ValueError(f"cell mask must be one connected region, found {count} components")
 
-    def _validate_corners(self):
-        for c in self.corners:
-            i = round(c.x / self.h)
-            j = round(c.y / self.h)
-            if abs(i * self.h - c.x) > 1e-12 or abs(j * self.h - c.y) > 1e-12:
-                raise ValueError(f"corner ({c.x}, {c.y}) is not a grid node")
-            cells = [
-                self.cell_mask[i + di, j + dj]
-                for di, dj in ((-1, -1), (0, -1), (-1, 0), (0, 0))
-                if 0 <= i + di < self.nx and 0 <= j + dj < self.ny
-            ]
-            if len(cells) != 4 or sum(cells) != 3:
-                raise ValueError(
-                    f"corner ({c.x}, {c.y}) does not open 3*pi/2 on this mask"
-                )
-            _frame_check(self, c)
+    def _corner(self, i, j) -> ReentrantCorner:
+        """The corner at node (i, j), which three of its four cells touch; a
+        node on the box's edge touches at most two, so all four are cells."""
+        i, j = int(i), int(j)
+        above = not (self.cell_mask[i - 1, j] and self.cell_mask[i, j])
+        right = not (self.cell_mask[i, j - 1] and self.cell_mask[i, j])
+        # from the vertical edge, counterclockwise leads away from the missing
+        # cell when it lies above and right, or below and left
+        return ReentrantCorner(x=float(self.node_x[i]), y=float(self.node_y[j]),
+                               frame_angle=(0.5 if above else -0.5) * math.pi,
+                               orientation=1.0 if above == right else -1.0, i=i, j=j)
 
     # -- linear algebra -----------------------------------------------------
 
@@ -252,10 +255,10 @@ def _capacitance(n: int, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.
     return C
 
 
-def _polar(x: np.ndarray, y: np.ndarray, corner: ReentrantCorner):
-    """Polar coordinates (r, theta) of the nodes on the axes x and y (an
-    outer product) in the corner's local frame."""
-    X, Y = np.meshgrid(x, y, indexing="ij")
+def corner_polar(grid: Grid2D, corner: ReentrantCorner):
+    """Nodal polar coordinates (r, theta) in the corner's local frame: r = 0
+    at the corner node and theta = 0 on its vertical edge, both exactly."""
+    X, Y = np.meshgrid(grid.node_x, grid.node_y, indexing="ij")
     dx, dy = X - corner.x, Y - corner.y
     r = np.hypot(dx, dy)
     phi = np.arctan2(dy, dx)
@@ -263,36 +266,12 @@ def _polar(x: np.ndarray, y: np.ndarray, corner: ReentrantCorner):
     return r, theta
 
 
-def corner_polar(grid: Grid2D, corner: ReentrantCorner):
-    """Nodal polar coordinates (r, theta) in the corner's local frame."""
-    return _polar(grid.node_x, grid.node_y, corner)
-
-
-def _frame_check(grid: Grid2D, corner: ReentrantCorner):
-    """The two boundary edges at the corner must map to theta = 0 and 3*pi/2.
-
-    Only the corner's eight neighbour nodes are read: on a coarse grid a wider
-    disc reaches other edges of the polygon.  The corner is a grid node with
-    four cells around it, so all eight lie on the grid.
-    """
-    i, j = round(corner.x / grid.h), round(corner.y / grid.h)
-    block = (slice(i - 1, i + 2), slice(j - 1, j + 2))
-    r, theta = _polar(grid.node_x[block[0]], grid.node_y[block[1]], corner)
-    near = (r > 0) & (r <= 1.5 * grid.h) & grid.boundary[block]
-    th = theta[near]
-    ok0 = np.minimum(th, 2.0 * math.pi - th) < 1e-9
-    oka = np.abs(th - REENTRANT_APERTURE) < 1e-9
-    if not (np.any(ok0) and np.any(oka) and np.all(ok0 | oka)):
-        raise FrameError(
-            f"corner frame at ({corner.x}, {corner.y}) does not place its edges "
-            "at theta = 0 and theta = 3*pi/2"
-        )
-
-
-def _norm(field: np.ndarray) -> float:
-    """Euclidean norm of a nodal field, summed by numpy itself: np.linalg.norm
-    calls BLAS, which can stall for milliseconds when it runs two threads."""
-    return math.sqrt(float(np.einsum("ij,ij->", field, field)))
+def _norm(field: np.ndarray, scale: float) -> float:
+    """Euclidean norm of field / scale, summed by numpy itself: np.linalg.norm
+    calls BLAS, which can stall for milliseconds when it runs two threads.
+    No square overflows when scale is at least max|field|."""
+    scaled = field / scale
+    return math.sqrt(float(np.einsum("ij,ij->", scaled, scaled)))
 
 
 def solve_poisson_dirichlet(
@@ -319,14 +298,17 @@ def solve_poisson_dirichlet(
     solver = grid.factor()
     u = solver.solve(b)
     r = b - grid.apply_laplacian(u)
-    scale = max(_norm(b), 1e-300)
-    residual = _norm(r) / scale
+    # both norms over one scale, max|b|, so that no square overflows: b = 0
+    # leaves r = 0, and a nan in b makes the scale nan and fails below
+    scale = float(np.abs(b).max()) or 1.0
+    bnorm = max(_norm(b, scale), 1e-300)
+    residual = _norm(r, scale) / bnorm
     if not residual <= _RESIDUAL_TOL:
         # one step of iterative refinement: the fast solves' rounding leaves
         # a residual that grows about 4x per doubling of n and crosses the
         # target near n = 2048
         u += solver.solve(r)
-        residual = _norm(b - grid.apply_laplacian(u)) / scale
+        residual = _norm(b - grid.apply_laplacian(u), scale) / bnorm
     if not residual <= _RESIDUAL_TOL:  # a nan residual fails too
         raise NumericalFailure(f"Poisson residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}")
     if boundary_values is not None:
@@ -345,32 +327,30 @@ def rectangle_grid(n: int) -> Grid2D:
 def lshape_grid(n: int) -> Grid2D:
     """Unit square minus the closed quadrant [1/2,1] x [1/2,1]; one corner.
 
-    At the corner (1/2, 1/2) the boundary edges run along +y and +x; theta = 0
-    lies on the +y edge and sweeps counterclockwise through the domain.
+    Grid2D finds the corner at node (n/2, n/2), (1/2, 1/2) up to the rounding
+    of the node axis.  Its missing cell lies above and right, so theta = 0
+    lies on the +y edge and sweeps counterclockwise through the domain to the
+    +x edge (frame_angle pi/2, orientation +1).
     """
     if n % 2:
         raise ValueError("lshape grid needs even n")
     mask = np.ones((n, n), dtype=bool)
     idx = np.arange(n)
     mask[np.ix_(idx >= n // 2, idx >= n // 2)] = False
-    corner = ReentrantCorner(x=0.5, y=0.5, frame_angle=0.5 * math.pi, orientation=1.0)
-    return Grid2D(mask, corners=(corner,))
+    return Grid2D(mask)
 
 
 def notched_grid(n: int) -> Grid2D:
     """Unit square minus the slot [3/8,5/8] x [1/2,1]; two mirrored corners.
 
-    The left corner's frame matches the lshape convention; the right corner
-    sweeps clockwise from its +y edge, so both frames are mirror images under
-    x -> 1 - x.
+    Grid2D finds them at nodes (3n/8, n/2) and (5n/8, n/2), left first.  Both
+    take theta = 0 on their +y edge; the left corner sweeps counterclockwise
+    (orientation +1, as on the lshape), the right one clockwise (-1), so the
+    two frames are mirror images under x -> 1 - x.
     """
     if n % 8 or n < 16:
         raise ValueError("notched grid needs n divisible by 8 and at least 16")
     mask = np.ones((n, n), dtype=bool)
     idx = np.arange(n)
     mask[np.ix_((idx >= 3 * n // 8) & (idx < 5 * n // 8), idx >= n // 2)] = False
-    corners = (
-        ReentrantCorner(x=3.0 / 8.0, y=0.5, frame_angle=0.5 * math.pi, orientation=1.0),
-        ReentrantCorner(x=5.0 / 8.0, y=0.5, frame_angle=0.5 * math.pi, orientation=-1.0),
-    )
-    return Grid2D(mask, corners=corners)
+    return Grid2D(mask)

@@ -95,7 +95,8 @@ def quadratic_coefficients(t: float) -> tuple:
 
 
 def critical_contrasts_two_segment(t: float) -> ContrastRoots:
-    """Both closed-form critical contrasts for ratio t < 0, strictly negative."""
+    """Both closed-form critical contrasts for ratio t < 0, strictly negative;
+    NumericalFailure when one is not a finite float."""
     if not t < 0.0:
         raise ValueError(f"segment ratio must be negative, got {t}")
     base = 2.0 - 3.0 * t + 2.0 * t * t
@@ -103,6 +104,9 @@ def critical_contrasts_two_segment(t: float) -> ContrastRoots:
     r1 = (base + root) * t
     # (base - root) t without the cancellation as t -> 0: base^2 - root^2 = t^2
     r2 = t * t / (base + root) * t
+    # r1, about 4 t^3, overflows once |t| passes about 3.5e102
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise NumericalFailure(f"critical contrasts at t = {t} are not finite")
     return ContrastRoots(roots=tuple(sorted((r1, r2))), source=RootSource.CLOSED_FORM)
 
 

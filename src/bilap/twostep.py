@@ -175,9 +175,8 @@ def pairing_weights(grid: Grid2D, exclude_corners: bool = True) -> np.ndarray:
         # cells at least this many indices from a corner lie beyond the radius
         reach = math.ceil(EXCLUSION_RADIUS_CELLS) + 1
         for c in grid.corners:
-            i, j = round(c.x / h), round(c.y / h)
-            si = slice(max(i - reach, 0), min(i + reach, grid.nx))
-            sj = slice(max(j - reach, 0), min(j + reach, grid.ny))
+            si = slice(max(c.i - reach, 0), min(c.i + reach, grid.nx))
+            sj = slice(max(c.j - reach, 0), min(c.j + reach, grid.ny))
             cx = (np.arange(grid.nx)[si] + 0.5) * h
             cy = (np.arange(grid.ny)[sj] + 0.5) * h
             dist = np.hypot(cx[:, None] - c.x, cy[None, :] - c.y)

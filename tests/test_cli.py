@@ -86,6 +86,26 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("numerical failure: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--domain", "rectangle", "--n", "1000000000"),  # 888 PiB
+        ("region-map", "--na", "100000000000"),  # 745 GiB
+    ])
+    def test_unallocatable_size_exits_1(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("t", ["-1e103", "-1e300"])
+    def test_overflowing_contrast_fails_cleanly(self, capsys, t):
+        # the larger root, about 4 t^3, overflows once |t| passes about 3.5e102
+        code, out, err = invoke(capsys, "kernel1d", f"--t={t}")
+        assert code == 2 and out == "" and err.startswith("numerical failure: ")
+
+    def test_largest_contrast_below_overflow(self, capsys):
+        code, out, err = invoke(capsys, "kernel1d", "--t=-1e102")
+        assert (code, err) == (0, "") and out == (
+            "root_index,critical_contrast\n0,-4.0000000000000001e+306\n1,-2.4999999999999999e+101\n")
+
     def test_unwritable_output_exits_1(self, capsys, tmp_path):
         code, out, err = invoke(capsys, *SOLVE, "--output", str(tmp_path / "missing" / "x.csv"))
         assert code == 1 and out == "" and err.startswith("error: ")
@@ -229,6 +249,22 @@ class TestMalformedInput:
         code, out, err = invoke(capsys, *SOLVE, "--rhs", f"file:{path}")
         assert code == 2 and out == "" and err.startswith("numerical failure: ")
 
+    def test_rhs_file_near_overflow_scales_the_solution(self, capsys, tmp_path):
+        # squares of 1e200 overflow; the residual norms must not take them
+        nodes = [(i / 16, j / 16) for i in range(1, 16) for j in range(1, 16)]
+
+        def solve(value):
+            path = write(tmp_path, f"rhs{value}.csv",
+                         "x,y,value\n" + "".join(f"{x},{y},{value}\n" for x, y in nodes))
+            code, out, err = invoke(capsys, "solve", "--domain", "rectangle", "--n", "16",
+                                    "--no-correct", "--rhs", f"file:{path}")
+            assert code == 0 and err == ""
+            return np.loadtxt(out.splitlines()[1:], delimiter=",")
+
+        ones, big = solve("1"), solve("1e200")
+        assert np.array_equal(big[:, :2], ones[:, :2])
+        assert np.allclose(big[:, 2], 1e200 * ones[:, 2], rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("option", ["--sigma-file", "--rhs"])
     def test_header_only_file_exits_1(self, capsys, tmp_path, option):
         path = write(tmp_path, "cells.csv", "a,b,value\n")
@@ -310,8 +346,8 @@ class TestSolveCsv:
 
 class TestCoarseGrids:
     def test_lshape_at_n_4_solves_uncorrected(self, capsys):
-        # the corner frame is checked on the corner's eight neighbour nodes;
-        # the outer edge y = 0, 2h away, once failed it
+        # the corner and its frame come from the corner's own four cells, so
+        # the outer edge y = 0, 2h away, plays no part
         code, out, err = invoke(capsys, "solve", "--domain", "lshape", "--n", "4", "--no-correct")
         assert code == 0 and err == "" and len(out.splitlines()) == 1 + 5
 
@@ -320,6 +356,12 @@ class TestCoarseGrids:
         # pairing matrix is zero
         code, out, err = invoke(capsys, "solve", "--domain", "lshape", "--n", "4")
         assert code == 2 and out == "" and err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("flag", ["--correct", "--no-correct"])
+    def test_lshape_where_the_middle_node_misses_one_half(self, capsys, flag):
+        # node_x[49] is 0.49999999999999994 at n = 98
+        code, out, err = invoke(capsys, "solve", "--domain", "lshape", "--n", "98", flag)
+        assert code == 0 and err == "" and len(out.splitlines()) == 1 + 97 * 97 - 49 * 49
 
     @pytest.mark.parametrize("domain,n", [("rectangle", "1"), ("lshape", "2")])
     def test_grid_without_interior_node_exits_1(self, capsys, domain, n):

@@ -10,10 +10,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as splinalg
 
-from bilap.errors import FrameError, NotSolvable, SingularPairingMatrix
+from bilap.errors import NotSolvable, SingularPairingMatrix
 from bilap.grid import (
     Grid2D,
-    ReentrantCorner,
     corner_polar,
     lshape_grid,
     notched_grid,
@@ -71,11 +70,29 @@ def scatter_reference(grid, keep, cell_values):
     return out
 
 
+def assert_frame(grid, corner, up, across, length):
+    """The corner's frame against its edges: its vertical edge runs from the
+    corner node along ``up`` (+1 or -1 in y), its horizontal edge along
+    ``across`` in x, each ``length`` nodes long."""
+    i, j = corner.i, corner.j
+    r, theta = corner_polar(grid, corner)
+    assert (corner.x, corner.y) == (grid.node_x[i], grid.node_y[j]) and r[i, j] == 0.0
+    steps = np.arange(1, length + 1)
+    vertical = (np.full(length, i), j + up * steps)
+    horizontal = (i + across * steps, np.full(length, j))
+    assert grid.boundary[vertical].all() and grid.boundary[horizontal].all()
+    assert np.all(theta[vertical] == 0.0)
+    assert np.allclose(theta[horizontal], 1.5 * math.pi, rtol=0.0, atol=1e-12)
+    block = (slice(i - 1, i + 2), slice(j - 1, j + 2))
+    inside = theta[block][grid.interior[block]]
+    assert len(inside) == 5 and np.all((inside > 0.0) & (inside < 1.5 * math.pi))
+
+
 class TestGrid:
     def test_masks_rectangle(self):
         g = rectangle_grid(8)
         assert g.interior.sum() == 7 * 7
-        assert g.boundary.sum() == 4 * 8
+        assert g.boundary.sum() == 4 * 8 and g.corners == ()
 
     def test_lshape_corner_registration(self):
         g = lshape_grid(16)
@@ -87,17 +104,45 @@ class TestGrid:
         assert theta[i0, i0 + 2] == pytest.approx(0.0, abs=1e-12)  # +y edge
         assert theta[i0 + 2, i0] == pytest.approx(1.5 * math.pi, rel=1e-12)  # +x edge
 
-    def test_bad_frame_rejected(self):
-        mask = np.ones((16, 16), dtype=bool)
-        idx = np.arange(16)
-        mask[np.ix_(idx >= 8, idx >= 8)] = False
-        # frame pointing into the removed quadrant
-        bad = ReentrantCorner(x=0.5, y=0.5, frame_angle=0.0, orientation=1.0)
-        with pytest.raises(FrameError):
-            Grid2D(mask, corners=(bad,))
+    @pytest.mark.parametrize("n", [16, 98])
+    @pytest.mark.parametrize("missing", [(0, 0), (1, 0), (0, 1), (1, 1)],
+                             ids=["below-left", "below-right", "above-left", "above-right"])
+    def test_frames_on_masks_lacking_a_quadrant(self, n, missing):
+        # at n = 98 the middle node sits at 0.49999999999999994, not 1/2
+        a, b = missing
+        m = n // 2
+        mask = np.ones((n, n), dtype=bool)
+        mask[a * m:(a + 1) * m, b * m:(b + 1) * m] = False
+        g = Grid2D(mask)
+        assert [(c.i, c.j) for c in g.corners] == [(m, m)]
+        assert_frame(g, g.corners[0], up=2 * b - 1, across=2 * a - 1, length=m)
+
+    @pytest.mark.parametrize("n", [16, 392])
+    def test_notched_frames(self, n):
+        # at n = 392 the node x = 3/8 sits one ulp below 3/8
+        g = notched_grid(n)
+        assert len(g.corners) == 2
+        for c, across in zip(g.corners, (1, -1)):
+            assert_frame(g, c, up=1, across=across, length=n // 8)
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_frames_equal_the_domain_literals(self, n):
+        def frames(g):  # x, y, frame_angle, orientation
+            return [dataclasses.astuple(c)[:4] for c in g.corners]
+
+        half = 0.5 * math.pi
+        assert frames(lshape_grid(n)) == [(0.5, 0.5, half, 1.0)]
+        assert frames(notched_grid(n)) == [(3.0 / 8.0, 0.5, half, 1.0), (5.0 / 8.0, 0.5, half, -1.0)]
+
+    def test_notched_duals_are_mirror_images(self):
+        # at n = 728 the node x = 3/8 is one ulp above 3/8
+        g = notched_grid(728)
+        left, right = (compute_dual_singularity(g, i).dual for i in range(2))
+        assert np.max(np.abs(left[::-1] - right)) <= 1e-12 * np.max(np.abs(left))
 
     def test_frame_reads_only_the_neighbour_nodes(self):
-        # at n = 4 the outer edge y = 0 lies 2h from the corner
+        # the frame comes from the corner's own four cells; at n = 4 the outer
+        # edge y = 0 lies 2h from the corner
         g = lshape_grid(4)
         assert len(g.corners) == 1 and g.interior.sum() == 5
 
@@ -120,11 +165,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid2D(mask)
 
-    def test_corner_must_be_reentrant(self):
-        mask = np.ones((8, 8), dtype=bool)
-        c = ReentrantCorner(x=0.5, y=0.5, frame_angle=0.5 * math.pi, orientation=1.0)
-        with pytest.raises(ValueError):
-            Grid2D(mask, corners=(c,))
 
 
 class TestPoisson:
