@@ -128,7 +128,7 @@ def _cmd_eta0(args) -> str:
 def _cmd_region_map(args) -> str:
     cells = cs.region_map((args.amin, args.amax), (args.kmin, args.kmax), args.na, args.nk)
 
-    def row(c):  # eta0 and residual: nan where the scan failed, empty where no exponent exists
+    def row(c):  # eta0 and residual: nan where the search failed, empty where no exponent exists
         r = c.report
         found = ((math.nan, math.nan) if c.failed else
                  (c.result.eta0, c.result.residual) if c.result else (None, None))

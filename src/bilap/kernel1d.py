@@ -10,6 +10,7 @@ determinant scan recovers them without consulting those forms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -50,10 +51,6 @@ class TwoSegmentDomain:
     def __post_init__(self):
         if not self.a < 0.0 < self.b:
             raise ValueError(f"need a < 0 < b, got a={self.a}, b={self.b}")
-
-    @property
-    def ratio(self) -> float:
-        return self.b / self.a
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ def quadratic_coefficients(t: float) -> tuple:
 
 def critical_contrasts_two_segment(t: float) -> ContrastRoots:
     """Both closed-form critical contrasts for ratio t < 0, strictly negative;
-    NumericalFailure when one is not a finite float."""
+    NumericalFailure when one is not a finite, normal float."""
     if not t < 0.0:
         raise ValueError(f"segment ratio must be negative, got {t}")
     base = 2.0 - 3.0 * t + 2.0 * t * t
@@ -107,6 +104,9 @@ def critical_contrasts_two_segment(t: float) -> ContrastRoots:
     # r1, about 4 t^3, overflows once |t| passes about 3.5e102
     if not (math.isfinite(r1) and math.isfinite(r2)):
         raise NumericalFailure(f"critical contrasts at t = {t} are not finite")
+    # r2, about t^3 / 4, is subnormal once |t| drops below about 4.47e-103
+    if abs(r2) < sys.float_info.min:
+        raise NumericalFailure(f"the smaller critical contrast at t = {t} underflows")
     return ContrastRoots(roots=tuple(sorted((r1, r2))), source=RootSource.CLOSED_FORM)
 
 

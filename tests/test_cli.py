@@ -106,6 +106,18 @@ class TestExitCodes:
         assert (code, err) == (0, "") and out == (
             "root_index,critical_contrast\n0,-4.0000000000000001e+306\n1,-2.4999999999999999e+101\n")
 
+    @pytest.mark.parametrize("t", ["-1e-103", "-1e-200"])
+    def test_underflowing_contrast_fails_cleanly(self, capsys, t):
+        # the smaller root, about t^3/4, is subnormal once |t| drops below
+        # about 4.47e-103, and -0 below about 2.15e-108
+        code, out, err = invoke(capsys, "kernel1d", f"--t={t}")
+        assert code == 2 and out == "" and err.startswith("numerical failure: ")
+
+    def test_smallest_contrast_above_underflow(self, capsys):
+        code, out, err = invoke(capsys, "kernel1d", "--t=-1e-102")
+        assert (code, err) == (0, "") and out == (
+            "root_index,critical_contrast\n0,-3.9999999999999997e-102\n1,-2.4999999999999993e-307\n")
+
     def test_unwritable_output_exits_1(self, capsys, tmp_path):
         code, out, err = invoke(capsys, *SOLVE, "--output", str(tmp_path / "missing" / "x.csv"))
         assert code == 1 and out == "" and err.startswith("error: ")

@@ -2,7 +2,6 @@
 search and the angular interface system."""
 
 import math
-from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bilap import corner_spectrum
 from bilap.corner_spectrum import (
     AngularProfile,
     CornerProblem,
@@ -94,6 +92,17 @@ def changes_sign_at(alpha, kappa, eta0, rel=1e-8):
     lo = mp_dispersion(alpha, kappa, eta0 * (1 - rel))
     hi = mp_dispersion(alpha, kappa, eta0 * (1 + rel))
     return mp.sign(lo) * mp.sign(hi) < 0
+
+
+def dense_sign_changes(p, n=600):
+    """Sign changes of the scaled dispersion on a dense geometric grid from
+    1e-8 up to its tail, the first 10 * 2**j where it is negative, apart from
+    the search: values within 1e-12 of the largest value on the grid do not
+    count for their sign."""
+    tail = next(10.0 * 2.0 ** j for j in range(60) if scaled_dispersion(p, 10.0 * 2.0 ** j) < 0.0)
+    vals = scaled_dispersion(p, np.geomspace(1e-8, tail, n))
+    signs = np.sign(vals[np.abs(vals) > 1e-12 * np.abs(vals).max()])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 class TestDispersion:
@@ -284,6 +293,15 @@ class TestNearPi:
                 g = taylor_coefficient(CornerProblem(alpha, kappa))
                 assert abs(g - ref) <= 1e-14 * abs(ref)
 
+    @pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-3])
+    def test_exponent_against_mpmath(self, d):
+        # the scaled dispersion holds pi - alpha too: without the low part of
+        # pi it is 1.2e-7 off at d = 1e-9, and so is eta0
+        alpha = math.pi - d
+        for kappa in (-1.0, -1e5):
+            res = find_singular_exponent(CornerProblem(alpha, kappa))
+            assert res is not None and changes_sign_at(alpha, kappa, res.eta0), kappa
+
 
 class TestCriticalInterval:
     def test_right_angle_values(self):
@@ -388,9 +406,9 @@ class TestExponentSearch:
         assert res is not None
         assert res.eta0 > 0.0
         assert res.residual <= 1e-10
-        assert res.sign_changes_found == 1
-        assert res.bracket[0] < res.eta0 < res.bracket[1]
         p = CornerProblem(math.pi / 2, -10.0)
+        assert dense_sign_changes(p) == 1
+        assert res.bracket[0] < res.eta0 < res.bracket[1]
         assert scaled_dispersion(p, res.bracket[0]) * scaled_dispersion(p, res.bracket[1]) < 0
 
     def test_outside_case(self):
@@ -403,23 +421,28 @@ class TestExponentSearch:
             assert r1 is not None and r2 is not None
             assert abs(r1.eta0 - r2.eta0) <= 1e-10
 
-    @pytest.mark.parametrize("kappa", [-1e15, -1e100, -1e150])
+    @pytest.mark.parametrize("kappa", [-1e15, -1e100, -1e150, -1e153])
     def test_huge_contrast_keeps_its_exponent(self, kappa):
         # near the root the values are O(|kappa|) against a kappa^2 overall
         # scale: the sign floor must follow the terms, not 1 + kappa^2; at
-        # -1e150 the product of two values overflows, their signs do not
+        # -1e150 the product of two values overflows, their signs do not; at
+        # -1e153, eta^2 (1 - kappa)^2 overflows before exp(-2 pi eta) shrinks it
+        # unless the eta^2 term takes exp(-2 pi eta) first
         p = CornerProblem(1.0, kappa)
         assert classify_region(p).membership is Membership.INSIDE
         res = find_singular_exponent(p)
         assert res is not None and changes_sign_at(p.alpha, p.kappa, res.eta0)
 
     def test_root_counts_inside_and_outside(self):
+        # the search bisects one bracket, so the dense scan checks that it
+        # holds the only root, and that outside points have none
         for p in sample_inside(100, seed=20):
             res = find_singular_exponent(p)
             assert res is not None, (p.alpha, p.kappa)
-            assert res.sign_changes_found == 1
+            assert dense_sign_changes(p) == 1, (p.alpha, p.kappa)
         for p in sample_outside(100, seed=21):
             assert find_singular_exponent(p) is None, (p.alpha, p.kappa)
+            assert dense_sign_changes(p) == 0, (p.alpha, p.kappa)
 
     def test_raw_residual_small_for_moderate_roots(self):
         # where cosh stays tame the unscaled dispersion is small at the root too
@@ -463,13 +486,55 @@ class TestSearchOracle:
     @given(a0=st.floats(0.05, 2.0), width=st.floats(0.1, 1.0),
            k1=st.floats(-3.0, -0.05), height=st.floats(0.5, 20.0))
     def test_region_map_matches_single_searches(self, a0, width, k1, height):
-        # blocks of 16 cells: the 63 cells span four of them
-        with mock.patch.object(corner_spectrum, "_SEARCH_BLOCK", 16):
-            cells = region_map((a0, a0 + width), (k1 - height, k1), 7, 9)
+        cells = region_map((a0, a0 + width), (k1 - height, k1), 7, 9)
         assert len(cells) == 63
         for c in cells:
             assert not c.failed
             assert c.result == find_singular_exponent(CornerProblem(c.alpha, c.kappa))
+
+
+class TestEdgeBand:
+    """Exponents close to ell_minus and ell_plus, where eta0 -> 0 like the
+    square root of the distance, against mpmath."""
+
+    def test_exponent_just_inside_ell_plus(self):
+        # ell_plus(1) * (1 - 1e-8): eta0 is about 5.9e-5, below where a scan
+        # from 1e-4 could see it.  At d = 1e-8 the rounding of the terms moves
+        # eta0 by about 2.4e-8 (median over random points), so the sign change
+        # is checked across +-1e-7
+        p = CornerProblem(1.0, -0.7060234271985063)
+        res = find_singular_exponent(p)
+        assert res is not None and res.eta0 < 1e-4
+        assert changes_sign_at(p.alpha, p.kappa, res.eta0, rel=1e-7)
+
+    def test_error_bound_near_the_edges(self):
+        # find_singular_exponent states a relative error of at most 1e-13 / d
+        # at relative distance d from the nearer edge
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            alpha = float(rng.uniform(0.1, math.pi - 0.1))
+            lm, lp = mp_critical_interval(alpha)
+            d = math.exp(rng.uniform(math.log(1e-7), math.log(1e-4)))
+            kappa = float(lm * (1 + d) if rng.random() < 0.5 else lp * (1 - d))
+            res = find_singular_exponent(CornerProblem(alpha, kappa))
+            assert res is not None, (alpha, kappa)
+            with mp.workdps(40):
+                root = mp.findroot(lambda e: mp_dispersion(alpha, kappa, e), res.eta0)
+                assert abs(res.eta0 - root) <= 1e-13 / d * root, (alpha, kappa)
+
+    def test_small_angles_against_mpmath(self):
+        # 1 - cos(2 alpha) taken as cos(2 alpha) - 1 cancels as alpha -> 0:
+        # at alpha = 1e-3, kappa = -1e12 it put eta0 4e-6 off the root
+        rng = np.random.default_rng(41)
+        found = 0
+        for _ in range(60):
+            alpha = math.exp(rng.uniform(math.log(1e-3), math.log(0.3)))
+            kappa = -math.exp(rng.uniform(math.log(1e-3), math.log(1e12)))
+            res = find_singular_exponent(CornerProblem(alpha, kappa))
+            if res is not None:
+                found += 1
+                assert changes_sign_at(alpha, kappa, res.eta0), (alpha, kappa)
+        assert found >= 30
 
 
 class TestTransmissionSystem:
@@ -601,7 +666,8 @@ class TestRegionMap:
         for c in cells:
             assert not c.failed
             if c.report.g_value > 1e-3:
-                assert c.result is not None and c.result.sign_changes_found == 1
+                assert c.result is not None
+                assert dense_sign_changes(CornerProblem(c.alpha, c.kappa)) == 1
             elif c.report.g_value < -1e-3:
                 assert c.result is None
 
@@ -629,7 +695,7 @@ class TestRegionMap:
 
 
 # a map that mixes every kind of cell: alpha = 1e-110 gives Outside cells (its
-# ell_minus is -inf) whose scan fails, kappa = -1e200 gives failed Inside
+# ell_minus is -inf) whose search fails, kappa = -1e200 gives failed Inside
 # cells, the kappa column at ell_plus(3.1415926) Inside cells with an exponent
 # and a Boundary cell at alpha = 3.1415926
 EDGE_MAP = ((1e-110, 3.1415926), (-1e200, critical_interval(3.1415926)[1]), 6, 5)
@@ -637,23 +703,13 @@ MAPS = {"edges": EDGE_MAP, "ordinary": ((0.2, 2.9), (-12.0, -0.05), 9, 11)}
 
 
 class TestRegionMapBlocks:
-    """The scan runs in blocks and the bisection over the whole map at once:
-    neither may change a cell."""
+    """Maps whose cells span every outcome of the search."""
 
     def test_edge_map_mixes_every_kind_of_cell(self):
         cells = region_map(*EDGE_MAP)
         kinds = {(c.report.membership, c.failed, c.result is not None) for c in cells}
         assert {(Membership.OUTSIDE, True, False), (Membership.INSIDE, True, False),
                 (Membership.INSIDE, False, True), (Membership.BOUNDARY, False, False)} <= kinds
-
-    @pytest.mark.parametrize("name", MAPS)
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_cells_do_not_depend_on_the_block_size(self, name, block):
-        reference = region_map(*MAPS[name])
-        with mock.patch.object(corner_spectrum, "_SEARCH_BLOCK", block):
-            cells = region_map(*MAPS[name])
-        assert cells == reference
-        assert any(c.result is not None for c in cells)
 
     @pytest.mark.parametrize("name", MAPS)
     def test_reports_match_classify_region(self, name):

@@ -104,6 +104,16 @@ class TestClosedFormContrasts:
                 for r, ref in zip(roots, ((base + root) * tm, (base - root) * tm)):
                     assert abs(mp.mpf(r) - ref) <= 4e-16 * abs(ref)
 
+    @pytest.mark.parametrize("t", [-4.46e-103, -1e-103, -1e-200])
+    def test_subnormal_smaller_root_is_a_numerical_failure(self, t):
+        # the smaller root, about t^3/4, leaves the normal floats below |t| ~ 4.47e-103
+        with pytest.raises(NumericalFailure):
+            critical_contrasts_two_segment(t)
+
+    def test_smaller_root_just_above_underflow(self):
+        roots = critical_contrasts_two_segment(-4.47e-103).roots
+        assert sys.float_info.min <= -roots[1] < 2.3e-308
+
     def test_three_segment_half(self):
         roots = critical_contrasts_three_segment(0.5).roots
         assert roots[0] == pytest.approx(-1.0, rel=1e-15)
