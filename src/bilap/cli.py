@@ -2,7 +2,8 @@
 
 Subcommands: region-map, eta0, corner-det, kernel1d, solve, cone, classify.
 Output is CSV/tabular text with floats at 17 significant digits, so identical
-invocations produce byte-identical files.  Exit codes: 0 success, 1 argument
+invocations produce byte-identical files; solve writes x,y,value at every
+interior node, rows in np.nonzero(grid.interior) order.  Exit codes: 0 success, 1 argument
 error (including a size whose arrays cannot be allocated), 2 numerical failure
 (including a rank-deficient pairing matrix in a corrected solve).
 """
@@ -175,6 +176,7 @@ _DOMAINS = {"rectangle": "rectangle_grid", "lshape": "lshape_grid", "notched": "
 def _make_grid(kind: str, n: int) -> Grid2D:
     # argparse checks --domain against _DOMAINS, but not a --config default
     _require(kind in _DOMAINS, f"unknown domain '{kind}' ({'|'.join(_DOMAINS)})")
+    _require(n > 0, f"--n must be positive, got {n}")
     return globals()[_DOMAINS[kind]](n)
 
 
@@ -193,6 +195,11 @@ def _load_cells(path: str, shape: tuple, to_index) -> tuple:
     return tuple(ij.astype(int).T), table[:, 2]
 
 
+# the values that follow each numeric sigma spec's name
+_SIGMA_VALUES = {"constant": "<v>", "split-x": "<x0>:<left>:<right>",
+                 "patch": "<x0>:<x1>:<y0>:<y1>:<inside>:<outside>"}
+
+
 def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
     """Builders: 'one', 'constant:<v>', 'split-x:<x0>:<left>:<right>',
     'patch:<x0>:<x1>:<y0>:<y1>:<inside>:<outside>' or 'file:<csv>' with rows i,j,value."""
@@ -204,14 +211,17 @@ def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
         index, values = _load_cells(rest, cells.shape, lambda ij: ij)
         cells[index] = values
         return twostep.SigmaField(cells)
-    _require(kind in ("constant", "split-x", "patch"), f"unknown sigma spec '{spec}'")
-    # a wrong number of values fails to unpack with a ValueError (exit code 1)
-    values = [float(v) for v in rest.split(":")]
-    # float() takes 'nan', which would silently drop a split or a patch
-    _require(all(map(math.isfinite, values)), f"sigma spec '{spec}': values must be finite")
+    _require(kind in _SIGMA_VALUES, f"unknown sigma spec '{spec}'")
+    usage, fields = f"{kind}:{_SIGMA_VALUES[kind]}", rest.split(":") if rest else []
+    _require(len(fields) == usage.count(":"),
+             f"sigma spec '{spec}': {usage} takes {usage.count(':')} value(s), got {len(fields)}")
+    try:
+        values = [_finite_float(v) for v in fields]
+    except argparse.ArgumentTypeError as exc:
+        # float() takes 'nan', which would silently drop a split or a patch
+        raise _ArgumentError(f"sigma spec '{spec}': {exc}") from None
     if kind == "constant":
-        (value,) = values
-        return twostep.SigmaField.constant(grid, value)
+        return twostep.SigmaField.constant(grid, values[0])
     cx = (np.arange(grid.nx) + 0.5) * grid.h
     cy = (np.arange(grid.ny) + 0.5) * grid.h
     CX, CY = np.meshgrid(cx, cy, indexing="ij")
@@ -249,15 +259,23 @@ def _cmd_solve(args) -> str:
         sol = twostep.corrected_two_step_solve(grid, sigma, rhs, sing)
     else:
         sol = twostep.two_step_solve(grid, sigma, rhs)
-    # x and y take n+1 values each: format them once per axis, then look them up;
-    # "%.17g" % v is the string _fmt(v) gives
-    xs = [_fmt(x) for x in grid.node_x]
-    ys = [_fmt(y) for y in grid.node_y]
-    ii, jj = np.nonzero(grid.interior)
-    rows = map(",".join, zip(map(xs.__getitem__, ii.tolist()),
-                             map(ys.__getitem__, jj.tolist()),
-                             map("%.17g".__mod__, sol.v[ii, jj].tolist())))
-    return "\n".join(["x,y,value", *rows]) + "\n"
+    return _solve_csv(grid, sol.v)
+
+
+def _solve_csv(grid: Grid2D, v: np.ndarray) -> str:
+    """x,y,value at every interior node, in np.nonzero(grid.interior) order.
+
+    The coordinates go into one row template, "x,y,%.17g" per row, joined
+    once per node column; one "%" pass then formats the values, gathered by
+    the same mask in the same order.  "%.17g" % v is the string _fmt(v)
+    gives, and _fmt never writes a "%".
+    """
+    ys = [_fmt(y) + ",%.17g\n" for y in grid.node_y]
+    parts = ["x,y,value\n"]
+    for i in np.flatnonzero(grid.interior.any(axis=1)).tolist():
+        pre = _fmt(grid.node_x[i]) + ","
+        parts += [pre, pre.join(map(ys.__getitem__, np.flatnonzero(grid.interior[i]).tolist()))]
+    return "".join(parts) % tuple(v[grid.interior].tolist())
 
 
 def _cmd_cone(args) -> str:

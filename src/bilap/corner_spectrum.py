@@ -121,7 +121,10 @@ def _scaled_terms(alpha, kappa, eta):
     large eta nor cancels at small eta, where every term is O(eta^2); the
     eta^2 term takes exp(-b) before (1 - kappa)^2, and 1 - cos(2a) as
     2 sin(a)^2, so it neither overflows nor cancels either, and pi - a keeps
-    the low part of pi.
+    the low part of pi.  The kappa sinh^2 terms are grouped as
+    2k (sinh(pi eta)^2 - sinh(a eta)^2) + 2k^2 sinh(a eta)^2, the difference
+    as sinh((pi + a) eta) sinh((pi - a) eta), so they do not cancel to
+    O(kappa (pi - a)) as alpha -> pi.
     """
     a, k, c = alpha, kappa, math.pi - alpha + _PI_LO
     e = np.abs(eta)
@@ -132,8 +135,8 @@ def _scaled_terms(alpha, kappa, eta):
         return np.exp(-gap) * np.expm1(-2.0 * x) ** 2 / den
 
     return (4.0 * np.exp(-b) / den * e * e * (1.0 - k) ** 2 * (-2.0 * np.sin(a) ** 2),
-            2.0 * k * ratio(math.pi * e, 0.0),
-            2.0 * k * (k - 1.0) * ratio(a * e, 2.0 * c * e),
+            2.0 * k * np.expm1(-2.0 * (math.pi + a) * e) * np.expm1(-2.0 * c * e) / den,
+            2.0 * k * k * ratio(a * e, 2.0 * c * e),
             -2.0 * (k - 1.0) * ratio(c * e, 2.0 * a * e))
 
 

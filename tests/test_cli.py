@@ -13,7 +13,7 @@ import pytest
 
 from bilap import cli, corner_spectrum as cs, twostep
 from bilap.cli import run
-from bilap.grid import lshape_grid
+from bilap.grid import Grid2D, lshape_grid, notched_grid
 
 
 def invoke(capsys, *argv):
@@ -250,6 +250,26 @@ class TestMalformedInput:
         code, out, _ = invoke(capsys, *SOLVE, "--sigma-file", f"file:{path}")
         assert code == 0 and out != invoke(capsys, *SOLVE)[1]
 
+    @pytest.mark.parametrize("spec,message", [
+        ("split-x:0.5:1", "split-x:<x0>:<left>:<right> takes 3 value(s), got 2"),
+        ("split-x:0.5:1:2:3", "split-x:<x0>:<left>:<right> takes 3 value(s), got 4"),
+        ("patch:0.1:0.2:0.1", "patch:<x0>:<x1>:<y0>:<y1>:<inside>:<outside> takes 6 value(s), got 3"),
+        ("constant", "constant:<v> takes 1 value(s), got 0"),
+        ("constant:1:2", "constant:<v> takes 1 value(s), got 2"),
+        ("constant:one", "not a finite number: 'one'"),
+        ("split-x:nan:1:-2", "not a finite number: 'nan'"),
+    ])
+    def test_sigma_spec_message(self, capsys, spec, message):
+        code, out, err = invoke(capsys, *SOLVE, "--sigma-file", spec)
+        assert (code, out, err) == (1, "", f"error: sigma spec '{spec}': {message}\n")
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_size_must_be_positive(self, capsys, tmp_path, n):
+        expected = (1, "", f"error: --n must be positive, got {n}\n")
+        assert invoke(capsys, "solve", "--domain", "rectangle", "--n", n) == expected
+        conf = write(tmp_path, "c.conf", f"n={n}\n")
+        assert invoke(capsys, "solve", "--config", conf) == expected
+
     @pytest.mark.parametrize("rows", ["-0.0625,0.5,1.0", "0.5,1.0625,1.0", "2.0,0.5,1.0"])
     def test_rhs_file_rows(self, capsys, tmp_path, rows):
         path = write(tmp_path, "rhs.csv", f"x,y,value\n{rows}\n")
@@ -329,6 +349,14 @@ class TestBoundaryIsRelative:
         assert all(float(r[2]) > 0.0 and r[5] == "Inside" for r in rows)
 
 
+def side_u_grid(n=16):
+    """A U on its side, open to the right: node columns through the gap hold
+    two separate runs of interior nodes."""
+    mask = np.ones((n, n), dtype=bool)
+    mask[n // 4:, 3 * n // 8:5 * n // 8] = False
+    return Grid2D(mask)
+
+
 class TestSolveCsv:
     @pytest.mark.parametrize("domain", ["lshape", "notched", "rectangle"])
     def test_matches_per_field_format(self, capsys, monkeypatch, domain):
@@ -354,6 +382,36 @@ class TestSolveCsv:
         assert code == 0 and out == "\n".join(ref) + "\n"
         values = [row.rsplit(",", 1)[1] for row in ref[1:]]
         assert any(x.startswith("-") for x in values) and any("e" in x for x in values)
+
+    @pytest.mark.parametrize("make", [side_u_grid, lambda: lshape_grid(98),
+                                      lambda: notched_grid(24)],
+                             ids=["side-u-16", "lshape-98", "notched-24"])
+    def test_writer_matches_per_field_format(self, make):
+        # _solve_csv alone, against one format(value, ".17g") per field per node
+        grid = make()
+        rng = np.random.default_rng(15)
+        v = rng.standard_normal(grid.interior.shape) * 10.0 ** rng.integers(-300, 300, grid.interior.shape)
+        v[~grid.interior] = np.nan  # only interior nodes are written
+        ii, jj = np.nonzero(grid.interior)
+        v[ii[:4], jj[:4]] = 0.0, -0.0, 5e-324, -1.7976931348623157e308
+        fmt = lambda x: format(float(x), ".17g")
+        ref = "".join(f"{fmt(grid.node_x[i])},{fmt(grid.node_y[j])},{fmt(v[i, j])}\n"
+                      for i, j in zip(ii, jj))
+        assert cli._solve_csv(grid, v) == "x,y,value\n" + ref and "nan" not in ref
+
+    def test_side_u_has_split_node_columns(self):
+        grid = side_u_grid()
+        runs = [np.count_nonzero(np.diff(np.flatnonzero(col)) > 1) + 1
+                for col in grid.interior if col.any()]
+        assert max(runs) == 2
+
+    @pytest.mark.parametrize("domain,n", [("lshape", "16"), ("notched", "24")])
+    def test_output_file_matches_stdout(self, capsys, tmp_path, domain, n):
+        argv = ("solve", "--domain", domain, "--n", n, "--sigma-file", "split-x:0.4:1:-3")
+        code, out, err = invoke(capsys, *argv)
+        path = tmp_path / "v.csv"
+        assert invoke(capsys, *argv, "--output", str(path)) == (0, "", "")
+        assert code == 0 and err == "" and path.read_bytes() == out.encode("utf-8")
 
 
 class TestCoarseGrids:

@@ -302,6 +302,16 @@ class TestNearPi:
             res = find_singular_exponent(CornerProblem(alpha, kappa))
             assert res is not None and changes_sign_at(alpha, kappa, res.eta0), kappa
 
+    @pytest.mark.parametrize("d", [1e-9, 1e-6])
+    def test_exponent_at_small_contrast(self, d):
+        # at kappa = 2 ell_minus, O(pi - alpha), the two kappa sinh^2 terms
+        # cancel to O(kappa (pi - alpha)) unless their difference is taken as
+        # one product: eta0 was 1.3e-7 off at d = 1e-9 and 3e-11 at 1e-6
+        alpha = math.pi - d
+        kappa = 2.0 * critical_interval(alpha)[0]
+        res = find_singular_exponent(CornerProblem(alpha, kappa))
+        assert res is not None and changes_sign_at(alpha, kappa, res.eta0, rel=1e-13)
+
 
 class TestCriticalInterval:
     def test_right_angle_values(self):
