@@ -41,10 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _field(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
@@ -267,13 +263,13 @@ def _solve_csv(grid: Grid2D, v: np.ndarray) -> str:
 
     The coordinates go into one row template, "x,y,%.17g" per row, joined
     once per node column; one "%" pass then formats the values, gathered by
-    the same mask in the same order.  "%.17g" % v is the string _fmt(v)
-    gives, and _fmt never writes a "%".
+    the same mask in the same order.  "%.17g" % v is the string _field(v)
+    gives, and _field never writes a "%" for a float.
     """
-    ys = [_fmt(y) + ",%.17g\n" for y in grid.node_y]
+    ys = [_field(y) + ",%.17g\n" for y in grid.node_y]
     parts = ["x,y,value\n"]
     for i in np.flatnonzero(grid.interior.any(axis=1)).tolist():
-        pre = _fmt(grid.node_x[i]) + ","
+        pre = _field(grid.node_x[i]) + ","
         parts += [pre, pre.join(map(ys.__getitem__, np.flatnonzero(grid.interior[i]).tolist()))]
     return "".join(parts) % tuple(v[grid.interior].tolist())
 

@@ -12,9 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
 
 from .bisection import bisect_rows
 from .errors import BracketFailure, NoConvergence
@@ -25,9 +22,7 @@ __all__ = [
     "Classification",
     "exponent_pair",
     "legendre_p",
-    "legendre_p_integral",
     "cap_first_eigenvalue",
-    "critical_aperture",
     "fredholm_classify",
     "isomorphism_in_dimension",
     "classify_cap",
@@ -36,8 +31,6 @@ __all__ = [
 
 _SERIES_CAP = 10 ** 5
 _CAP_ALPHA_MAX = 0.9 * math.pi
-# Gauss-Legendre nodes of the integral representation of P_nu
-_INTEGRAL_NODES = 200
 # distance from a band edge within which the range is not closed
 _EDGE_TOL = 1e-12
 
@@ -119,26 +112,6 @@ def legendre_p(nu: float, x: float) -> float:
     raise NoConvergence(f"Legendre series cap {_SERIES_CAP} hit at nu={nu}, x={x}")
 
 
-def legendre_p_integral(nu: float, theta: float) -> float:
-    """Independent evaluation of P_nu(cos theta) by an integral representation.
-
-    Gauss-Legendre quadrature of the half-angle integral after the square-root
-    substitution that removes the endpoint singularity.  Used as a quadrature
-    oracle against the series evaluation.
-    """
-    if not 0.0 < theta < math.pi:
-        raise ValueError("theta must lie in (0, pi)")
-    nodes, weights = np.polynomial.legendre.leggauss(_INTEGRAL_NODES)
-    ymax = math.sqrt(0.5 * theta)
-    y = 0.5 * ymax * (nodes + 1.0)
-    w = 0.5 * ymax * weights
-    t = theta - 2.0 * y * y
-    y2 = y * y
-    sinc = np.where(y2 > 1e-30, np.sin(y2) / np.maximum(y2, 1e-300), 1.0)
-    g = np.cos((nu + 0.5) * t) / np.sqrt(np.sin(0.5 * (theta + t))) / np.sqrt(sinc)
-    return float((4.0 / math.pi) * np.sum(w * g))
-
-
 def cap_first_eigenvalue(alpha: float) -> float:
     """First Dirichlet eigenvalue mu_1 of the spherical cap of half-angle alpha.
 
@@ -161,19 +134,6 @@ def cap_first_eigenvalue(alpha: float) -> float:
             return float(root * (root + 1.0))
         prev_nu, prev_val = nu, val
     raise BracketFailure(f"no degree bracket found on (0, 50] for alpha={alpha}")
-
-
-def critical_aperture() -> float:
-    """Half-aperture where the leading exponent reaches one half (mu_1 = 3/4).
-
-    Solves P_{1/2}(cos alpha) = 0 on (pi/2, 0.9*pi); the result is verified
-    against the integral-representation evaluation to 1e-6.
-    """
-    f = lambda _, alphas: [legendre_p(0.5, math.cos(a)) for a in alphas]
-    alpha_c = float(bisect_rows(f, [0.5 * math.pi], [_CAP_ALPHA_MAX], 1e-14)[0])
-    if abs(legendre_p_integral(0.5, alpha_c)) > 1e-6:
-        raise NoConvergence("series and quadrature evaluations disagree at alpha_c")
-    return alpha_c
 
 
 def fredholm_classify(w: WeightedIndex, lambda1_plus: float) -> Classification:

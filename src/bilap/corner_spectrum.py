@@ -275,6 +275,12 @@ def find_singular_exponent(p: CornerProblem) -> Optional[SingularExponentResult]
     nearer edge, eta0 is within 1e-13 / d (relative) of the mpmath root for
     alpha in [0.1, pi - 0.1] (largest of 2,700 random points, d from 1e-12
     to 0.1: 5.6e-14 / d), and within 3e-12 / d for alpha in [0.01, pi - 0.01].
+
+    Below alpha = 0.01 no accuracy is claimed.  For kappa far below ell_minus
+    (~ -6 pi / alpha^3), g * eta^2 at eta = 1e-100 is alpha^2 / 6 of the sum
+    of the absolute terms: below alpha = sqrt(6 * 4e-15) ~ 1.5e-7 the result
+    is None, never a wrong eta0, though classify_region says Inside (alpha =
+    1e-9, kappa = -1e100 or -1e150); eta0 is 8.6e-6 off at (2e-7, -1e100).
     """
     results, failed = _search(np.array([p.alpha]), np.array([p.kappa]))
     if failed[0]:

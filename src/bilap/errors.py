@@ -18,8 +18,4 @@ class NotSingular(RuntimeError):
 
 
 class SingularPairingMatrix(NumericalFailure):
-    """The corner pairing matrix is rank deficient; the plain corrected solve does not apply."""
-
-
-class NotSolvable(RuntimeError):
-    """Compatibility conditions of a constrained solve are violated."""
+    """The corner pairing matrix is rank deficient; the corrected solve does not apply."""

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalFailure
 
@@ -179,8 +178,9 @@ class _CapacitanceSolver:
 
     def __init__(self, grid: Grid2D):
         from scipy.fft import dstn
+        from scipy.linalg import cho_factor, cho_solve
 
-        self.dstn = dstn
+        self.dstn, self.cho_solve = dstn, cho_solve
         n = grid.nx
         self.inside = grid.interior[1:-1, 1:-1]
         theta = np.arange(1, n) * (math.pi / (2 * n))
@@ -191,7 +191,7 @@ class _CapacitanceSolver:
         self.gi, self.gj = gi[order], gj[order]
         self.chol = None
         if len(self.gi):
-            self.chol = scipy.linalg.cho_factor(-_capacitance(n, self.gi + 1, self.gj + 1, theta))
+            self.chol = cho_factor(-_capacitance(n, self.gi + 1, self.gj + 1, theta))
 
     def fast(self, w: np.ndarray) -> np.ndarray:
         """Lap_R^-1 w over the (n-1)^2 interior nodes; overwrites w."""
@@ -205,7 +205,7 @@ class _CapacitanceSolver:
         if self.chol is not None:
             w = np.zeros(self.inside.shape)
             # check_finite=False lets a nan in b reach the caller's residual check
-            w[self.gi, self.gj] = scipy.linalg.cho_solve(
+            w[self.gi, self.gj] = self.cho_solve(
                 self.chol, u[self.gi, self.gj], check_finite=False)
             u += self.fast(w)
         return np.pad(np.where(self.inside, u, 0.0), 1)

@@ -6,9 +6,9 @@ solution from the coefficient-weighted intermediate.  On non-convex polygons
 the naive split lands in the relaxed space and misses the finite-energy
 solution; adding the right multiple of the corner dual singular fields to the
 intermediate restores it.  The pairing matrix of those dual fields decides
-solvability: when it degenerates, kernel fields appear and sources must
-satisfy compatibility conditions.  The uncorrected, corrected and constrained
-solves all run through one split.
+solvability: when it is rank deficient, the corrected solve does not apply
+and raises SingularPairingMatrix.  The uncorrected and corrected solves both
+run through one split.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .errors import NotSolvable, SingularPairingMatrix
+from .errors import SingularPairingMatrix
 from .grid import REENTRANT_APERTURE, Grid2D, corner_polar, solve_poisson_dirichlet
 
 __all__ = [
@@ -34,9 +33,7 @@ __all__ = [
     "singular_coefficient",
     "corrected_two_step_solve",
     "assemble_pairing_matrix",
-    "kernel_fields",
     "kernel_residual",
-    "constrained_solve",
 ]
 
 EXCLUSION_RADIUS_CELLS = 4.0
@@ -105,16 +102,15 @@ def two_step_solve(grid: Grid2D, sigma: SigmaField, f: np.ndarray) -> FieldSolut
     return _split(grid, sigma.inverse_at_nodes(grid), f)
 
 
-def _split(grid: Grid2D, sinv: np.ndarray, f: np.ndarray, duals=(), matrix=None,
-           w=None) -> FieldSolution:
-    """Lap p0 = f; given the pairing ``matrix`` of ``duals``, p = p0 + sum_i c_i dual_i
-    with c zeroing each sum(w * sinv * p * dual_i); then Lap v = sinv * p."""
+def _split(grid: Grid2D, sinv: np.ndarray, f: np.ndarray, pm=None) -> FieldSolution:
+    """Lap p0 = f; given a PairingMatrix ``pm``, p = p0 + sum_i c_i dual_i with c
+    zeroing each sum(weights * sinv * p * dual_i); then Lap v = sinv * p."""
     p, res_p = solve_poisson_dirichlet(grid, f)
     coeff = None
-    if matrix is not None:
-        rhs = np.array([-np.sum(w * (sinv * p) * d) for d in duals])
-        coeff = np.linalg.solve(matrix, rhs)
-        p = p + sum(a * d for a, d in zip(coeff, duals))
+    if pm is not None:
+        rhs = np.array([-np.sum(pm.weights * (sinv * p) * d) for d in pm.duals])
+        coeff = np.linalg.solve(pm.matrix, rhs)
+        p = p + sum(a * d for a, d in zip(coeff, pm.duals))
     v, res_v = solve_poisson_dirichlet(grid, sinv * p)
     return FieldSolution(p=p, v=v, residual_p=res_p, residual_v=res_v, correction=coeff)
 
@@ -157,30 +153,28 @@ def compute_dual_singularity(grid: Grid2D, corner_index: int) -> CornerSingulari
     return CornerSingularity(corner_index=corner_index, dual=dual)
 
 
-def pairing_weights(grid: Grid2D, exclude_corners: bool = True) -> np.ndarray:
-    """Nodal weights of the cellwise trapezoid rule over the mask.
+def pairing_weights(grid: Grid2D) -> np.ndarray:
+    """Nodal weights of the cellwise trapezoid rule over the mask, less the
+    cells whose centers fall within four mesh widths of a registered corner.
 
     Each kept cell gives a quarter of its area to each of its four nodes.  A
     corrected solve builds them once, for its pairing matrix and its correction.
-    With ``exclude_corners`` the cells whose centers fall within four mesh
-    widths of a registered corner are dropped: integrands built from dual
-    fields behave like r^(-4/3) there and the exclusion error vanishes under
-    refinement while keeping every evaluation finite.  On an lshape grid
-    with n <= 6 they drop every cell, so the pairing matrix is zero and a
-    corrected solve raises SingularPairingMatrix.
+    Integrands built from dual fields behave like r^(-4/3) near a corner; the
+    exclusion keeps every evaluation finite, and its error vanishes under
+    refinement.  On an lshape grid with n <= 6 every cell is dropped, so the
+    pairing matrix is zero and a corrected solve raises SingularPairingMatrix.
     """
     h = grid.h
     keep = grid.cell_mask.copy()
-    if exclude_corners:
-        # cells at least this many indices from a corner lie beyond the radius
-        reach = math.ceil(EXCLUSION_RADIUS_CELLS) + 1
-        for c in grid.corners:
-            si = slice(max(c.i - reach, 0), min(c.i + reach, grid.nx))
-            sj = slice(max(c.j - reach, 0), min(c.j + reach, grid.ny))
-            cx = (np.arange(grid.nx)[si] + 0.5) * h
-            cy = (np.arange(grid.ny)[sj] + 0.5) * h
-            dist = np.hypot(cx[:, None] - c.x, cy[None, :] - c.y)
-            keep[si, sj] &= dist >= EXCLUSION_RADIUS_CELLS * h
+    # cells at least this many indices from a corner lie beyond the radius
+    reach = math.ceil(EXCLUSION_RADIUS_CELLS) + 1
+    for c in grid.corners:
+        si = slice(max(c.i - reach, 0), min(c.i + reach, grid.nx))
+        sj = slice(max(c.j - reach, 0), min(c.j + reach, grid.ny))
+        cx = (np.arange(grid.nx)[si] + 0.5) * h
+        cy = (np.arange(grid.ny)[sj] + 0.5) * h
+        dist = np.hypot(cx[:, None] - c.x, cy[None, :] - c.y)
+        keep[si, sj] &= dist >= EXCLUSION_RADIUS_CELLS * h
     return _node_sum(grid, np.where(keep, h * h / 4.0, 0.0))
 
 
@@ -210,7 +204,6 @@ class PairingMatrix:
     matrix: np.ndarray
     singular_values: np.ndarray
     kernel_dim: int
-    kernel_basis: np.ndarray  # (kernel_dim, N) rows spanning the kernel
     tol: float
     sinv: np.ndarray
     weights: np.ndarray
@@ -242,11 +235,9 @@ def assemble_pairing_matrix(
             prod = w * sinv * duals[i] * duals[j]
             M[i, j] = M[j, i] = float(np.sum(prod))
             scale = max(scale, float(np.sum(np.abs(prod))))
-    _, svals, vt = np.linalg.svd(M)
+    svals = np.linalg.svd(M, compute_uv=False)
     kernel = svals <= _RANK_TOL * scale if scale > 0.0 else np.ones_like(svals, bool)
-    kdim = int(np.sum(kernel))
-    basis = vt[n - kdim:] if kdim else np.empty((0, n))
-    return PairingMatrix(matrix=M, singular_values=svals, kernel_dim=kdim, kernel_basis=basis,
+    return PairingMatrix(matrix=M, singular_values=svals, kernel_dim=int(np.sum(kernel)),
                          tol=_RANK_TOL, sinv=sinv, weights=w, duals=duals)
 
 
@@ -261,26 +252,14 @@ def corrected_two_step_solve(
     The correction coefficients solve the pairing system so the corrected
     intermediate is sigma-orthogonal to every dual field, which is exactly the
     membership condition for the finite-energy space.  Raises
-    SingularPairingMatrix when the pairing matrix is rank deficient; the
-    constrained path applies there instead.
+    SingularPairingMatrix when the pairing matrix is rank deficient.
     """
     if not singularities:
         return two_step_solve(grid, sigma, f)
     pm = assemble_pairing_matrix(grid, sigma, singularities)
     if pm.kernel_dim > 0:
         raise SingularPairingMatrix(f"pairing matrix has kernel dimension {pm.kernel_dim}")
-    return _split(grid, pm.sinv, f, pm.duals, pm.matrix, pm.weights)
-
-
-def kernel_fields(grid: Grid2D, pairing: PairingMatrix) -> list:
-    """One discrete kernel field per pairing-matrix kernel vector.
-
-    Each field solves Lap psi = (1/sigma) * combination, with the combination
-    of the pairing's dual fields taken along a kernel basis vector, and 1/sigma
-    the one the pairing was assembled with.
-    """
-    combos = (sum(c * d for c, d in zip(vec, pairing.duals)) for vec in pairing.kernel_basis)
-    return [solve_poisson_dirichlet(grid, pairing.sinv * combo)[0] for combo in combos]
+    return _split(grid, pm.sinv, f, pm)
 
 
 def kernel_residual(
@@ -299,37 +278,3 @@ def kernel_residual(
         grid.inner(lap_w, lap_w)
     )
     return num / max(den, 1e-300)
-
-
-def constrained_solve(
-    grid: Grid2D,
-    f: np.ndarray,
-    pairing: PairingMatrix,
-    solvability_tol: float = 1e-6,
-) -> FieldSolution:
-    """Corrected solve that also serves a rank-deficient pairing, modulo kernel fields.
-
-    Sigma and the dual fields are those the pairing was assembled from.  The
-    complement of the pairing kernel is picked by column-pivoted QR; dual
-    coefficients are solved on that complement only, and ``correction`` holds
-    them in the order of the kept fields, with the sign convention of
-    FieldSolution.  Sources must be orthogonal to every kernel field within
-    solvability_tol (relative), else NotSolvable.
-    """
-    psis = kernel_fields(grid, pairing)
-    w = pairing_weights(grid, exclude_corners=False)  # f and psi are regular
-    fnorm = math.sqrt(abs(float(np.sum(w * f * f))))
-    for m, psi in enumerate(psis):
-        val = float(np.sum(w * f * psi))
-        scale = fnorm * math.sqrt(abs(float(np.sum(w * psi * psi)))) + 1e-300
-        if abs(val) > solvability_tol * scale:
-            raise NotSolvable(
-                f"source pairs with kernel field {m}: |<f, psi>| = {abs(val):.3e}"
-            )
-
-    keep = len(pairing.duals) - pairing.kernel_dim
-    # column-pivoted QR of the pairing matrix picks a well-conditioned complement;
-    # pairings along the kernel are already below the rank tolerance
-    c = sorted(scipy.linalg.qr(pairing.matrix, mode="r", pivoting=True)[1][:keep])
-    duals = [pairing.duals[i] for i in c]
-    return _split(grid, pairing.sinv, f, duals, pairing.matrix[np.ix_(c, c)], pairing.weights)

@@ -439,17 +439,29 @@ class TestCoarseGrids:
         assert code == 1 and out == "" and err.startswith("error: ") and "no interior node" in err
 
 
-def test_solve_does_not_import_scipy_sparse():
+@pytest.mark.parametrize("argv,forbidden", [
     # the sparse Laplacian is only the tests' reference: no solve path builds it
+    (["solve", "--domain", "notched", "--n", "16"], "scipy.sparse"),
+    # only solve's Poisson layer needs scipy, and imports it where it runs
+    (["eta0", "--alpha", "1", "--kappa", "-2"], "scipy"),
+    (["region-map", "--na", "2", "--nk", "2"], "scipy"),
+    (["corner-det", "--alpha", "1", "--kappa", "-2", "--eta", "0.5"], "scipy"),
+    (["kernel1d", "--t", "-0.5"], "scipy"),
+    (["cone", "--alpha", "1.0"], "scipy"),
+    (["classify", "--lambda1", "1.5"], "scipy"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_subcommand_leaves_modules_unimported(argv, forbidden):
+    # a fresh process, so that nothing the test session imported counts
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import io, sys, contextlib\n"
             "from bilap.cli import run\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = run(['solve', '--domain', 'notched', '--n', '16'])\n"
-            "print(code, 'scipy.sparse' in sys.modules)\n")
+            f"    code = run({argv!r})\n"
+            f"print(code, sorted(m for m in sys.modules if m == {forbidden!r}"
+            f" or m.startswith({forbidden + '.'!r})))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-    assert out.stdout.strip() == "0 False", out.stderr
+    assert out.stdout.strip() == "0 []", out.stderr
 
 
 def test_solve_builds_its_grid_through_the_module_constructor(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,12 +13,10 @@ from bilap.cones import (
     cap_first_eigenvalue,
     classify_cap,
     classify_spectrum,
-    critical_aperture,
     exponent_pair,
     fredholm_classify,
     isomorphism_in_dimension,
     legendre_p,
-    legendre_p_integral,
 )
 
 # root of P_{1/2}(cos alpha) on (pi/2, pi), frozen from a 40-digit evaluation
@@ -74,11 +73,13 @@ class TestLegendre:
                 )
 
     def test_quadrature_agreement(self):
+        # mpmath's Ferrers function P_nu(x), at 30 digits, of the same double x
         for nu in (0.5, 1.3, 2.7):
             for theta in (0.8, 1.6, 2.4):
-                series = legendre_p(nu, math.cos(theta))
-                quad = legendre_p_integral(nu, theta)
-                assert quad == pytest.approx(series, abs=1e-10)
+                x = math.cos(theta)
+                with mp.workdps(30):
+                    ref = float(mp.legenp(nu, 0, x))
+                assert legendre_p(nu, x) == pytest.approx(ref, abs=1e-12)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -109,19 +110,18 @@ class TestCapEigenvalue:
 
 
 class TestCriticalAperture:
+    """ALPHA_C, where the leading exponent reaches one half (mu_1 = 3/4)."""
+
     def test_value_and_residual(self):
-        ac = critical_aperture()
-        assert ac == pytest.approx(ALPHA_C, abs=1e-12)
-        assert math.pi / 2 < ac < 0.9 * math.pi
-        assert abs(legendre_p(0.5, math.cos(ac))) <= 1e-10
+        # mpmath's P_{1/2}(cos a), at 30 digits, changes sign within 1e-15 of it
+        with mp.workdps(30):
+            lo, hi = (mp.legenp(0.5, 0, mp.cos(mp.mpf(ALPHA_C) + d)) for d in (-1e-15, 1e-15))
+        assert lo * hi < 0
+        assert math.pi / 2 < ALPHA_C < 0.9 * math.pi
+        assert abs(legendre_p(0.5, math.cos(ALPHA_C))) <= 1e-10
 
     def test_defining_eigenvalue(self):
-        ac = critical_aperture()
-        assert cap_first_eigenvalue(ac) == pytest.approx(0.75, abs=1e-8)
-
-    def test_quadrature_oracle(self):
-        ac = critical_aperture()
-        assert abs(legendre_p_integral(0.5, ac)) <= 1e-6
+        assert cap_first_eigenvalue(ALPHA_C) == pytest.approx(0.75, abs=1e-8)
 
 
 class TestClassification:

@@ -260,6 +260,14 @@ class TestSmallAngle:
         res = find_singular_exponent(p)
         assert res is not None and changes_sign_at(p.alpha, p.kappa, res.eta0)
 
+    @pytest.mark.parametrize("kappa", [-1e100, -1e150])
+    def test_no_exponent_below_the_sign_floor(self, kappa):
+        # g eta^2 is alpha^2 / 6 of the absolute terms at eta = 1e-100, under
+        # the 4e-15 floor: the stated bound is None, never a wrong eta0
+        p = CornerProblem(1e-9, kappa)
+        assert classify_region(p).membership is Membership.INSIDE
+        assert find_singular_exponent(p) is None
+
 
 class TestNearPi:
     """pi - alpha - sin(alpha) and (pi - alpha)^2 - sin^2(alpha) cancel as

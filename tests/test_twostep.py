@@ -7,10 +7,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse.linalg as splinalg
 
-from bilap.errors import NotSolvable, SingularPairingMatrix
+from bilap.errors import SingularPairingMatrix
 from bilap.grid import (
     Grid2D,
     corner_polar,
@@ -25,9 +24,7 @@ from bilap.twostep import (
     SigmaField,
     assemble_pairing_matrix,
     compute_dual_singularity,
-    constrained_solve,
     corrected_two_step_solve,
-    kernel_fields,
     kernel_residual,
     singular_coefficient,
     pairing_weights,
@@ -50,8 +47,12 @@ def patch_sigma(grid, t, radius=0.25, center=(0.5, 0.5)):
 
 
 def pair(grid, a, b, exclude_corners=True):
-    """Trapezoid pairing of two nodal fields, corner-excluded by default."""
-    return float(np.sum(pairing_weights(grid, exclude_corners) * a * b))
+    """Trapezoid pairing of two nodal fields, corner-excluded by default;
+    otherwise each mask cell gives a quarter of its area to each of its nodes."""
+    if exclude_corners:
+        return float(np.sum(pairing_weights(grid) * a * b))
+    quarter = np.full((grid.nx, grid.ny), grid.h * grid.h / 4.0)
+    return float(np.sum(scatter_reference(grid, grid.cell_mask, quarter) * a * b))
 
 
 def kernel_candidate(grid, sigma, s):
@@ -325,10 +326,8 @@ class TestNodeTransfer:
         far = np.ones(shape, dtype=bool)
         for c in grid.corners:
             far &= np.hypot(CX - c.x, CY - c.y) >= 4.0 * grid.h
-        quarter = np.full(shape, grid.h * grid.h / 4.0)
-        for exclude, keep in ((False, grid.cell_mask), (True, grid.cell_mask & far)):
-            ref = scatter_reference(grid, keep, quarter)
-            assert pairing_weights(grid, exclude_corners=exclude).tobytes() == ref.tobytes()
+        ref = scatter_reference(grid, grid.cell_mask & far, np.full(shape, grid.h * grid.h / 4.0))
+        assert pairing_weights(grid).tobytes() == ref.tobytes()
 
 
 class TestDualSingularity:
@@ -549,11 +548,11 @@ class TestKernelOnset:
             corrected_two_step_solve(g, sigma, np.ones((65, 65)), [s])
 
     def test_kernel_field_residual(self, onset):
+        # at the onset the pairing's kernel is the one dual field, and its
+        # kernel field solves Lap psi = (1/sigma) dual
         g, s, tstar = onset
         sigma = patch_sigma(g, tstar)
-        pm = assemble_pairing_matrix(g, sigma, [s])
-        psis = kernel_fields(g, pm)
-        assert len(psis) == 1
+        psi, _ = kernel_candidate(g, sigma, s)
         tol = g.h ** (2.0 / 3.0)
         for w in (
             nodal(g, lambda X, Y: X * Y * (1 - X) * (1 - Y) * (X - 0.5) * (Y - 0.5)),
@@ -561,95 +560,4 @@ class TestKernelOnset:
             nodal(g, lambda X, Y: X * Y * (1 - X) * (1 - Y) * (X - 0.5) * (Y - 0.5)
                   * (1.0 + 3.0 * X + 7.0 * Y * Y)),
         ):
-            assert kernel_residual(g, sigma, psis[0], w) <= tol
-
-    def test_constrained_solve_compatible_source(self, onset):
-        g, s, tstar = onset
-        sigma = patch_sigma(g, tstar)
-        pm = assemble_pairing_matrix(g, sigma, [s])
-        w = nodal(g, lambda X, Y: (X * Y * (1 - X) * (1 - Y) * (X - 0.5) * (Y - 0.5)) ** 2)
-        sig_nodes = sigma.at_nodes(g)
-        f = g.apply_laplacian(sig_nodes * g.apply_laplacian(w))
-        sol = constrained_solve(g, f, pm, solvability_tol=2e-2)
-        assert sol.residual_v <= 1e-10
-        sinv = sigma.inverse_at_nodes(g)
-        num = abs(pair(g, sinv * sol.p, s.dual))
-        den = math.sqrt(pair(g, sinv * sol.p, sinv * sol.p)) * math.sqrt(pair(g, s.dual, s.dual))
-        # the kernel-direction pairing is not correctable (adding the dual
-        # field leaves it fixed); it tracks the compatibility defect of f,
-        # which for manufactured data sits at the quadrature level
-        assert num <= 0.05 * den
-
-    def test_constrained_solve_incompatible_source(self, onset):
-        g, s, tstar = onset
-        sigma = patch_sigma(g, tstar)
-        pm = assemble_pairing_matrix(g, sigma, [s])
-        psis = kernel_fields(g, pm)
-        with pytest.raises(NotSolvable):
-            constrained_solve(g, psis[0], pm)
-
-    def test_constrained_delegates_when_regular(self):
-        g = lshape_grid(32)
-        sigma = SigmaField.constant(g)
-        s = compute_dual_singularity(g, 0)
-        pm = assemble_pairing_matrix(g, sigma, [s])
-        f = nodal(g, lambda X, Y: np.ones_like(X))
-        a = constrained_solve(g, f, pm)
-        b = corrected_two_step_solve(g, sigma, f, [s])
-        assert np.array_equal(a.v, b.v)
-
-    def test_constrained_solve_keeps_one_dual_field(self):
-        # two corners, the pairing kernel forced to dimension 1 from the SVD of
-        # the real matrix: one dual field is kept and corrected against
-        g = notched_grid(32)
-        sigma = SigmaField.constant(g)
-        sings = [compute_dual_singularity(g, i) for i in range(2)]
-        pm = assemble_pairing_matrix(g, sigma, sings)
-        forced = dataclasses.replace(pm, kernel_dim=1, kernel_basis=np.linalg.svd(pm.matrix)[2][1:])
-        psi = kernel_fields(g, forced)[0]
-        f0 = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
-        f = f0 - pair(g, f0, psi, False) / pair(g, psi, psi, False) * psi
-        sol = constrained_solve(g, f, forced)
-        assert sol.correction.shape == (1,)
-        # the kept field is the complement picked by column-pivoted QR
-        kept = sings[int(scipy.linalg.qr(pm.matrix, pivoting=True)[2][0])].dual
-        weighted = pairing_weights(g) * sigma.inverse_at_nodes(g) * kept
-        p0 = solve_poisson_dirichlet(g, f)[0]
-        assert abs(np.sum(weighted * sol.p)) <= 1e-12 * np.sum(np.abs(weighted * p0))
-        # the sign convention of FieldSolution: p = p0 + correction * kept
-        expected = p0 + sol.correction[0] * kept
-        assert np.max(np.abs(sol.p - expected)) <= 1e-14 * np.max(np.abs(sol.p))
-
-    def test_constrained_solve_builds_weights_once(self, monkeypatch):
-        # the solvability check takes its three sums from one set of plain
-        # weights; the corner-excluded weights and 1/sigma at the nodes come
-        # from the pairing, for the kernel fields and the split alike
-        g = notched_grid(32)
-        sigma = SigmaField.constant(g)
-        sings = [compute_dual_singularity(g, i) for i in range(2)]
-        pm = assemble_pairing_matrix(g, sigma, sings)
-        forced = dataclasses.replace(pm, kernel_dim=1, kernel_basis=np.linalg.svd(pm.matrix)[2][1:])
-        f = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
-        calls = Counter()
-        weights = bilap.twostep.pairing_weights
-
-        def counted(grid, exclude_corners=True):
-            calls[exclude_corners] += 1
-            return weights(grid, exclude_corners)
-
-        inverse = SigmaField.inverse_at_nodes
-
-        def counted_inverse(self, grid):
-            calls["inverse"] += 1
-            return inverse(self, grid)
-
-        monkeypatch.setattr(bilap.twostep, "pairing_weights", counted)
-        monkeypatch.setattr(SigmaField, "inverse_at_nodes", counted_inverse)
-        with pytest.raises(NotSolvable):
-            constrained_solve(g, f, forced)
-        assert calls == {False: 1}
-        psi = kernel_fields(g, forced)[0]
-        f = f - pair(g, f, psi, False) / pair(g, psi, psi, False) * psi
-        calls.clear()
-        constrained_solve(g, f, forced)
-        assert calls == {False: 1}
+            assert kernel_residual(g, sigma, psi, w) <= tol
