@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .bisection import bisect_rows
 from .errors import BracketFailure, NoConvergence
+from .roots import bracketed_roots
 
 __all__ = [
     "ConeSpectrum",
@@ -117,7 +117,8 @@ def cap_first_eigenvalue(alpha: float) -> float:
 
     The ground mode is axisymmetric, so mu_1 = nu (nu + 1) with nu the smallest
     positive degree at which P_nu(cos alpha) vanishes; nu is bracketed by a
-    0.05-step scan on (0, 50] and polished by bisection.
+    0.05-step scan on (0, 50] and polished by bracketed_roots (Chandrupatla's
+    method) to 1e-14 * (1 + nu).
     """
     if not 0.0 < alpha <= _CAP_ALPHA_MAX:
         raise ValueError(f"alpha must lie in (0, {_CAP_ALPHA_MAX:.6f}]")
@@ -130,7 +131,7 @@ def cap_first_eigenvalue(alpha: float) -> float:
         val = f(nu)
         if prev_val * val <= 0.0:
             # legendre_p sums its series on Python floats, one degree at a time
-            root = bisect_rows(lambda _, nus: [f(float(v)) for v in nus], [prev_nu], [nu], 1e-14)[0]
+            root = bracketed_roots(lambda _, nus: [f(float(v)) for v in nus], [prev_nu], [nu], 1e-14)[0]
             return float(root * (root + 1.0))
         prev_nu, prev_val = nu, val
     raise BracketFailure(f"no degree bracket found on (0, 50] for alpha={alpha}")

@@ -5,10 +5,10 @@ A half-plane corner of opening ``alpha`` carries a coefficient contrast
 ``lambda = 1 + i*eta`` exist exactly at the positive zeros of a real
 transcendental dispersion function; this module evaluates that function,
 classifies ``(alpha, kappa)`` pairs against the ill-posedness region where
-such a zero exists, locates the zero by bisection of the one bracket that
-the function itself gives (it is g * eta^2 as eta -> 0+, negative at its
-tail), and assembles the 4x4 angular interface system whose determinant
-shares the same zero set.
+such a zero exists, locates the zero in the one bracket that the function
+itself gives (it is g * eta^2 as eta -> 0+, negative at its tail), and
+assembles the 4x4 angular interface system whose determinant shares the
+same zero set.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bisection import bisect_rows
 from .errors import NotSingular, NumericalFailure
+from .roots import bracketed_roots
 
 __all__ = [
     "CornerProblem",
@@ -97,7 +97,7 @@ class RegionReport:
 @dataclass(frozen=True)
 class SingularExponentResult:
     """A located dispersion zero ``eta0 > 0``, housing the pair ``1 +- i*eta0``;
-    ``bracket`` is the bisected (1e-100, tail), ``residual`` is relative to
+    ``bracket`` is the searched (1e-100, tail), ``residual`` is relative to
     the sum of the absolute terms of the scaled dispersion."""
 
     eta0: float
@@ -229,7 +229,7 @@ def classify_region(p: CornerProblem) -> RegionReport:
 def _search(alpha, kappa):
     """find_singular_exponent on the rows (alpha[i], kappa[i]): (result or None
     per row, flags of the rows whose tail stayed positive), with one lockstep
-    bisection of every row's bracket."""
+    root search over every row's bracket."""
     # the terms hold (1 - kappa)^2: beyond |kappa| ~ 1e154 they overflow, no
     # tail value is negative and the row fails
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,13 +245,15 @@ def _search(alpha, kappa):
         # terms (the scale of `residual`), does not count for its sign
         terms = _scaled_terms(alpha, kappa, _ETA_LO)
         found = (sum(terms) > _SIGN_FLOOR * sum(np.abs(t) for t in terms)) & ~failed
+    results = [None] * len(alpha)
     rows = np.flatnonzero(found)
+    if not rows.size:
+        return results, failed
     a, k, hi = alpha[rows], kappa[rows], tail[rows]
-    eta0 = bisect_rows(lambda i, x: sum(_scaled_terms(a[i], k[i], x)),
-                       np.full(rows.size, _ETA_LO), hi, 1e-14)
+    eta0 = bracketed_roots(lambda i, x: sum(_scaled_terms(a[i], k[i], x)),
+                           np.full(rows.size, _ETA_LO), hi, 1e-14)
     terms = _scaled_terms(a, k, eta0)
     residual = np.abs(sum(terms)) / sum(np.abs(t) for t in terms)
-    results = [None] * len(alpha)
     for j, r in enumerate(rows.tolist()):
         results[r] = SingularExponentResult(float(eta0[j]), float(residual[j]),
                                             (_ETA_LO, float(hi[j])))
@@ -259,16 +261,17 @@ def _search(alpha, kappa):
 
 
 def find_singular_exponent(p: CornerProblem) -> Optional[SingularExponentResult]:
-    """Locate the positive dispersion zero by bisection of one bracket.
+    """Locate the positive dispersion zero in one bracket.
 
     One row of the search that region_map runs over every cell of a map, on
     the cosh-scaled dispersion, whose zeros on (0, inf) are the same.  Its
     tail is the first 10 * 2**j (j < 60) at which that is negative
     (NumericalFailure when there is none).  At eta = 1e-100 it is g * eta^2
     to every digit; where it is positive there beyond rounding (4e-15 of the
-    sum of its absolute terms), (1e-100, tail) is bisected to
-    1e-14 * (1 + eta).  Otherwise None: also where g is within rounding of
-    zero, so a Boundary point carries an eta0 only when g > 0 is trusted.
+    sum of its absolute terms), (1e-100, tail) is narrowed by
+    bracketed_roots (Chandrupatla's method) to 1e-14 * (1 + eta).  Otherwise
+    None: also where g is within rounding of zero, so a Boundary point
+    carries an eta0 only when g > 0 is trusted.
 
     Near ell_minus, ell_plus the terms cancel to g * eta^2 and their rounding
     sets the accuracy: at relative distance d = |kappa / ell - 1| from the
@@ -479,8 +482,8 @@ def region_map(alpha_range: tuple, kappa_range: tuple, n_alpha: int, n_kappa: in
     """Exponent search over a rectangular (alpha, kappa) grid.
 
     Cells come in alpha-major order.  One search runs over the whole map, each
-    cell as find_singular_exponent would, with one lockstep bisection of every
-    cell's bracket; a cell whose tail is not confirmed negative is flagged
+    cell as find_singular_exponent would, with one lockstep root search over
+    every cell's bracket; a cell whose tail is not confirmed negative is flagged
     failed.  The factors of g and (ell_minus, ell_plus) are formed once per
     alpha column.
     """

@@ -17,8 +17,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bisection import bisect_rows
 from .errors import NumericalFailure
+from .roots import bracketed_roots
 
 __all__ = [
     "TwoSegmentDomain",
@@ -254,10 +254,11 @@ def scan_critical_contrasts(
     """Brute-force oracle: determinant sign changes on a geometric contrast grid.
 
     The determinants of the n-point grid come from stacked systems,
-    _KAPPA_CHUNK contrasts per call; every sign change is then bisected in
-    lockstep with the others, to 1e-12 * (1 + |kappa|).  The kernel reduction
-    to the interface system is exact, so this recovers each critical contrast
-    to machine accuracy without touching the closed forms.
+    _KAPPA_CHUNK contrasts per call; every sign change is then narrowed in
+    lockstep with the others by bracketed_roots (Chandrupatla's method), to
+    1e-12 * (1 + |kappa|).  The kernel reduction to the interface system is
+    exact, so this recovers each critical contrast to machine accuracy
+    without touching the closed forms.
     """
     if not kappa_lo < kappa_hi < 0.0:
         raise ValueError("need kappa_lo < kappa_hi < 0")
@@ -266,5 +267,5 @@ def scan_critical_contrasts(
                            for i in range(0, n, _KAPPA_CHUNK)])
     signs = np.sign(vals)
     i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-    roots = bisect_rows(lambda _, k: kernel_determinant(dom, k), grid[i], grid[i + 1], 1e-12)
+    roots = bracketed_roots(lambda _, k: kernel_determinant(dom, k), grid[i], grid[i + 1], 1e-12)
     return ContrastRoots(roots=tuple(sorted(roots.tolist())), source=RootSource.DETERMINANT_SCAN)

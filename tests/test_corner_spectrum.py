@@ -452,7 +452,7 @@ class TestExponentSearch:
         assert res is not None and changes_sign_at(p.alpha, p.kappa, res.eta0)
 
     def test_root_counts_inside_and_outside(self):
-        # the search bisects one bracket, so the dense scan checks that it
+        # the search narrows one bracket, so the dense scan checks that it
         # holds the only root, and that outside points have none
         for p in sample_inside(100, seed=20):
             res = find_singular_exponent(p)

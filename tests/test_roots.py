@@ -1,0 +1,174 @@
+"""Tests for the lockstep root search: its contract on plain functions, its
+worst case against bisection, and its cost and results on the brackets that
+corner_spectrum and kernel1d give it."""
+
+import math
+
+import numpy as np
+import pytest
+
+from bilap.corner_spectrum import CornerProblem, critical_interval, find_singular_exponent, scaled_dispersion
+from bilap.kernel1d import ThreeSegmentDomain, TwoSegmentDomain, kernel_determinant, scan_critical_contrasts
+from bilap.roots import bracketed_roots
+
+# the search's worst case: at most this many steps beyond ceil(log2((hi - lo) / tol))
+SPARE_STEPS = 7
+
+
+class Counted:
+    """f(rows, x) of one function g(row, x) per row, counting the evaluations of each row."""
+
+    def __init__(self, n, g):
+        self.g, self.evals, self.calls = g, np.zeros(n, dtype=int), 0
+
+    def __call__(self, rows, x):
+        self.calls += 1
+        np.add.at(self.evals, rows, 1)
+        return self.g(np.asarray(rows), np.asarray(x))
+
+
+def plain_bisection(f, lo: float, hi: float, tol: float):
+    """(midpoint, steps) of plain bisection on the sign of the scalar f, with
+    the same stop rule hi - lo <= tol * (1 + |mid|)."""
+    f_lo, steps = f(lo), 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol * (1.0 + abs(mid)):
+            return mid, steps
+        f_mid, steps = f(mid), steps + 1
+        if np.sign(f_lo) * np.sign(f_mid) <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+
+
+ADVERSARIAL = {
+    "sign": np.sign,
+    "ninth power": lambda d: d ** 9,
+    "cube": lambda d: d ** 3,
+    "cube root": np.cbrt,
+}
+
+
+def seeded_roots(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(0.0, 10.0, n), 10.0 ** rng.uniform(-100.0, 1.0, n)])
+
+
+class TestContract:
+    @pytest.mark.parametrize("tol", [1e-14, 1e-10, 1e-6])
+    def test_every_root_lies_within_tol_of_a_sign_change(self, tol):
+        rng = np.random.default_rng(1)
+        shift = rng.uniform(-3.0, 3.0, 200)
+        scale = 10.0 ** rng.uniform(-2.0, 2.0, 200)
+        kind = np.arange(200) % 4
+
+        def g(rows, x):
+            d = scale[rows] * (x - shift[rows])
+            k = kind[rows]
+            return np.where(k == 0, np.tanh(d), np.where(k == 1, d ** 3 + d,
+                            np.where(k == 2, np.expm1(d), np.sin(d) + 0.5 * d)))
+
+        lo, hi = shift - rng.uniform(0.1, 5.0, 200), shift + rng.uniform(0.1, 5.0, 200)
+        x = bracketed_roots(g, lo, hi, tol)
+        assert np.all((lo <= x) & (x <= hi))
+        rows = np.arange(200)
+        w = tol * (1.0 + np.abs(x))
+        assert np.all(np.sign(g(rows, x - w)) * np.sign(g(rows, x + w)) <= 0.0)
+
+    def test_exact_zero_at_an_end_is_returned_as_is(self):
+        f = Counted(2, lambda rows, x: x - np.array([1.0, 7.0])[rows])
+        assert bracketed_roots(f, [1.0, 3.0], [5.0, 7.0], 1e-14).tolist() == [1.0, 7.0]
+        assert f.calls == 1
+
+    def test_exact_zero_at_a_step_is_returned_as_is(self):
+        # the first step bisects [0, 10], where row 0 meets its zero at 5
+        # exactly and stops, while row 1 goes on
+        f = Counted(2, lambda rows, x: np.where(rows == 0, x - 5.0, np.tanh(x - 2.0)))
+        x = bracketed_roots(f, [0.0, 0.0], [10.0, 10.0], 1e-14)
+        assert x[0] == 5.0 and abs(x[1] - 2.0) <= 3e-14
+        assert f.evals[0] == 3 < f.evals[1]
+
+    def test_no_rows_calls_nothing(self):
+        def f(rows, x):
+            raise AssertionError("f called on an empty batch")
+
+        out = bracketed_roots(f, [], [], 1e-14)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_a_row_alone_and_in_a_batch_gives_the_same_bits(self):
+        # rows that converge at different speeds finish in different rounds
+        r = np.array([0.3, 2.0, 7.5, 1e-50, 4.0, 9.99])
+        funcs = [np.tanh, np.sign, lambda d: d ** 9, np.cbrt, np.expm1, lambda d: d ** 3]
+
+        def g(rows, x):
+            return np.array([funcs[i](xi - r[i]) for i, xi in zip(rows.tolist(), x.tolist())])
+
+        batch = bracketed_roots(g, np.full(6, 1e-100), np.full(6, 10.0), 1e-14)
+        for i in range(6):
+            alone = bracketed_roots(lambda _, x, i=i: funcs[i](x - r[i]), [1e-100], [10.0], 1e-14)
+            assert alone.tobytes() == batch[i:i + 1].tobytes(), i
+
+
+class TestWorstCase:
+    @pytest.mark.parametrize("name", list(ADVERSARIAL))
+    def test_no_row_takes_many_more_steps_than_bisection(self, name):
+        # on [1e-100, 10] at tol 1e-14 bisection takes 47 to 50 steps, and the
+        # search at most ceil(log2(1e15)) + 7 = 57: no more than bisection + 10
+        g, tol = ADVERSARIAL[name], 1e-14
+        r = seeded_roots(300, seed=2)
+        f = Counted(r.size, lambda rows, x: g(x - r[rows]))
+        x = bracketed_roots(f, np.full(r.size, 1e-100), np.full(r.size, 10.0), tol)
+        steps = f.evals - 2
+        assert np.all(np.abs(x - r) <= tol * (1.0 + np.abs(x)))
+        assert steps.max() <= math.ceil(math.log2(10.0 / tol)) + SPARE_STEPS
+        for i in range(r.size):
+            assert steps[i] <= plain_bisection(lambda v: g(v - r[i]), 1e-100, 10.0, tol)[1] + 10, r[i]
+
+
+class TestSmoothBrackets:
+    """Evaluation ceilings where the interpolation should carry the search:
+    bisection takes 52 evaluations on an eta0 bracket and 31 to 33 on a
+    kernel one, so a search that falls back to it fails here."""
+
+    def inside_points(self, n, seed):
+        # Inside points at least 0.1 (relative) from both edges
+        rng = np.random.default_rng(seed)
+        out = []
+        for a in rng.uniform(0.1, math.pi - 0.1, n):
+            lm, lp = critical_interval(a)
+            k = lm * rng.uniform(1.1, 3.0) if rng.random() < 0.5 else lp * rng.uniform(0.05, 0.9)
+            out.append(CornerProblem(float(a), float(k)))
+        return out
+
+    def test_eta0_brackets(self):
+        points = self.inside_points(200, seed=3)
+        results = [find_singular_exponent(p) for p in points]
+        tails = np.array([res.bracket[1] for res in results])
+        f = Counted(len(points), lambda rows, x: np.array(
+            [scaled_dispersion(points[i], v) for i, v in zip(rows.tolist(), x.tolist())]))
+        bracketed_roots(f, np.full(len(points), 1e-100), tails, 1e-14)
+        assert f.evals.max() <= 25
+
+    def test_eta0_matches_bisection_within_twice_the_stop_width(self):
+        # each stops on a bracket of width 1e-14 * (1 + eta) around a sign
+        # change, and away from the edges rounding moves that sign change by
+        # less than one more such width (largest over 600 points: 1.24 widths)
+        for p in self.inside_points(100, seed=4):
+            res = find_singular_exponent(p)
+            ref, _ = plain_bisection(lambda v: scaled_dispersion(p, v), 1e-100, res.bracket[1], 1e-14)
+            assert abs(res.eta0 - ref) <= 2e-14 * (1.0 + ref), (p.alpha, p.kappa)
+
+    @pytest.mark.parametrize("dom", [TwoSegmentDomain(-1.0, 1.0), TwoSegmentDomain(-1.0, 2.7),
+                                     ThreeSegmentDomain(0.3), ThreeSegmentDomain(0.8)])
+    def test_kernel_determinant_brackets(self, dom):
+        grid = -np.geomspace(1e4, 1e-4, 10_000)
+        signs = np.sign(kernel_determinant(dom, grid))
+        i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+        f = Counted(i.size, lambda rows, k: kernel_determinant(dom, k))
+        roots = bracketed_roots(f, grid[i], grid[i + 1], 1e-12)
+        assert i.size >= 2 and f.evals.max() <= 10
+        for k, lo, hi in zip(roots, grid[i], grid[i + 1]):
+            ref, _ = plain_bisection(lambda v: kernel_determinant(dom, v), lo, hi, 1e-12)
+            assert abs(k - ref) <= 1e-12 * (1.0 + abs(ref))
+        assert sorted(roots.tolist()) == list(scan_critical_contrasts(dom).roots)
