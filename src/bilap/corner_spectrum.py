@@ -56,6 +56,13 @@ _SIGN_FLOOR = 4e-15
 # |g| relative to the scale of its factors up to which a corner problem is
 # reported on the Boundary
 _BOUNDARY_EPS = 1e-9
+# below this eta (pi * eta = 1/4) the scaled dispersion comes from its Taylor
+# series in eta up to eta^(2 * _SERIES_TERMS), whose next term is under 1e-17
+# of the sum of the absolute terms
+_SERIES_ETA, _SERIES_TERMS = 0.25 / math.pi, 7
+# (2n)! and pi^(2n - 2) for the terms past the first, n = 2.._SERIES_TERMS
+_FACTORIALS = np.array([[math.factorial(2 * n)] for n in range(2, _SERIES_TERMS + 1)], dtype=float)
+_PI_POWERS = np.array([[math.pi ** (2 * n - 2)] for n in range(2, _SERIES_TERMS + 1)])
 # exponent search: the bracket's low end, where the O(eta^4) part of the scaled
 # dispersion is about 1e-400, so that it is g * eta^2 to every digit, and a
 # tail found by doubling _ETA_MAX at most _MAX_DOUBLINGS times
@@ -140,29 +147,87 @@ def _scaled_terms(alpha, kappa, eta):
             -2.0 * (k - 1.0) * ratio(c * e, 2.0 * a * e))
 
 
+def _series(alpha, kappa) -> np.ndarray:
+    """Taylor coefficients w of the dispersion at the rows (alpha[i], kappa[i]):
+    dispersion = (1 - kappa)^2 sum_n w[n - 1] (2 eta)^(2n), n = 1.._SERIES_TERMS.
+
+    w_n = t_n / ((2n)! (1 - kappa)^2), t_1 = g / 2 and, for n >= 2,
+    t_n = kappa (pi^2n - alpha^2n) + kappa^2 alpha^2n - (kappa - 1) (pi - alpha)^2n,
+    the first part summed as pi^2n - alpha^2n = (pi - alpha) (pi + alpha)
+    (pi^(2n-2) + ... + alpha^(2n-2)), so no coefficient cancels as alpha -> pi.
+    Near ell_minus and ell_plus one factor of g cancels to O(d) at relative
+    distance d, and the rounding of its terms in double would move eta0 by
+    about 1e-16 / d; so t_1 is the product of the factors formed in
+    np.longdouble, which is 80-bit on x86 Linux (double on platforms
+    without a wider type, where the double bound holds).
+    """
+    alpha, kappa = np.asarray(alpha, dtype=float), np.asarray(kappa, dtype=float)
+    # the parts in alpha alone are formed once per distinct alpha
+    a, column = np.unique(alpha, return_inverse=True)
+    c, d, e, f = np.array([_factors(np.longdouble(x), np.sin) for x in a.tolist()],
+                          dtype=np.longdouble).T[:, column]
+    k = kappa.astype(np.longdouble)
+    t1 = ((c * k + d) / (1 - k) * ((e * k + f) / (1 - k))).astype(float)
+    b = math.pi - a + _PI_LO
+
+    def powers(y):  # y^j for j = 1.._SERIES_TERMS
+        out = [y]
+        for _ in range(_SERIES_TERMS - 1):
+            out.append(out[-1] * y)
+        return np.array(out)
+
+    # pi^2n - alpha^2n = (pi - alpha) (pi + alpha) pi^(2n-2) sum_{j<n} (alpha / pi)^2j
+    h = b * (math.pi + a) * _PI_POWERS * (1.0 + np.cumsum(powers((a / math.pi) ** 2)[:-1], axis=0))
+    m = 1.0 - kappa
+    q = kappa / m
+    t = (q * h[:, column] + powers(b * b)[1:, column]) / m + q * q * powers(a * a)[1:, column]
+    return np.concatenate([t1[None] / 2.0, t / _FACTORIALS])
+
+
+def _scaled(alpha, kappa, w, eta):
+    """The scaled dispersion at rows with Taylor coefficients w = _series(alpha,
+    kappa): from the series up to _SERIES_ETA, where the sum of _scaled_terms
+    cancels to g * eta^2, and from _scaled_terms beyond."""
+    e = np.abs(eta)
+    small = e <= _SERIES_ETA
+    if not small.any():
+        return sum(_scaled_terms(alpha, kappa, e))
+    x = np.minimum(e, _SERIES_ETA)
+    u = 4.0 * x * x
+    acc = w[-1]
+    for wn in w[-2::-1]:
+        acc = acc * u + wn
+    series = u * acc / np.cosh(2.0 * math.pi * x) * (1.0 - kappa) ** 2
+    return series if small.all() else np.where(small, series, sum(_scaled_terms(alpha, kappa, e)))
+
+
 def scaled_dispersion(p: CornerProblem, eta):
-    """dispersion(p, eta) / cosh(2*pi*eta): same zero set on (0, inf), no overflow."""
-    return sum(_scaled_terms(p.alpha, p.kappa, eta))
+    """dispersion(p, eta) / cosh(2*pi*eta): same zero set on (0, inf), no
+    overflow; below eta = 1 / (4 pi) from the Taylor series of _series."""
+    w = _series([p.alpha], [p.kappa])[:, 0]
+    return _scaled(p.alpha, p.kappa, w, eta)[()]
 
 
-def _x_minus_sin(x: float) -> float:
-    """x - sin(x); below _SERIES_ANGLE the series x^3/3! - ... + x^19/19!,
-    whose next term is under 1.2e-19 relative."""
+def _x_minus_sin(x, sin=math.sin):
+    """x - sin(x), for a float or an np.longdouble with sin=np.sin; below
+    _SERIES_ANGLE the series x^3/3! - ... + x^19/19!, whose next term is
+    under 1.2e-19 relative."""
     if x >= _SERIES_ANGLE:
-        return x - math.sin(x)
+        return x - sin(x)
     y, t = x * x, 1.0
     for d in (342.0, 272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):  # (2j)(2j+1), j = 9..2
         t = 1.0 - y / d * t
     return x * y / 6.0 * t
 
 
-def _factors(alpha: float) -> tuple:
+def _factors(alpha, sin=math.sin) -> tuple:
     """(c, d, e, f) with g = 2 (c k + d)(e k + f), the eta^2 coefficient at
     contrast k: c = a - sin a, d = b + sin a, e = a + sin a and
-    f = b - sin a = b - sin b, where a = alpha and b = pi - a."""
-    s = math.sin(alpha)
+    f = b - sin a = b - sin b, where a = alpha and b = pi - a; in the
+    precision of alpha, a float or, with sin=np.sin, an np.longdouble."""
+    s = sin(alpha)
     b = math.pi - alpha + _PI_LO
-    return _x_minus_sin(alpha), b + s, alpha + s, _x_minus_sin(b)
+    return _x_minus_sin(alpha, sin), b + s, alpha + s, _x_minus_sin(b, sin)
 
 
 def _g(factors: tuple, kappa: float) -> float:
@@ -250,7 +315,8 @@ def _search(alpha, kappa):
     if not rows.size:
         return results, failed
     a, k, hi = alpha[rows], kappa[rows], tail[rows]
-    eta0 = bracketed_roots(lambda i, x: sum(_scaled_terms(a[i], k[i], x)),
+    w = _series(a, k)
+    eta0 = bracketed_roots(lambda i, x: _scaled(a[i], k[i], w[:, i], x),
                            np.full(rows.size, _ETA_LO), hi, 1e-14)
     terms = _scaled_terms(a, k, eta0)
     residual = np.abs(sum(terms)) / sum(np.abs(t) for t in terms)
@@ -273,11 +339,15 @@ def find_singular_exponent(p: CornerProblem) -> Optional[SingularExponentResult]
     None: also where g is within rounding of zero, so a Boundary point
     carries an eta0 only when g > 0 is trusted.
 
-    Near ell_minus, ell_plus the terms cancel to g * eta^2 and their rounding
-    sets the accuracy: at relative distance d = |kappa / ell - 1| from the
-    nearer edge, eta0 is within 1e-13 / d (relative) of the mpmath root for
-    alpha in [0.1, pi - 0.1] (largest of 2,700 random points, d from 1e-12
-    to 0.1: 5.6e-14 / d), and within 3e-12 / d for alpha in [0.01, pi - 0.01].
+    Near ell_minus, ell_plus the terms cancel to g * eta^2, eta0 is small
+    and the search reads the Taylor series, whose g comes from np.longdouble
+    factors: at relative distance d = |kappa / ell - 1| from the nearer edge,
+    eta0 is within 1e-14 * (1 + eta0) (the stop width) plus 2e-19 * eta0 / d
+    of the mpmath root for alpha in [0.1, pi - 0.1] (largest of 1,300 random
+    points, d from 1e-12 to 0.1, 80-bit longdouble: 9.5e-20 * eta0 / d), and
+    within 3e-12 / d (relative) for alpha in [0.01, pi - 0.01].  Where
+    np.longdouble is double, as on some platforms, the rounding of g is
+    about 1e-16 / d instead.
 
     Below alpha = 0.01 no accuracy is claimed.  For kappa far below ell_minus
     (~ -6 pi / alpha^3), g * eta^2 at eta = 1e-100 is alpha^2 / 6 of the sum

@@ -157,6 +157,19 @@ class TestDispersion:
                 ref = mp_dispersion(alpha, kappa, eta) / mp.cosh(2 * mp.pi * mp.mpf(eta))
             assert abs(scaled_dispersion(p, eta) - ref) <= 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("alpha, side", [(1.0, 1), (2.0, 0)])
+    def test_relative_accuracy_next_to_an_edge(self, alpha, side):
+        # at relative distance 1e-8 from ell_minus or ell_plus the four terms
+        # cancel to g * eta^2 = 1e-8 of their size, and their sum in double
+        # (_scaled_terms) is up to 6.5e-8 off; the series keeps it to 1e-10
+        edge = critical_interval(alpha)[side]
+        kappa = edge * (1.0 + 1e-8 if side == 0 else 1.0 - 1e-8)
+        p = CornerProblem(alpha, kappa)
+        for eta in (1e-6, 1e-5, 3e-5, 2e-4, 1e-3):
+            with mp.workdps(40):
+                ref = mp_dispersion(alpha, kappa, eta) / mp.cosh(2 * mp.pi * mp.mpf(eta))
+            assert abs(scaled_dispersion(p, eta) - ref) <= 1e-10 * abs(ref), eta
+
     def test_against_mpmath_terms(self):
         # error relative to the sum of the absolute terms, the scale at which
         # the four terms of the definition cancel
@@ -517,13 +530,40 @@ class TestEdgeBand:
 
     def test_exponent_just_inside_ell_plus(self):
         # ell_plus(1) * (1 - 1e-8): eta0 is about 5.9e-5, below where a scan
-        # from 1e-4 could see it.  At d = 1e-8 the rounding of the terms moves
-        # eta0 by about 2.4e-8 (median over random points), so the sign change
-        # is checked across +-1e-7
+        # from 1e-4 could see it.  Summed in double, the terms there cancel to
+        # g * eta^2 and their rounding moves eta0 by about 2.4e-8; the series
+        # with g from np.longdouble factors puts it 8.6e-12 from the root
         p = CornerProblem(1.0, -0.7060234271985063)
         res = find_singular_exponent(p)
         assert res is not None and res.eta0 < 1e-4
-        assert changes_sign_at(p.alpha, p.kappa, res.eta0, rel=1e-7)
+        assert changes_sign_at(p.alpha, p.kappa, res.eta0, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha, side, d", [(1.0, 0, 1e-7), (1.0, 0, 1e-8), (2.0, 0, 1e-8),
+                                                (2.0, 1, 1e-7), (2.0, 1, 1e-8)])
+    def test_sign_change_across_1e_8_at_the_edges(self, alpha, side, d):
+        edge = critical_interval(alpha)[side]
+        kappa = edge * (1.0 + d if side == 0 else 1.0 - d)
+        res = find_singular_exponent(CornerProblem(alpha, kappa))
+        assert res is not None and changes_sign_at(alpha, kappa, res.eta0, rel=1e-8)
+
+    def test_error_within_the_stop_width_near_the_edges(self):
+        # below eta = 1 / (4 pi) the search reads the Taylor series, whose g
+        # comes from np.longdouble factors: the error is the stop width
+        # 1e-14 * (1 + eta0) plus the rounding of g, under eps / d relative
+        # for the longdouble eps (largest of 1,300 random points, d from 1e-12
+        # to 0.1, on 80-bit longdouble: 9.5e-20 / d)
+        eps = float(np.finfo(np.longdouble).eps)
+        rng = np.random.default_rng(42)
+        for _ in range(30):
+            alpha = float(rng.uniform(0.1, math.pi - 0.1))
+            lm, lp = mp_critical_interval(alpha)
+            d = math.exp(rng.uniform(math.log(1e-11), math.log(1e-2)))
+            kappa = float(lm * (1 + d) if rng.random() < 0.5 else lp * (1 - d))
+            res = find_singular_exponent(CornerProblem(alpha, kappa))
+            assert res is not None, (alpha, kappa)
+            with mp.workdps(40):
+                root = mp.findroot(lambda e: mp_dispersion(alpha, kappa, e), res.eta0)
+                assert abs(res.eta0 - root) <= 1e-14 * (1 + root) + 4 * eps / d * root, (alpha, kappa)
 
     def test_error_bound_near_the_edges(self):
         # find_singular_exponent states a relative error of at most 1e-13 / d
