@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: region-map, eta0, corner-det, kernel1d, solve, cone, classify.
-Output is CSV/tabular text with floats at 17 significant digits, so identical
-invocations produce byte-identical files; solve writes x,y,value at every
-interior node, rows in np.nonzero(grid.interior) order.  Exit codes: 0 success, 1 argument
-error (including a size whose arrays cannot be allocated), 2 numerical failure
+Output is CSV text with floats at 17 significant digits, so identical
+invocations produce byte-identical files.  Every subcommand writes through one
+writer, _csv: a header, one template per row and one "%" pass over the flat
+values.  solve writes x,y,value at every interior node, rows in
+np.nonzero(grid.interior) order.  Exit codes: 0 success, 1 argument error
+(including a size whose arrays cannot be allocated), 2 numerical failure
 (including a rank-deficient pairing matrix in a corrected solve).
 """
 
@@ -41,16 +43,17 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _field(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return "" if x is None else str(x)
+def _csv(header: str, rows, values) -> str:
+    """CSV text from one "%" pass: the header line, then the row templates in
+    rows, joined in order and filled from the flat sequence values.
 
-
-def _csv(header: str, rows) -> str:
-    """CSV text: floats at 17 significant digits, None as an empty field and
-    anything else (text, integers) as str() writes it."""
-    return "\n".join([header, *(",".join(map(_field, row)) for row in rows)]) + "\n"
+    In a template "%.17g" writes a float as format(x, ".17g") does (nan, inf
+    and -0 included), "%s" writes text, an int or a bool as str() does, and a
+    field with no value is left empty.  The header is a format too, so it
+    holds no "%"; values never become formats, so text holding a "%" is
+    written as it is.
+    """
+    return "".join([header, "\n", *rows]) % tuple(values)
 
 
 def _finite_float(text: str) -> float:
@@ -117,21 +120,34 @@ def _cmd_eta0(args) -> str:
     prob = cs.CornerProblem(args.alpha, args.kappa)
     report = cs.classify_region(prob)
     result = cs.find_singular_exponent(prob)
-    found = (result.eta0, result.residual) if result else (None, None)
+    found = (result.eta0, result.residual) if result else ()
     return _csv("alpha,kappa,g,membership,eta0,residual",
-                [(args.alpha, args.kappa, report.g_value, report.membership.value, *found)])
+                ["%.17g,%.17g,%.17g,%s," + ("%.17g,%.17g\n" if result else ",\n")],
+                (args.alpha, args.kappa, report.g_value, report.membership.value, *found))
+
+
+# region-map rows: alpha, kappa, g, ell_minus, ell_plus and membership, then
+# eta0 and residual, nan where the search failed and empty where no exponent exists
+_MAP_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%s,"
+_MAP_FOUND = _MAP_ROW + "%.17g,%.17g\n"
+_MAP_NONE = _MAP_ROW + ",\n"
+_MAP_FAILED = _MAP_ROW + "nan,nan\n"
 
 
 def _cmd_region_map(args) -> str:
     cells = cs.region_map((args.amin, args.amax), (args.kmin, args.kmax), args.na, args.nk)
-
-    def row(c):  # eta0 and residual: nan where the search failed, empty where no exponent exists
+    rows, values = [], []
+    for c in cells:
         r = c.report
-        found = ((math.nan, math.nan) if c.failed else
-                 (c.result.eta0, c.result.residual) if c.result else (None, None))
-        return (c.alpha, c.kappa, r.g_value, r.ell_minus, r.ell_plus, r.membership.value, *found)
-
-    return _csv("alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual", map(row, cells))
+        values += (c.alpha, c.kappa, r.g_value, r.ell_minus, r.ell_plus, r.membership.value)
+        if c.failed:
+            rows.append(_MAP_FAILED)
+        elif c.result:
+            rows.append(_MAP_FOUND)
+            values += (c.result.eta0, c.result.residual)
+        else:
+            rows.append(_MAP_NONE)
+    return _csv("alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual", rows, values)
 
 
 def _cmd_corner_det(args) -> str:
@@ -142,7 +158,8 @@ def _cmd_corner_det(args) -> str:
     det = cs.transmission_determinant(prob, lam)
     nd = cs.normalized_determinant(prob, lam)
     return _csv("alpha,kappa,eta,det_re,det_im,det_normalized",
-                [(args.alpha, args.kappa, args.eta, det.real, det.imag, nd)])
+                ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"],
+                (args.alpha, args.kappa, args.eta, det.real, det.imag, nd))
 
 
 def _cmd_kernel1d(args) -> str:
@@ -154,13 +171,16 @@ def _cmd_kernel1d(args) -> str:
     else:
         dom = kernel1d.ThreeSegmentDomain(args.delta)
         closed = kernel1d.critical_contrasts_three_segment(args.delta)
-    text = _csv("root_index,critical_contrast", enumerate(closed.roots))
+    text = _csv("root_index,critical_contrast", ["%s,%.17g\n" * len(closed.roots)],
+                [x for pair in enumerate(closed.roots) for x in pair])
     if args.kappa is not None:
         _require(args.samples >= 1, "--samples must be positive")
         basis = kernel1d.kernel_basis(dom, args.kappa)
         _require(basis is not None,
                  f"kappa={args.kappa} is not a critical contrast of this domain")
-        text += _csv("x,v,v1,v2", basis.sample(args.samples).tolist())
+        table = basis.sample(args.samples)
+        text += _csv("x,v,v1,v2", ["%.17g,%.17g,%.17g,%.17g\n" * len(table)],
+                     table.ravel().tolist())
     return text
 
 
@@ -261,17 +281,17 @@ def _cmd_solve(args) -> str:
 def _solve_csv(grid: Grid2D, v: np.ndarray) -> str:
     """x,y,value at every interior node, in np.nonzero(grid.interior) order.
 
-    The coordinates go into one row template, "x,y,%.17g" per row, joined
-    once per node column; one "%" pass then formats the values, gathered by
-    the same mask in the same order.  "%.17g" % v is the string _field(v)
-    gives, and _field never writes a "%" for a float.
+    The coordinates go into the row templates, "<x>,<y>,%.17g" per row, with
+    each axis formatted once and the rows joined once per node column; the
+    one "%" pass of _csv then fills in the values, gathered by the same mask
+    in the same order.
     """
-    ys = [_field(y) + ",%.17g\n" for y in grid.node_y]
-    parts = ["x,y,value\n"]
+    ys = ["%.17g,%%.17g\n" % y for y in grid.node_y.tolist()]
+    rows = []
     for i in np.flatnonzero(grid.interior.any(axis=1)).tolist():
-        pre = _field(grid.node_x[i]) + ","
-        parts += [pre, pre.join(map(ys.__getitem__, np.flatnonzero(grid.interior[i]).tolist()))]
-    return "".join(parts) % tuple(v[grid.interior].tolist())
+        pre = "%.17g," % grid.node_x[i]
+        rows += [pre, pre.join(map(ys.__getitem__, np.flatnonzero(grid.interior[i]).tolist()))]
+    return _csv("x,y,value", rows, v[grid.interior].tolist())
 
 
 def _cmd_cone(args) -> str:
@@ -284,8 +304,10 @@ def _cmd_cone(args) -> str:
         mu1 = args.mu
         spectrum = cones.ConeSpectrum(args.d, (mu1,))
         lam_plus, cls = cones.classify_spectrum(spectrum, args.beta, args.l)
+    alpha = () if args.alpha is None else (args.alpha,)
     return _csv("alpha,mu1,lambda_plus,classification",
-                [(args.alpha, mu1, lam_plus, cls.value)])
+                [("%.17g," if alpha else ",") + "%.17g,%.17g,%s\n"],
+                (*alpha, mu1, lam_plus, cls.value))
 
 
 def _cmd_classify(args) -> str:
@@ -295,7 +317,8 @@ def _cmd_classify(args) -> str:
     )
     iso = cones.isomorphism_in_dimension(args.d, args.lambda1)
     return _csv("beta,l,d,lambda1,classification,basic_index_isomorphism",
-                [(args.beta, args.l, args.d, args.lambda1, cls.value, iso)])
+                ["%.17g,%s,%s,%.17g,%s,%s\n"],
+                (args.beta, args.l, args.d, args.lambda1, cls.value, iso))
 
 
 # -- parser / dispatch --------------------------------------------------------

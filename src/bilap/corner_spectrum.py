@@ -354,6 +354,14 @@ def find_singular_exponent(p: CornerProblem) -> Optional[SingularExponentResult]
     of the absolute terms: below alpha = sqrt(6 * 4e-15) ~ 1.5e-7 the result
     is None, never a wrong eta0, though classify_region says Inside (alpha =
     1e-9, kappa = -1e100 or -1e150); eta0 is 8.6e-6 off at (2e-7, -1e100).
+
+    Above alpha = pi - 0.01 at tiny kappa in (ell_plus, 0), where kappa ~
+    (pi - alpha)^4, no accuracy is claimed either: the eta^2 term and the
+    (pi - alpha) sinh^2 term cancel to O((pi - alpha)^4 eta^2).  At kappa =
+    ell_plus / 2, against an 80-digit mpmath root, eta0 is 7.5e-10 off
+    (relative) at alpha = pi - 1e-3, 1.7e-5 at pi - 1e-5 and 9.6e-6 at
+    pi - 1e-6 (1.6e-4 there at kappa = ell_plus / 10); from pi - 1e-7 to
+    pi - 1e-9 the result was None.
     """
     results, failed = _search(np.array([p.alpha]), np.array([p.kappa]))
     if failed[0]:

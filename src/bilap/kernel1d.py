@@ -159,8 +159,11 @@ def build_kernel_system(dom: Domain, kappa) -> np.ndarray:
             [0.0, 0.0, 0.0, 0.0, 2.0 * k, 6.0 * k * d, -6.0 * xr, -2.0],
             [0.0, 0.0, 0.0, 0.0, 0.0, 6.0 * k, -6.0, 0.0],
         ]
-    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
-    return np.stack(entries, axis=-1).reshape(k.shape + (len(rows), len(rows)))
+    out = np.empty(k.shape + (len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
 def kernel_determinant(dom: Domain, kappa):

@@ -2,6 +2,7 @@
 error) and 2 (numerical failure), byte-identical repeat output, --config
 precedence, and clean rejection of malformed specs and files."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilap import cli, corner_spectrum as cs, twostep
+from bilap import cli, cones, corner_spectrum as cs, kernel1d, twostep
 from bilap.cli import run
 from bilap.grid import Grid2D, lshape_grid, notched_grid
 
@@ -333,6 +334,108 @@ class TestRegionMapCsv:
         code, out, _ = invoke(capsys, "region-map", "--amin=1e-300", "--amax=0.1", "--na=2", "--nk=2")
         rows = [line.split(",") for line in out.splitlines()[1:3]]
         assert code == 0 and all(r[3] == "-inf" and r[6:] == ["nan", "nan"] for r in rows)
+
+
+def per_field(x) -> str:
+    """One field as the per-field writer wrote it: floats at 17 significant
+    digits, None empty, anything else as str() writes it."""
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return "" if x is None else str(x)
+
+
+def per_field_csv(header, rows) -> str:
+    return "\n".join([header, *(",".join(map(per_field, row)) for row in rows)]) + "\n"
+
+
+class TestTemplateWriter:
+    """Each subcommand's CSV against the per-field writer, fed the records
+    the subcommand reads from the library."""
+
+    def assert_same(self, capsys, argv, expected):
+        assert invoke(capsys, *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize("alphas,kappas,n,kinds", [
+        # alpha = 1 meets both edges exactly, so two cells are Boundary
+        ((1.0, 2.0), (-18.817146090151702, -0.7060234342587407), 5,
+         {"found", "none", "Boundary"}),
+        ((1e-300, 0.1), (-12.0, -0.05), 3, {"failed"}),
+    ], ids=["found-none-boundary", "failed"])
+    def test_region_map(self, capsys, alphas, kappas, n, kinds):
+        cells = cs.region_map(alphas, kappas, n, n)
+        seen = {c.report.membership.value for c in cells}
+        seen |= {"failed" if c.failed else "found" if c.result else "none" for c in cells}
+        assert kinds <= seen
+        rows = [(c.alpha, c.kappa, c.report.g_value, c.report.ell_minus, c.report.ell_plus,
+                 c.report.membership.value,
+                 *((math.nan, math.nan) if c.failed else
+                   (c.result.eta0, c.result.residual) if c.result else (None, None)))
+                for c in cells]
+        argv = ("region-map", f"--amin={alphas[0]!r}", f"--amax={alphas[1]!r}",
+                f"--kmin={kappas[0]!r}", f"--kmax={kappas[1]!r}", f"--na={n}", f"--nk={n}")
+        self.assert_same(capsys, argv, per_field_csv(
+            "alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual", rows))
+
+    @pytest.mark.parametrize("samples", [None, 1, 1001])
+    def test_kernel1d_two_segments(self, capsys, samples):
+        closed = kernel1d.critical_contrasts_two_segment(-1.0)
+        kappa = closed.roots[0]
+        expected = per_field_csv("root_index,critical_contrast", enumerate(closed.roots))
+        argv = ("kernel1d", "--t=-1")
+        if samples is not None:
+            basis = kernel1d.kernel_basis(kernel1d.TwoSegmentDomain(-1.0, 1.0), kappa)
+            expected += per_field_csv("x,v,v1,v2", basis.sample(samples).tolist())
+            argv += (f"--kappa={kappa!r}", f"--samples={samples}")
+        self.assert_same(capsys, argv, expected)
+
+    def test_kernel1d_three_segments(self, capsys):
+        closed = kernel1d.critical_contrasts_three_segment(0.4)
+        self.assert_same(capsys, ("kernel1d", "--delta=0.4"),
+                         per_field_csv("root_index,critical_contrast", enumerate(closed.roots)))
+
+    @pytest.mark.parametrize("alpha,kappa,member", [(1.0, -0.1, "Inside"), (1.0, -5.0, "Outside")])
+    def test_eta0(self, capsys, alpha, kappa, member):
+        p = cs.CornerProblem(alpha, kappa)
+        report, result = cs.classify_region(p), cs.find_singular_exponent(p)
+        assert report.membership.value == member and (result is None) == (member == "Outside")
+        found = (result.eta0, result.residual) if result else (None, None)
+        self.assert_same(capsys, ("eta0", f"--alpha={alpha!r}", f"--kappa={kappa!r}"),
+                         per_field_csv("alpha,kappa,g,membership,eta0,residual",
+                                       [(alpha, kappa, report.g_value, report.membership.value,
+                                         *found)]))
+
+    def test_corner_det(self, capsys):
+        p, lam = cs.CornerProblem(1.0, -2.0), 1.0 + 0.3j
+        det = cs.transmission_determinant(p, lam)
+        row = (1.0, -2.0, 0.3, det.real, det.imag, cs.normalized_determinant(p, lam))
+        self.assert_same(capsys, ("corner-det", "--alpha=1", "--kappa=-2", "--eta=0.3"),
+                         per_field_csv("alpha,kappa,eta,det_re,det_im,det_normalized", [row]))
+
+    def test_cone(self, capsys):
+        header = "alpha,mu1,lambda_plus,classification"
+        mu1, lam_plus, cls = cones.classify_cap(1.2, 0.0, 1)
+        self.assert_same(capsys, ("cone", "--alpha=1.2"),
+                         per_field_csv(header, [(1.2, mu1, lam_plus, cls.value)]))
+        lam_plus, cls = cones.classify_spectrum(cones.ConeSpectrum(3, (2.0,)), 0.0, 1)
+        self.assert_same(capsys, ("cone", "--mu=2"),
+                         per_field_csv(header, [(None, 2.0, lam_plus, cls.value)]))
+
+    def test_classify(self, capsys):
+        cls = cones.fredholm_classify(cones.WeightedIndex(0.5, 2, 3), 1.5)
+        row = (0.5, 2, 3, 1.5, cls.value, cones.isomorphism_in_dimension(3, 1.5))
+        self.assert_same(capsys, ("classify", "--beta=0.5", "--l=2", "--d=3", "--lambda1=1.5"),
+                         per_field_csv("beta,l,d,lambda1,classification,basic_index_isomorphism",
+                                       [row]))
+
+    def test_text_holding_percent_signs(self):
+        assert cli._csv("share,x", ["%s,%.17g\n", "%s,%.17g\n"], ("50%", 0.5, "%s %%d", 2.0)) == (
+            "share,x\n50%,0.5\n%s %%d,2\n")
+
+    def test_floats_at_the_edges(self):
+        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308,
+                  0.1, 1.0 / 3.0, 1e22, 1e-7, 123456789012345678.0]
+        assert cli._csv("x", ["%.17g\n"] * len(values), values) == per_field_csv(
+            "x", [(v,) for v in values])
 
 
 class TestBoundaryIsRelative:

@@ -333,6 +333,16 @@ class TestNearPi:
         res = find_singular_exponent(CornerProblem(alpha, kappa))
         assert res is not None and changes_sign_at(alpha, kappa, res.eta0, rel=1e-13)
 
+    def test_exponent_at_tiny_contrast_within_the_stated_bound(self):
+        # kappa = ell_plus / 2 ~ (pi - alpha)^4: the eta^2 term and the
+        # (pi - alpha) sinh^2 term cancel, and eta0 = 0.38397738457 is 9.6e-6
+        # off the mpmath root 0.38397370478; no accuracy is claimed above
+        # pi - 0.01 there, and this pins the point within 1e-4
+        alpha, kappa = math.pi - 1e-6, -2.6525823869516504e-20
+        assert kappa == 0.5 * critical_interval(alpha)[1]
+        res = find_singular_exponent(CornerProblem(alpha, kappa))
+        assert res is not None and changes_sign_at(alpha, kappa, res.eta0, rel=1e-4)
+
 
 class TestCriticalInterval:
     def test_right_angle_values(self):

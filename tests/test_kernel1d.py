@@ -161,6 +161,48 @@ class TestKernelSystem:
             assert dets[idx] == kernel_determinant(dom, k)
 
 
+def broadcast_stack_system(dom, kappa):
+    """The interface systems of build_kernel_system, entry for entry the same
+    expressions, broadcast against kappa and stacked."""
+    k = np.asarray(kappa, dtype=float)
+    if isinstance(dom, TwoSegmentDomain):
+        a, b = dom.a, dom.b
+        rows = [
+            [-a ** 3, a * a, b ** 3, -b * b],
+            [3.0 * a * a, -2.0 * a, -3.0 * b * b, 2.0 * b],
+            [-6.0 * a, 2.0, 6.0 * k * b, -2.0 * k],
+            [6.0, 0.0, -6.0 * k, 0.0],
+        ]
+    else:
+        d = dom.delta
+        xl, xr = 1.0 - d, d - 1.0
+        rows = [
+            [xl ** 3, xl * xl, -1.0, d, -d * d, d ** 3, 0.0, 0.0],
+            [3.0 * xl * xl, 2.0 * xl, 0.0, -1.0, 2.0 * d, -3.0 * d * d, 0.0, 0.0],
+            [6.0 * xl, 2.0, 0.0, 0.0, -2.0 * k, 6.0 * k * d, 0.0, 0.0],
+            [6.0, 0.0, 0.0, 0.0, 0.0, -6.0 * k, 0.0, 0.0],
+            [0.0, 0.0, 1.0, d, d * d, d ** 3, -xr ** 3, -xr * xr],
+            [0.0, 0.0, 0.0, 1.0, 2.0 * d, 3.0 * d * d, -3.0 * xr * xr, -2.0 * xr],
+            [0.0, 0.0, 0.0, 0.0, 2.0 * k, 6.0 * k * d, -6.0 * xr, -2.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 6.0 * k, -6.0, 0.0],
+        ]
+    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
+    return np.stack(entries, axis=-1).reshape(k.shape + (len(rows), len(rows)))
+
+
+class TestKernelSystemFill:
+    @pytest.mark.parametrize("dom", [TwoSegmentDomain(-1.5, 2.0), ThreeSegmentDomain(0.4)])
+    @pytest.mark.parametrize("kappa", [
+        -3.0,
+        -np.geomspace(1e-3, 1e3, 7),
+        -np.geomspace(1e-6, 1e6, 12).reshape(3, 4),
+    ], ids=["scalar", "1d", "2d"])
+    def test_matches_broadcast_and_stack(self, dom, kappa):
+        system, ref = build_kernel_system(dom, kappa), broadcast_stack_system(dom, kappa)
+        assert system.shape == ref.shape == np.shape(kappa) + ref.shape[-2:]
+        assert system.dtype == ref.dtype and np.array_equal(system, ref)
+
+
 class TestDeterminantScanOracle:
     def test_two_segment_symmetric(self):
         scan = scan_critical_contrasts(TwoSegmentDomain(-1.0, 1.0))
