@@ -299,11 +299,10 @@ def _cmd_cone(args) -> str:
              "cone requires exactly one of --alpha or --mu")
     if args.alpha is not None:
         _require(args.d == 3, "cap cones require --d 3")
-        mu1, lam_plus, cls = cones.classify_cap(args.alpha, args.beta, args.l)
+        mu1 = cones.cap_first_eigenvalue(args.alpha)
     else:
         mu1 = args.mu
-        spectrum = cones.ConeSpectrum(args.d, (mu1,))
-        lam_plus, cls = cones.classify_spectrum(spectrum, args.beta, args.l)
+    lam_plus, cls = cones.classify_spectrum(args.d, mu1, args.beta, args.l)
     alpha = () if args.alpha is None else (args.alpha,)
     return _csv("alpha,mu1,lambda_plus,classification",
                 [("%.17g," if alpha else ",") + "%.17g,%.17g,%s\n"],
@@ -370,7 +369,9 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("cone", help="cap eigenvalue, exponent and classification")
-    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--alpha", type=_finite_float,
+                   help="cap half-angle, with --d 3: answered on [0.047620, 0.9*pi];"
+                        " a smaller cap has its first degree above 50 and exits 2")
     p.add_argument("--mu", type=_finite_float)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--beta", type=_finite_float, default=0.0)

@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BracketFailure, NoConvergence
+from .errors import NumericalFailure
 from .roots import bracketed_roots
 
 __all__ = [
-    "ConeSpectrum",
     "WeightedIndex",
     "Classification",
     "exponent_pair",
@@ -25,7 +24,6 @@ __all__ = [
     "cap_first_eigenvalue",
     "fredholm_classify",
     "isomorphism_in_dimension",
-    "classify_cap",
     "classify_spectrum",
 ]
 
@@ -33,26 +31,6 @@ _SERIES_CAP = 10 ** 5
 _CAP_ALPHA_MAX = 0.9 * math.pi
 # distance from a band edge within which the range is not closed
 _EDGE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ConeSpectrum:
-    """Cross-section eigenvalues 0 < mu_1 < mu_2 <= ..., first one simple."""
-
-    d: int
-    mu: tuple
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("dimension must be at least 2")
-        mu = tuple(float(m) for m in self.mu)
-        if not mu or mu[0] <= 0.0:
-            raise ValueError("need a nonempty list with mu_1 > 0")
-        if len(mu) > 1 and not mu[0] < mu[1]:
-            raise ValueError("the first eigenvalue must be simple (mu_1 < mu_2)")
-        if any(b < a for a, b in zip(mu[1:], mu[2:])):
-            raise ValueError("eigenvalues beyond the first must be nondecreasing")
-        object.__setattr__(self, "mu", mu)
 
 
 @dataclass(frozen=True)
@@ -96,7 +74,7 @@ def legendre_p(nu: float, x: float) -> float:
 
     Hypergeometric series in (1 - x)/2, accumulated to relative 1e-14.  The
     series terminates exactly at integer degree; near x = -1 convergence slows
-    and the term cap may trip.
+    and the term cap may trip (NumericalFailure).
     """
     if nu < 0.0:
         raise ValueError("degree nu must be non-negative")
@@ -109,7 +87,7 @@ def legendre_p(nu: float, x: float) -> float:
         total += term
         if abs(term) <= 1e-14 * abs(total):
             return total
-    raise NoConvergence(f"Legendre series cap {_SERIES_CAP} hit at nu={nu}, x={x}")
+    raise NumericalFailure(f"Legendre series cap {_SERIES_CAP} hit at nu={nu}, x={x}")
 
 
 def cap_first_eigenvalue(alpha: float) -> float:
@@ -118,7 +96,9 @@ def cap_first_eigenvalue(alpha: float) -> float:
     The ground mode is axisymmetric, so mu_1 = nu (nu + 1) with nu the smallest
     positive degree at which P_nu(cos alpha) vanishes; nu is bracketed by a
     0.05-step scan on (0, 50] and polished by bracketed_roots (Chandrupatla's
-    method) to 1e-14 * (1 + nu).
+    method) to 1e-14 * (1 + nu).  ValueError outside (0, 0.9 pi]; below
+    alpha ~ 0.047620, where nu = 50, the scan finds no bracket and raises
+    NumericalFailure, so the caps it answers are alpha in [0.047620, 0.9 pi].
     """
     if not 0.0 < alpha <= _CAP_ALPHA_MAX:
         raise ValueError(f"alpha must lie in (0, {_CAP_ALPHA_MAX:.6f}]")
@@ -134,7 +114,7 @@ def cap_first_eigenvalue(alpha: float) -> float:
             root = bracketed_roots(lambda _, nus: [f(float(v)) for v in nus], [prev_nu], [nu], 1e-14)[0]
             return float(root * (root + 1.0))
         prev_nu, prev_val = nu, val
-    raise BracketFailure(f"no degree bracket found on (0, 50] for alpha={alpha}")
+    raise NumericalFailure(f"no degree bracket found on (0, 50] for alpha={alpha}")
 
 
 def fredholm_classify(w: WeightedIndex, lambda1_plus: float) -> Classification:
@@ -160,28 +140,13 @@ def fredholm_classify(w: WeightedIndex, lambda1_plus: float) -> Classification:
 
 
 def isomorphism_in_dimension(d: int, lambda1_plus: float) -> bool:
-    """True iff d > 4 - 2*lambda1_plus, the basic-index isomorphism criterion.
-
-    Agrees with fredholm_classify at (beta, l) = (0, 1); holds for every
-    d >= 4 since lambda1_plus > 0.
-    """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    if lambda1_plus <= 0.0:
-        raise ValueError("lambda1_plus must be positive")
-    return d > 4.0 - 2.0 * lambda1_plus
+    """True iff fredholm_classify says Isomorphism at the basic index
+    (beta, l) = (0, 1): d > 4 - 2*lambda1_plus, off its edge."""
+    return fredholm_classify(WeightedIndex(0.0, 1, d), lambda1_plus) is Classification.ISOMORPHISM
 
 
-def classify_cap(alpha: float, beta: float = 0.0, l: int = 1) -> tuple:
-    """(mu1, lambda_plus, classification) for a 3D cap of half-angle alpha."""
-    mu1 = cap_first_eigenvalue(alpha)
-    _, lam_plus = exponent_pair(3, mu1)
-    cls = fredholm_classify(WeightedIndex(beta=beta, l=l, d=3), lam_plus)
-    return mu1, lam_plus, cls
-
-
-def classify_spectrum(spec: ConeSpectrum, beta: float = 0.0, l: int = 1) -> tuple:
-    """(lambda_plus, classification) from a user-supplied cross-section spectrum."""
-    _, lam_plus = exponent_pair(spec.d, spec.mu[0])
-    cls = fredholm_classify(WeightedIndex(beta=beta, l=l, d=spec.d), lam_plus)
-    return lam_plus, cls
+def classify_spectrum(d: int, mu1: float, beta: float = 0.0, l: int = 1) -> tuple:
+    """(lambda_plus, classification) in dimension d from the first
+    cross-section eigenvalue mu1 > 0."""
+    _, lam_plus = exponent_pair(d, mu1)
+    return lam_plus, fredholm_classify(WeightedIndex(beta=beta, l=l, d=d), lam_plus)

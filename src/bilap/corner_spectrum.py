@@ -371,19 +371,15 @@ def find_singular_exponent(p: CornerProblem) -> Optional[SingularExponentResult]
 
 
 def even_derivative_at_zero(p: CornerProblem, k: int) -> float:
-    """Derivative of order 2k of the dispersion function at eta = 0 (closed form)."""
-    if k < 0:
-        raise ValueError("k must be a non-negative integer")
+    """Derivative of order 2k of the dispersion function at eta = 0, for
+    0 <= k <= 7 (_SERIES_TERMS): 4^k t_k, with t_k the Taylor coefficient
+    that _series forms without cancelling as alpha -> pi (t_0 = 0)."""
+    if not 0 <= k <= _SERIES_TERMS:
+        raise ValueError(f"k must be an integer in [0, {_SERIES_TERMS}]")
     if k == 0:
         return 0.0
-    if k == 1:
-        return 2.0 * taylor_coefficient(p)
-    a, kp = p.alpha, p.kappa
-    return (
-        kp * (2.0 * math.pi) ** (2 * k)
-        + kp * (kp - 1.0) * (2.0 * a) ** (2 * k)
-        - (kp - 1.0) * (2.0 * (math.pi - a)) ** (2 * k)
-    )
+    w = float(_series([p.alpha], [p.kappa])[k - 1, 0])
+    return 4.0 ** k * math.factorial(2 * k) * (1.0 - p.kappa) ** 2 * w
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +489,6 @@ class AngularProfile:
         a, b, c, d = self.coeffs
         return tuple(np.where(inner, a * B1[i] + b * B2[i], c * C1[i] + d * C2[i])[()]
                      for i in range(5))
-
-    def value(self, theta) -> complex:
-        return self.derivatives(theta)[0]
 
     def interface_residual(self) -> float:
         """Max-norm residual of the four row-scaled interface conditions."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "ThreeSegmentDomain",
     "PiecewiseCubic",
     "ContrastRoots",
-    "RootSource",
     "quadratic_coefficients",
     "critical_contrasts_two_segment",
     "critical_contrasts_three_segment",
@@ -35,6 +33,8 @@ __all__ = [
     "scan_critical_contrasts",
 ]
 
+# the scan's geometric contrast grid: _SCAN_POINTS contrasts from -1e4 to -1e-4
+_SCAN_LO, _SCAN_HI, _SCAN_POINTS = -1e4, -1e-4, 10_000
 # contrasts per stacked determinant call of the scan: about 0.5 MB of 8x8 systems
 _KAPPA_CHUNK = 1000
 # |det| relative to the Hadamard bound above which a kernel system is regular
@@ -64,15 +64,9 @@ class ThreeSegmentDomain:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
-class RootSource(Enum):
-    CLOSED_FORM = "ClosedForm"
-    DETERMINANT_SCAN = "DeterminantScan"
-
-
 @dataclass(frozen=True)
 class ContrastRoots:
     roots: tuple
-    source: RootSource
 
 
 def quadratic_coefficients(t: float) -> tuple:
@@ -98,25 +92,28 @@ def critical_contrasts_two_segment(t: float) -> ContrastRoots:
         raise ValueError(f"segment ratio must be negative, got {t}")
     base = 2.0 - 3.0 * t + 2.0 * t * t
     root = 2.0 * abs(t - 1.0) * math.sqrt(t * t - t + 1.0)
-    r1 = (base + root) * t
-    # (base - root) t without the cancellation as t -> 0: base^2 - root^2 = t^2
-    r2 = t * t / (base + root) * t
-    # r1, about 4 t^3, overflows once |t| passes about 3.5e102
-    if not (math.isfinite(r1) and math.isfinite(r2)):
-        raise NumericalFailure(f"critical contrasts at t = {t} are not finite")
-    # r2, about t^3 / 4, is subnormal once |t| drops below about 4.47e-103
-    if abs(r2) < sys.float_info.min:
-        raise NumericalFailure(f"the smaller critical contrast at t = {t} underflows")
-    return ContrastRoots(roots=tuple(sorted((r1, r2))), source=RootSource.CLOSED_FORM)
+    # (base - root) t without the cancellation as t -> 0: base^2 - root^2 = t^2;
+    # the larger, about 4 t^3, overflows once |t| passes about 3.5e102, and the
+    # smaller, about t^3 / 4, is subnormal once |t| drops below about 4.47e-103
+    return _closed_form((base + root) * t, t * t / (base + root) * t, f"t = {t}")
 
 
 def critical_contrasts_three_segment(delta: float) -> ContrastRoots:
-    """Critical contrasts delta^3/(delta^3 - 1) and delta/(delta - 1) for 0 < delta < 1."""
+    """Critical contrasts delta^3/(delta^3 - 1) and delta/(delta - 1) for
+    0 < delta < 1; NumericalFailure when one is not a finite, normal float."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    r1 = delta ** 3 / (delta ** 3 - 1.0)
-    r2 = delta / (delta - 1.0)
-    return ContrastRoots(roots=tuple(sorted((r1, r2))), source=RootSource.CLOSED_FORM)
+    # delta^3 is subnormal once delta drops below about 2.81e-103
+    return _closed_form(delta ** 3 / (delta ** 3 - 1.0), delta / (delta - 1.0), f"delta = {delta}")
+
+
+def _closed_form(r1: float, r2: float, where: str) -> ContrastRoots:
+    """The two closed-form contrasts, sorted; NumericalFailure unless each is a
+    finite, normal float."""
+    for r in (r1, r2):
+        if not (math.isfinite(r) and abs(r) >= sys.float_info.min):
+            raise NumericalFailure(f"a critical contrast at {where} is not a finite, normal float: {r}")
+    return ContrastRoots(roots=tuple(sorted((r1, r2))))
 
 
 Domain = Union[TwoSegmentDomain, ThreeSegmentDomain]
@@ -202,9 +199,6 @@ class PiecewiseCubic:
             out = np.zeros_like(x)
         return out[()]
 
-    def value(self, x):
-        return self.derivative(x, 0)
-
     def sample(self, n: int = 1001) -> np.ndarray:
         """Columns x, v, v', v'' on a uniform n-point grid over the domain."""
         xs = np.linspace(self.breakpoints[0], self.breakpoints[-1], n)
@@ -248,27 +242,20 @@ def kernel_basis(dom: Domain, kappa: float) -> Optional[PiecewiseCubic]:
     )
 
 
-def scan_critical_contrasts(
-    dom: Domain,
-    kappa_lo: float = -1e4,
-    kappa_hi: float = -1e-4,
-    n: int = 10_000,
-) -> ContrastRoots:
+def scan_critical_contrasts(dom: Domain) -> ContrastRoots:
     """Brute-force oracle: determinant sign changes on a geometric contrast grid.
 
-    The determinants of the n-point grid come from stacked systems,
-    _KAPPA_CHUNK contrasts per call; every sign change is then narrowed in
-    lockstep with the others by bracketed_roots (Chandrupatla's method), to
-    1e-12 * (1 + |kappa|).  The kernel reduction to the interface system is
-    exact, so this recovers each critical contrast to machine accuracy
-    without touching the closed forms.
+    The determinants of the 10,000 grid contrasts, from -1e4 to -1e-4, come
+    from stacked systems, _KAPPA_CHUNK contrasts per call; every sign change
+    is then narrowed in lockstep with the others by bracketed_roots
+    (Chandrupatla's method), to 1e-12 * (1 + |kappa|).  The kernel reduction
+    to the interface system is exact, so this recovers each critical contrast
+    in that range to machine accuracy without touching the closed forms.
     """
-    if not kappa_lo < kappa_hi < 0.0:
-        raise ValueError("need kappa_lo < kappa_hi < 0")
-    grid = -np.geomspace(-kappa_lo, -kappa_hi, n)
+    grid = -np.geomspace(-_SCAN_LO, -_SCAN_HI, _SCAN_POINTS)
     vals = np.concatenate([kernel_determinant(dom, grid[i:i + _KAPPA_CHUNK])
-                           for i in range(0, n, _KAPPA_CHUNK)])
+                           for i in range(0, _SCAN_POINTS, _KAPPA_CHUNK)])
     signs = np.sign(vals)
     i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
     roots = bracketed_roots(lambda _, k: kernel_determinant(dom, k), grid[i], grid[i + 1], 1e-12)
-    return ContrastRoots(roots=tuple(sorted(roots.tolist())), source=RootSource.DETERMINANT_SCAN)
+    return ContrastRoots(roots=tuple(sorted(roots.tolist())))

@@ -128,7 +128,6 @@ class CornerSingularity:
     on sigma; the sigma-weighted pairings of dual fields form the PairingMatrix.
     """
 
-    corner_index: int
     dual: np.ndarray
 
 
@@ -150,7 +149,7 @@ def compute_dual_singularity(grid: Grid2D, corner_index: int) -> CornerSingulari
     )
     dual = lift + leading
     dual[~grid.interior] = 0.0
-    return CornerSingularity(corner_index=corner_index, dual=dual)
+    return CornerSingularity(dual=dual)
 
 
 def pairing_weights(grid: Grid2D) -> np.ndarray:

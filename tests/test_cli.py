@@ -107,17 +107,33 @@ class TestExitCodes:
         assert (code, err) == (0, "") and out == (
             "root_index,critical_contrast\n0,-4.0000000000000001e+306\n1,-2.4999999999999999e+101\n")
 
-    @pytest.mark.parametrize("t", ["-1e-103", "-1e-200"])
-    def test_underflowing_contrast_fails_cleanly(self, capsys, t):
-        # the smaller root, about t^3/4, is subnormal once |t| drops below
-        # about 4.47e-103, and -0 below about 2.15e-108
-        code, out, err = invoke(capsys, "kernel1d", f"--t={t}")
+    @pytest.mark.parametrize("value", ["-1e-103", "-1e-200", "1e-103", "1e-300"])
+    def test_underflowing_contrast_fails_cleanly(self, capsys, value):
+        # a negative value is a ratio --t, a positive one a half-width --delta.
+        # Two segments: the smaller root, about t^3/4, is subnormal once |t|
+        # drops below about 4.47e-103, and -0 below about 2.15e-108.  Three
+        # segments: delta^3 / (delta^3 - 1) is subnormal once delta drops below
+        # about 2.81e-103, and -0 at 1e-300
+        flag = "t" if value.startswith("-") else "delta"
+        code, out, err = invoke(capsys, "kernel1d", f"--{flag}={value}")
         assert code == 2 and out == "" and err.startswith("numerical failure: ")
 
     def test_smallest_contrast_above_underflow(self, capsys):
         code, out, err = invoke(capsys, "kernel1d", "--t=-1e-102")
         assert (code, err) == (0, "") and out == (
             "root_index,critical_contrast\n0,-3.9999999999999997e-102\n1,-2.4999999999999993e-307\n")
+
+    def test_smallest_three_segment_contrast_above_underflow(self, capsys):
+        code, out, err = invoke(capsys, "kernel1d", "--delta=3e-103")
+        assert (code, err) == (0, "") and out == (
+            "root_index,critical_contrast\n0,-3e-103\n1,-2.7000000000000002e-308\n")
+
+    def test_smallest_cap_aperture(self, capsys):
+        # the degree scan ends at nu = 50, the first degree at alpha ~ 0.047620
+        code, out, err = invoke(capsys, "cone", "--alpha=0.0476")
+        assert code == 2 and out == "" and err.startswith("numerical failure: no degree bracket")
+        code, out, err = invoke(capsys, "cone", "--alpha=0.0477")
+        assert (code, err) == (0, "") and out.endswith(",Isomorphism\n")
 
     def test_unwritable_output_exits_1(self, capsys, tmp_path):
         code, out, err = invoke(capsys, *SOLVE, "--output", str(tmp_path / "missing" / "x.csv"))
@@ -413,19 +429,26 @@ class TestTemplateWriter:
 
     def test_cone(self, capsys):
         header = "alpha,mu1,lambda_plus,classification"
-        mu1, lam_plus, cls = cones.classify_cap(1.2, 0.0, 1)
+        mu1 = cones.cap_first_eigenvalue(1.2)
+        lam_plus, cls = cones.classify_spectrum(3, mu1, 0.0, 1)
         self.assert_same(capsys, ("cone", "--alpha=1.2"),
                          per_field_csv(header, [(1.2, mu1, lam_plus, cls.value)]))
-        lam_plus, cls = cones.classify_spectrum(cones.ConeSpectrum(3, (2.0,)), 0.0, 1)
+        lam_plus, cls = cones.classify_spectrum(3, 2.0, 0.0, 1)
         self.assert_same(capsys, ("cone", "--mu=2"),
                          per_field_csv(header, [(None, 2.0, lam_plus, cls.value)]))
 
     def test_classify(self, capsys):
-        cls = cones.fredholm_classify(cones.WeightedIndex(0.5, 2, 3), 1.5)
-        row = (0.5, 2, 3, 1.5, cls.value, cones.isomorphism_in_dimension(3, 1.5))
-        self.assert_same(capsys, ("classify", "--beta=0.5", "--l=2", "--d=3", "--lambda1=1.5"),
-                         per_field_csv("beta,l,d,lambda1,classification,basic_index_isomorphism",
-                                       [row]))
+        # the second row sits on the edge d = 4 - 2 lambda1 (within 1e-12),
+        # where the range is not closed, so it is no isomorphism either
+        for beta, l, d, lam, verdict in ((0.5, 2, 3, 1.5, "Isomorphism,True"),
+                                         (0.0, 1, 2, 1.0000000000000002, "NotFredholm,False")):
+            cls = cones.fredholm_classify(cones.WeightedIndex(beta, l, d), lam)
+            row = (beta, l, d, lam, cls.value, cones.isomorphism_in_dimension(d, lam))
+            expected = per_field_csv("beta,l,d,lambda1,classification,basic_index_isomorphism",
+                                     [row])
+            assert expected.endswith(f",{verdict}\n")
+            self.assert_same(capsys, ("classify", f"--beta={beta!r}", f"--l={l}", f"--d={d}",
+                                      f"--lambda1={lam!r}"), expected)
 
     def test_text_holding_percent_signs(self):
         assert cli._csv("share,x", ["%s,%.17g\n", "%s,%.17g\n"], ("50%", 0.5, "%s %%d", 2.0)) == (

@@ -8,10 +8,8 @@ import pytest
 
 from bilap.cones import (
     Classification,
-    ConeSpectrum,
     WeightedIndex,
     cap_first_eigenvalue,
-    classify_cap,
     classify_spectrum,
     exponent_pair,
     fredholm_classify,
@@ -159,13 +157,13 @@ class TestClassification:
         assert fredholm_classify(w, 0.5) is Classification.NOT_FREDHOLM
 
     def test_basic_index_equivalence(self):
+        # off the edge d = 4 - 2 lam, the closed criterion d > 4 - 2 lam
         rng = np.random.default_rng(42)
         for _ in range(300):
             d = int(rng.integers(2, 8))
             lam = math.exp(rng.uniform(math.log(1e-2), math.log(5.0)))
-            iso = isomorphism_in_dimension(d, lam)
-            cls = fredholm_classify(WeightedIndex(0.0, 1, d), lam)
-            assert iso == (cls is Classification.ISOMORPHISM)
+            if abs(0.5 * d - 2.0 + lam) > 1e-9:
+                assert isomorphism_in_dimension(d, lam) == (d > 4.0 - 2.0 * lam)
 
     def test_dimension_four_always(self):
         assert isomorphism_in_dimension(4, 0.01)
@@ -174,26 +172,20 @@ class TestClassification:
     def test_boundary_not_strict(self):
         assert not isomorphism_in_dimension(3, 0.5)
         assert isomorphism_in_dimension(3, 1.0)
+        # 4 - 2 lam rounds below d = 2, but lam is within 1e-12 of the edge
+        assert not isomorphism_in_dimension(2, 1.0000000000000002)
 
 
 class TestDataTypes:
-    def test_cone_spectrum_validation(self):
-        ConeSpectrum(3, (2.0, 6.0, 6.0))
-        with pytest.raises(ValueError):
-            ConeSpectrum(3, (2.0, 2.0))  # first eigenvalue must be simple
-        with pytest.raises(ValueError):
-            ConeSpectrum(3, (-1.0,))
-        with pytest.raises(ValueError):
-            ConeSpectrum(3, (2.0, 6.0, 5.0))
-
     def test_weighted_index_validation(self):
         with pytest.raises(ValueError):
             WeightedIndex(0.0, 0, 3)
 
     def test_classify_helpers(self):
-        mu1, lp, cls = classify_cap(2.0)
+        mu1 = cap_first_eigenvalue(2.0)
         assert mu1 == pytest.approx(1.0932819084441001, rel=1e-10)
+        lp, cls = classify_spectrum(3, mu1)
+        assert lp == exponent_pair(3, mu1)[1]
         assert cls is Classification.ISOMORPHISM
-        lp2, cls2 = classify_spectrum(ConeSpectrum(3, (mu1,)))
-        assert lp2 == pytest.approx(lp, rel=1e-14)
-        assert cls2 is cls
+        with pytest.raises(ValueError, match="mu must be positive"):
+            classify_spectrum(3, 0.0)

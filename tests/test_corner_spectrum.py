@@ -417,6 +417,27 @@ class TestEvenDerivatives:
         )
         assert even_derivative_at_zero(p, 2) == pytest.approx(-12.0 * math.pi ** 4, rel=1e-13)
 
+    @pytest.mark.parametrize("alpha,kappa", [(math.pi - 1e-6, -1e-9), (math.pi - 1e-3, -1e-6)])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_near_pi_against_mpmath(self, alpha, kappa, k):
+        # 4^k t_k at 60 digits; kappa (2 pi)^2k and -kappa (2 alpha)^2k cancel
+        # to O(kappa (pi - alpha)) here, so a sum of the three powers in
+        # double is off by up to 3e-10
+        with mp.workdps(60):
+            a, kp = mp.mpf(alpha), mp.mpf(kappa)
+            ref = 4 ** k * (kp * (mp.pi ** (2 * k) - a ** (2 * k)) + kp * kp * a ** (2 * k)
+                            - (kp - 1) * (mp.pi - a) ** (2 * k))
+            got = even_derivative_at_zero(CornerProblem(alpha, kappa), k)
+            assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    def test_order_range(self):
+        from bilap.corner_spectrum import _SERIES_TERMS
+        p = CornerProblem(1.0, -2.0)
+        even_derivative_at_zero(p, _SERIES_TERMS)
+        for k in (-1, _SERIES_TERMS + 1):
+            with pytest.raises(ValueError):
+                even_derivative_at_zero(p, k)
+
     def test_matches_finite_differences(self):
         for p in sample_problems(40, seed=18):
             for k in (1, 2, 3):
