@@ -32,7 +32,6 @@ __all__ = [
     "RegionCell",
     "dispersion",
     "scaled_dispersion",
-    "taylor_coefficient",
     "critical_interval",
     "classify_region",
     "find_singular_exponent",
@@ -234,13 +233,6 @@ def _g(factors: tuple, kappa: float) -> float:
     """The eta^2 coefficient g = 2 (c k + d)(e k + f) from _factors(alpha)."""
     c, d, e, f = factors
     return 2.0 * (c * kappa + d) * (e * kappa + f)
-
-
-def taylor_coefficient(p: CornerProblem) -> float:
-    """Coefficient g of eta^2 in the small-eta expansion of the dispersion
-    function: twice the product of two factors linear in kappa, whose roots
-    are critical_interval(alpha)."""
-    return _g(_factors(p.alpha), p.kappa)
 
 
 def _roots(factors: tuple) -> tuple:

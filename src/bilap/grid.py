@@ -148,12 +148,16 @@ class Grid2D:
 
     def apply_laplacian(self, nodal: np.ndarray) -> np.ndarray:
         """Five-point Laplacian of a full nodal field, at interior nodes (zero elsewhere)."""
-        h2 = self.h * self.h
-        lap = (
-            nodal[2:, 1:-1] + nodal[:-2, 1:-1] + nodal[1:-1, 2:] + nodal[1:-1, :-2]
-            - 4.0 * nodal[1:-1, 1:-1]
-        ) / h2
-        return np.pad(np.where(self.interior[1:-1, 1:-1], lap, 0.0), 1)
+        return np.pad(np.where(self.interior[1:-1, 1:-1], self._stencil(nodal), 0.0), 1)
+
+    def _stencil(self, nodal: np.ndarray) -> np.ndarray:
+        """The five-point Laplacian at the square's (n-1)^2 inner nodes, in a new array."""
+        lap = nodal[2:, 1:-1] + nodal[:-2, 1:-1]
+        lap += nodal[1:-1, 2:]
+        lap += nodal[1:-1, :-2]
+        lap -= 4.0 * nodal[1:-1, 1:-1]
+        lap /= self.h * self.h
+        return lap
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """Discrete L2 pairing h^2 * sum over interior nodes."""
@@ -165,23 +169,29 @@ class _CapacitanceSolver:
     unit square.
 
     Lap_R, the five-point Laplacian on the square's (n-1)^2 interior nodes,
-    is diagonal in the orthonormal DST-I basis s_k(i) = sqrt(2/n) sin(k pi
-    i/n), with eigenvalues -(lam_k + lam_l)/h^2, lam_k = 4 sin^2(k pi/2n).
-    A solve places b on the mask's interior nodes, solves with Lap_R, and
-    adds Lap_R^-1 P^T q with C q = -u on Gamma, C = P Lap_R^-1 P^T and P
-    the restriction to Gamma.  Then u vanishes on Gamma, and on the mask's
-    interior nodes, whose neighbours lie in the mask, on Gamma or on the
-    square's edge, it solves the masked system.  One correction round
+    is S D S with S the orthonormal DST-I, s_k(i) = sqrt(2/n) sin(k pi i/n),
+    and D = ``inv_eig`` = -h^2/(lam_k + lam_l), lam_k = 4 sin^2(k pi/2n).
+    A solve places b on the mask's interior nodes and returns
+    u = S (y + D S P^T q), y = D S b, with C q = -P S y, C = P Lap_R^-1 P^T
+    and P the restriction to Gamma.  Then u vanishes on Gamma, and on the
+    mask's interior nodes, whose neighbours lie in the mask, on Gamma or on
+    the square's edge, it solves the masked system.  One correction round
     suffices: C is exact to rounding, so what is left on Gamma is the fast
     solves' own rounding, which a second round does not reduce.
+
+    S is a DST along y, then one along x.  P S y and S P^T q take the one
+    along x only on Gamma's J distinct columns, so a solve takes two 2D
+    transforms, two 1D passes along y and two on J columns along x, where
+    the fast solves of y and of P^T q would take four 2D transforms.
     """
 
     def __init__(self, grid: Grid2D):
-        from scipy.fft import dstn
+        from scipy.fft import dst, dstn
         from scipy.linalg import cho_factor, cho_solve
 
-        self.dstn, self.cho_solve = dstn, cho_solve
+        self.dst, self.dstn, self.cho_solve = dst, dstn, cho_solve
         n = grid.nx
+        self.shape = grid.interior.shape
         self.inside = grid.interior[1:-1, 1:-1]
         theta = np.arange(1, n) * (math.pi / (2 * n))
         lam = 4.0 * np.sin(theta) ** 2
@@ -189,26 +199,34 @@ class _CapacitanceSolver:
         gi, gj = np.nonzero(grid.boundary[1:-1, 1:-1])
         order = np.argsort(gj, kind="stable")
         self.gi, self.gj = gi[order], gj[order]
+        # Gamma's distinct columns, and each node's place among them
+        self.cols, self.col_of = np.unique(self.gj, return_inverse=True)
         self.chol = None
         if len(self.gi):
             self.chol = cho_factor(-_capacitance(n, self.gi + 1, self.gj + 1, theta))
 
-    def fast(self, w: np.ndarray) -> np.ndarray:
-        """Lap_R^-1 w over the (n-1)^2 interior nodes; overwrites w."""
-        w = self.dstn(w, type=1, norm="ortho", overwrite_x=True)
-        w *= self.inv_eig
-        return self.dstn(w, type=1, norm="ortho", overwrite_x=True)
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Nodal u, zero off the interior nodes, from b read at them."""
-        u = self.fast(np.where(self.inside, b[1:-1, 1:-1], 0.0))
+        dst, dstn = self.dst, self.dstn
+        y = dstn(np.where(self.inside, b[1:-1, 1:-1], 0.0), type=1, norm="ortho",
+                 overwrite_x=True)
+        y *= self.inv_eig
         if self.chol is not None:
-            w = np.zeros(self.inside.shape)
+            z = dst(y, type=1, norm="ortho", axis=1)
+            on_cols = dst(z[:, self.cols], type=1, norm="ortho", axis=0, overwrite_x=True)
             # check_finite=False lets a nan in b reach the caller's residual check
-            w[self.gi, self.gj] = self.cho_solve(
-                self.chol, u[self.gi, self.gj], check_finite=False)
-            u += self.fast(w)
-        return np.pad(np.where(self.inside, u, 0.0), 1)
+            q = self.cho_solve(self.chol, on_cols[self.gi, self.col_of], check_finite=False)
+            on_cols.fill(0.0)
+            on_cols[self.gi, self.col_of] = q
+            z.fill(0.0)
+            z[:, self.cols] = dst(on_cols, type=1, norm="ortho", axis=0, overwrite_x=True)
+            z = dst(z, type=1, norm="ortho", axis=1, overwrite_x=True)
+            z *= self.inv_eig
+            y += z
+        u = np.zeros(self.shape)
+        np.copyto(u[1:-1, 1:-1], dstn(y, type=1, norm="ortho", overwrite_x=True),
+                  where=self.inside)
+        return u
 
 
 def _capacitance(n: int, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -266,12 +284,18 @@ def corner_polar(grid: Grid2D, corner: ReentrantCorner):
     return r, theta
 
 
-def _norm(field: np.ndarray, scale: float) -> float:
-    """Euclidean norm of field / scale, summed by numpy itself: np.linalg.norm
+def _norm(values: np.ndarray, scale: float) -> float:
+    """Euclidean norm of values / scale, summed by numpy itself: np.linalg.norm
     calls BLAS, which can stall for milliseconds when it runs two threads.
-    No square overflows when scale is at least max|field|."""
-    scaled = field / scale
-    return math.sqrt(float(np.einsum("ij,ij->", scaled, scaled)))
+    No square overflows when scale is at least max|values|."""
+    scaled = values.ravel() / scale
+    return math.sqrt(float(np.einsum("i,i->", scaled, scaled)))
+
+
+def _residual(grid: Grid2D, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """b - Lap u at the interior nodes, in np.nonzero(grid.interior) order."""
+    lap = grid._stencil(u)
+    return np.subtract(b[1:-1, 1:-1], lap, out=lap)[grid.interior[1:-1, 1:-1]]
 
 
 def solve_poisson_dirichlet(
@@ -297,7 +321,7 @@ def solve_poisson_dirichlet(
         b[~grid.interior] = 0.0
     solver = grid.factor()
     u = solver.solve(b)
-    r = b - grid.apply_laplacian(u)
+    r = _residual(grid, b, u)
     # both norms over one scale, max|b|, so that no square overflows: b = 0
     # leaves r = 0, and a nan in b makes the scale nan and fails below
     scale = float(np.abs(b).max()) or 1.0
@@ -307,8 +331,10 @@ def solve_poisson_dirichlet(
         # one step of iterative refinement: the fast solves' rounding leaves
         # a residual that grows about 4x per doubling of n and crosses the
         # target near n = 2048
-        u += solver.solve(r)
-        residual = _norm(b - grid.apply_laplacian(u), scale) / bnorm
+        step = np.zeros_like(b)
+        step[grid.interior] = r
+        u += solver.solve(step)
+        residual = _norm(_residual(grid, b, u), scale) / bnorm
     if not residual <= _RESIDUAL_TOL:  # a nan residual fails too
         raise NumericalFailure(f"Poisson residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}")
     if boundary_values is not None:

@@ -4,6 +4,9 @@ import numpy as np
 
 # steps a row may take beyond bisection's ceil(log2((hi - lo) / tol))
 _SPARE_STEPS = 7
+# the smallest tol: two adjacent floats a < b always meet
+# b - a <= tol * (1 + |mid|) from here on, so every search stops
+_TOL_MIN = 2.0 ** -52
 
 
 def bracketed_roots(f, lo, hi, tol: float) -> np.ndarray:
@@ -22,8 +25,12 @@ def bracketed_roots(f, lo, hi, tol: float) -> np.ndarray:
     where the signs of f differ, until hi - lo <= tol * (1 + |mid|); the
     result is then its midpoint, or the point where f is exactly zero when
     the search meets one.  A row's arithmetic never depends on the other rows
-    of the call, and no rows means no call of f.
+    of the call, and no rows means no call of f.  ValueError unless tol is at
+    least 2**-52: below it two adjacent floats need not meet the stop rule,
+    and the search would never end.
     """
+    if not tol >= _TOL_MIN:  # a nan tol fails too
+        raise ValueError(f"tol must be at least 2**-52, got {tol!r}")
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     n = lo.size
     if not n:

@@ -14,6 +14,7 @@ run through one split.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,6 +40,8 @@ __all__ = [
 EXCLUSION_RADIUS_CELLS = 4.0
 _RANK_TOL = 1e-8
 _SIGMA_MIN = 1e-12
+# pairing weights per grid, built on first use and dropped with the grid
+_WEIGHTS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,8 @@ def _split(grid: Grid2D, sinv: np.ndarray, f: np.ndarray, pm=None) -> FieldSolut
     p, res_p = solve_poisson_dirichlet(grid, f)
     coeff = None
     if pm is not None:
-        rhs = np.array([-np.sum(pm.weights * (sinv * p) * d) for d in pm.duals])
+        ws = pm.weights * sinv
+        rhs = np.array([-_pair(ws, d, p) for d in pm.duals])
         coeff = np.linalg.solve(pm.matrix, rhs)
         p = p + sum(a * d for a, d in zip(coeff, pm.duals))
     v, res_v = solve_poisson_dirichlet(grid, sinv * p)
@@ -152,17 +156,33 @@ def compute_dual_singularity(grid: Grid2D, corner_index: int) -> CornerSingulari
     return CornerSingularity(dual=dual)
 
 
+def _pair(ws: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """sum(ws * a * b) over three nodal arrays in one pass, with no product
+    array, summed by numpy itself: a BLAS dot can stall for milliseconds when
+    it runs two threads."""
+    return float(np.einsum("ij,ij,ij->", ws, a, b))
+
+
 def pairing_weights(grid: Grid2D) -> np.ndarray:
     """Nodal weights of the cellwise trapezoid rule over the mask, less the
     cells whose centers fall within four mesh widths of a registered corner.
 
-    Each kept cell gives a quarter of its area to each of its four nodes.  A
-    corrected solve builds them once, for its pairing matrix and its correction.
-    Integrands built from dual fields behave like r^(-4/3) near a corner; the
-    exclusion keeps every evaluation finite, and its error vanishes under
-    refinement.  On an lshape grid with n <= 6 every cell is dropped, so the
-    pairing matrix is zero and a corrected solve raises SingularPairingMatrix.
+    Each kept cell gives a quarter of its area to each of its four nodes.  The
+    weights do not depend on sigma: they are built once per grid, as
+    ``Grid2D.factor()`` is, and returned read-only.  Integrands built from
+    dual fields behave like r^(-4/3) near a corner; the exclusion keeps every
+    evaluation finite, and its error vanishes under refinement.  On an lshape
+    grid with n <= 6 every cell is dropped, so the pairing matrix is zero and
+    a corrected solve raises SingularPairingMatrix.
     """
+    w = _WEIGHTS.get(grid)
+    if w is None:
+        w = _WEIGHTS[grid] = _exclusion_weights(grid)
+        w.flags.writeable = False
+    return w
+
+
+def _exclusion_weights(grid: Grid2D) -> np.ndarray:
     h = grid.h
     keep = grid.cell_mask.copy()
     # cells at least this many indices from a corner lie beyond the radius
@@ -196,9 +216,9 @@ def singular_coefficient(
 class PairingMatrix:
     """Symmetric matrix of sigma-weighted dual-field pairings with rank data,
     and the arrays it pairs: ``sinv`` (1/sigma at the nodes), ``weights`` (the
-    corner-excluded pairing weights) and ``duals`` (the dual fields, in order).
-    Entry (i, j) is sum(weights * sinv * duals[i] * duals[j]); ``tol`` is the
-    relative rank tolerance behind ``kernel_dim``."""
+    grid's read-only corner-excluded pairing weights) and ``duals`` (the dual
+    fields, in order).  Entry (i, j) is sum(weights * sinv * duals[i] *
+    duals[j]); ``tol`` is the relative rank tolerance behind ``kernel_dim``."""
 
     matrix: np.ndarray
     singular_values: np.ndarray
@@ -218,22 +238,23 @@ def assemble_pairing_matrix(
 
     Entries are computed once per unordered pair so the matrix is symmetric to
     the last bit.  The kernel dimension counts singular values below 1e-8 times
-    the attainable pairing magnitude (the same sums with absolute-value
-    integrands), so a 1x1 matrix near zero is correctly flagged singular.
+    the attainable pairing magnitude, the largest of the same sums with
+    absolute-value integrands; by Cauchy-Schwarz that is a diagonal one, so a
+    1x1 matrix near zero is correctly flagged singular.
     """
     n = len(singularities)
     if n < 1:
         raise ValueError("need at least one singularity")
     sinv = sigma.inverse_at_nodes(grid)
     w = pairing_weights(grid)
+    ws = w * sinv
     duals = tuple(s.dual for s in singularities)
     M = np.empty((n, n))
-    scale = 0.0
     for i in range(n):
         for j in range(i, n):
-            prod = w * sinv * duals[i] * duals[j]
-            M[i, j] = M[j, i] = float(np.sum(prod))
-            scale = max(scale, float(np.sum(np.abs(prod))))
+            M[i, j] = M[j, i] = _pair(ws, duals[i], duals[j])
+    np.abs(ws, out=ws)
+    scale = max(_pair(ws, d, d) for d in duals)
     svals = np.linalg.svd(M, compute_uv=False)
     kernel = svals <= _RANK_TOL * scale if scale > 0.0 else np.ones_like(svals, bool)
     return PairingMatrix(matrix=M, singular_values=svals, kernel_dim=int(np.sum(kernel)),

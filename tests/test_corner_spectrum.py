@@ -24,7 +24,6 @@ from bilap.corner_spectrum import (
     region_map,
     scaled_dispersion,
     singular_sequence_lower_bound,
-    taylor_coefficient,
     transmission_determinant,
     transmission_matrix,
 )
@@ -53,7 +52,7 @@ def sample_inside(n, seed):
         else:
             k = lp * rng.uniform(0.05, 0.9)
         p = CornerProblem(a, k)
-        if taylor_coefficient(p) > 1e-3:
+        if classify_region(p).g_value > 1e-3:
             out.append(p)
     return out
 
@@ -67,7 +66,7 @@ def sample_outside(n, seed):
         t = rng.uniform(0.1, 0.9)
         k = -math.exp((1 - t) * math.log(-lm) + t * math.log(-lp))
         p = CornerProblem(a, k)
-        if taylor_coefficient(p) < -1e-3:
+        if classify_region(p).g_value < -1e-3:
             out.append(p)
     return out
 
@@ -196,24 +195,24 @@ class TestDispersion:
 
 class TestTaylorCoefficient:
     def test_exact_value_at_right_angle(self):
-        assert taylor_coefficient(CornerProblem(math.pi / 2, -1.0)) == pytest.approx(
+        assert classify_region(CornerProblem(math.pi / 2, -1.0)).g_value == pytest.approx(
             -8.0, abs=1e-12
         )
 
     def test_vanishes_at_interval_endpoints(self):
         for alpha in (0.6, 1.2, math.pi / 2, 2.4):
             lm, lp = critical_interval(alpha)
-            scale = abs(taylor_coefficient(CornerProblem(alpha, -1.0))) + 1.0
-            assert abs(taylor_coefficient(CornerProblem(alpha, lm))) <= 1e-10 * scale
-            assert abs(taylor_coefficient(CornerProblem(alpha, lp))) <= 1e-10 * scale
+            scale = abs(classify_region(CornerProblem(alpha, -1.0)).g_value) + 1.0
+            assert abs(classify_region(CornerProblem(alpha, lm)).g_value) <= 1e-10 * scale
+            assert abs(classify_region(CornerProblem(alpha, lp)).g_value) <= 1e-10 * scale
 
     def test_contrast_inversion_identity(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             a = rng.uniform(0.2, math.pi - 0.2)
             k = -math.exp(rng.uniform(math.log(0.05), math.log(12.0)))
-            lhs = taylor_coefficient(CornerProblem(a, k))
-            rhs = k * k * taylor_coefficient(CornerProblem(math.pi - a, 1.0 / k))
+            lhs = classify_region(CornerProblem(a, k)).g_value
+            rhs = k * k * classify_region(CornerProblem(math.pi - a, 1.0 / k)).g_value
             assert rhs == pytest.approx(lhs, rel=1e-12)
 
 
@@ -238,7 +237,7 @@ class TestTaylorOracle:
                 a2 = a * a - s * s
                 a1, a0 = a2 - mp.pi * a, (mp.pi - a) ** 2 - s * s
                 for kappa in (*(-(10.0 ** rng.uniform(-4.0, 6.0, 10))), *edges):
-                    g = taylor_coefficient(CornerProblem(alpha, float(kappa)))
+                    g = classify_region(CornerProblem(alpha, float(kappa))).g_value
                     k = mp.mpf(kappa)
                     ref = 2 * a2 * k * k - 4 * a1 * k + 2 * a0
                     scale = abs(2 * a2 * k * k) + abs(4 * a1 * k) + abs(2 * a0)
@@ -264,7 +263,7 @@ class TestSmallAngle:
                 # eta^2 coefficient of the dispersion, term by term from its definition
                 ref = (2 * k * mp.pi ** 2 + 2 * k * (k - 1) * a ** 2
                        - 2 * (k - 1) * (mp.pi - a) ** 2 - 2 * (1 - k) ** 2 * mp.sin(a) ** 2)
-                g = taylor_coefficient(CornerProblem(alpha, kappa))
+                g = classify_region(CornerProblem(alpha, kappa)).g_value
                 assert abs(g - ref) <= 1e-13 * abs(ref)
 
     def test_exponent_at_tiny_angle(self):
@@ -297,7 +296,7 @@ class TestNearPi:
                 a, k = mp.mpf(alpha), mp.mpf(kappa)
                 ref = (2 * k * mp.pi ** 2 + 2 * k * (k - 1) * a ** 2
                        - 2 * (k - 1) * (mp.pi - a) ** 2 - 2 * (1 - k) ** 2 * mp.sin(a) ** 2)
-                g = taylor_coefficient(CornerProblem(alpha, kappa))
+                g = classify_region(CornerProblem(alpha, kappa)).g_value
                 assert abs(g - ref) <= 1e-12 * abs(ref) and (g > 0) == (ref > 0)
 
 
@@ -311,7 +310,7 @@ class TestNearPi:
                 a, k = mp.mpf(alpha), mp.mpf(kappa)
                 ref = (2 * k * mp.pi ** 2 + 2 * k * (k - 1) * a ** 2
                        - 2 * (k - 1) * (mp.pi - a) ** 2 - 2 * (1 - k) ** 2 * mp.sin(a) ** 2)
-                g = taylor_coefficient(CornerProblem(alpha, kappa))
+                g = classify_region(CornerProblem(alpha, kappa)).g_value
                 assert abs(g - ref) <= 1e-14 * abs(ref)
 
     @pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-3])
@@ -413,7 +412,7 @@ class TestEvenDerivatives:
         p = CornerProblem(math.pi / 2, -1.0)
         assert even_derivative_at_zero(p, 0) == 0.0
         assert even_derivative_at_zero(p, 1) == pytest.approx(
-            2.0 * taylor_coefficient(p), rel=1e-15
+            2.0 * classify_region(p).g_value, rel=1e-15
         )
         assert even_derivative_at_zero(p, 2) == pytest.approx(-12.0 * math.pi ** 4, rel=1e-13)
 

@@ -89,6 +89,24 @@ class TestContract:
         assert x[0] == 5.0 and abs(x[1] - 2.0) <= 3e-14
         assert f.evals[0] == 3 < f.evals[1]
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-17, math.nan])
+    def test_tol_below_float_spacing_is_rejected(self, tol):
+        # below 2**-52 two adjacent floats need not meet the stop rule, so
+        # the search would never end
+        def f(rows, x):
+            raise AssertionError("f called with a rejected tol")
+
+        with pytest.raises(ValueError):
+            bracketed_roots(f, [0.5], [2.0], tol)
+
+    def test_smallest_tol_stops_between_adjacent_floats(self):
+        r = np.array([math.sqrt(2.0), 3.0])
+        f = Counted(2, lambda rows, x: np.tanh(x - r[rows]))
+        x = bracketed_roots(f, [0.5, 0.0], [2.0, 1e300], 2.0 ** -52)
+        assert np.all(np.abs(x - r) <= 2.0 * np.spacing(r))
+        # both ends, then the docstring's step ceiling
+        assert f.evals[1] <= 2 + math.ceil(math.log2(1e300) + 52) + SPARE_STEPS
+
     def test_no_rows_calls_nothing(self):
         def f(rows, x):
             raise AssertionError("f called on an empty batch")

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse.linalg as splinalg
+from scipy.fft import dstn
 
 from bilap.errors import SingularPairingMatrix
 from bilap.grid import (
@@ -60,6 +61,26 @@ def kernel_candidate(grid, sigma, s):
     sigma-weighted pairing of the dual field with itself."""
     psi, _ = solve_poisson_dirichlet(grid, sigma.inverse_at_nodes(grid) * s.dual)
     return psi, assemble_pairing_matrix(grid, sigma, [s]).matrix[0, 0]
+
+
+def square_solve(solver, w):
+    """Lap_R^-1 w on the unit square's (n-1)^2 inner nodes: a DST-I, the
+    inverse eigenvalues, a DST-I."""
+    w = dstn(w, type=1, norm="ortho") * solver.inv_eig
+    return dstn(w, type=1, norm="ortho")
+
+
+def staircase_grid(n, step):
+    """Cells below a staircase of square steps ``step`` cells wide, from the
+    top of the left edge to the right of the bottom edge."""
+    idx = np.arange(n) // step
+    return Grid2D(idx[:, None] + idx[None, :] < n // step)
+
+
+def disk_grid(n):
+    """Cells whose centres lie within 0.45 of the square's centre."""
+    c = (np.arange(n) + 0.5) / n - 0.5
+    return Grid2D(np.hypot(c[:, None], c[None, :]) < 0.45)
 
 
 def scatter_reference(grid, keep, cell_values):
@@ -208,9 +229,36 @@ class TestPoisson:
         for q in range(len(gi)):
             w = np.zeros(solver.inside.shape)
             w[gi[q], gj[q]] = 1.0
-            ref[:, q] = solver.fast(w)[gi, gj]
+            ref[:, q] = square_solve(solver, w)[gi, gj]
         assert len(gi) == {lshape_grid: n - 1, notched_grid: 5 * n // 4 - 1}[make]
         assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("make,n", [(lshape_grid, 32), (lshape_grid, 64), (notched_grid, 32),
+                                        (notched_grid, 64), (lambda n: staircase_grid(n, 4), 64),
+                                        (disk_grid, 64)],
+                             ids=["lshape-32", "lshape-64", "notched-32", "notched-64",
+                                  "staircase-64", "disk-64"])
+    def test_solve_matches_four_transform_formula(self, make, n):
+        # the solve reads P S y and forms S P^T q without 2D transforms; the
+        # reference is fast(b) + fast(P^T (-C)^-1 P fast(b)), each fast solve
+        # two 2D transforms
+        g = make(n)
+        solver = g.factor()
+        gi, gj = solver.gi, solver.gj
+        if make is not lshape_grid and make is not notched_grid:
+            # Gamma spans many rows and many columns
+            assert min(len(np.unique(gi)), len(np.unique(gj))) >= n // 2
+        rng = np.random.default_rng(n + len(gi))
+        b = np.where(g.interior, rng.uniform(-1.0, 1.0, g.interior.shape), 0.0)
+        first = square_solve(solver, b[1:-1, 1:-1])
+        theta = np.arange(1, n) * (math.pi / (2 * n))
+        C = bilap.grid._capacitance(n, gi + 1, gj + 1, theta)
+        w = np.zeros_like(first)
+        w[gi, gj] = np.linalg.solve(-C, first[gi, gj])
+        ref = np.pad(np.where(solver.inside, first + square_solve(solver, w), 0.0), 1)
+        u = solver.solve(b)
+        assert np.all(u[~g.interior] == 0.0)
+        assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("make,n", [(lshape_grid, 512), (notched_grid, 512), (lshape_grid, 1024)])
     def test_capacitance_solve_residual(self, make, n):
@@ -473,6 +521,27 @@ class TestCorrection:
                             counted("inverse", SigmaField.inverse_at_nodes))
         corrected_two_step_solve(g, sigma, f, sings)
         assert calls == {"weights": 1, "inverse": 1}
+
+    def test_pairing_weights_built_once_per_grid(self, monkeypatch):
+        g = notched_grid(32)
+        sigma = SigmaField.constant(g)
+        sings = [compute_dual_singularity(g, i) for i in range(2)]
+        f = nodal(g, lambda X, Y: np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0)
+        builds = Counter()
+        build = bilap.twostep._exclusion_weights
+
+        def counted(grid):
+            builds[id(grid)] += 1
+            return build(grid)
+
+        monkeypatch.setattr(bilap.twostep, "_exclusion_weights", counted)
+        first = corrected_two_step_solve(g, sigma, f, sings)
+        second = corrected_two_step_solve(g, sigma, f, sings)
+        assert builds == {id(g): 1}
+        assert first.v.tobytes() == second.v.tobytes()
+        w = pairing_weights(g)
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
 
     def test_no_corners_delegates(self):
         g = rectangle_grid(16)
