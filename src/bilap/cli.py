@@ -4,10 +4,13 @@ Subcommands: region-map, eta0, corner-det, kernel1d, solve, cone, classify.
 Output is CSV text with floats at 17 significant digits, so identical
 invocations produce byte-identical files.  Every subcommand writes through one
 writer, _csv: a header, one template per row and one "%" pass over the flat
-values.  solve writes x,y,value at every interior node, rows in
-np.nonzero(grid.interior) order.  Exit codes: 0 success, 1 argument error
-(including a size whose arrays cannot be allocated), 2 numerical failure
-(including a rank-deficient pairing matrix in a corrected solve).
+values.  region-map writes the columns of one corner_spectrum.RegionMap, eight
+values per cell, with two row templates: a cell with no exponent writes its
+eta0 and residual as empty fields.  solve writes x,y,value at every interior
+node, rows in np.nonzero(grid.interior) order.  Exit codes: 0 success, 1
+argument error (including a size whose arrays cannot be allocated), 2
+numerical failure (including a rank-deficient pairing matrix in a corrected
+solve).
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ def _csv(header: str, rows, values) -> str:
     rows, joined in order and filled from the flat sequence values.
 
     In a template "%.17g" writes a float as format(x, ".17g") does (nan, inf
-    and -0 included), "%s" writes text, an int or a bool as str() does, and a
-    field with no value is left empty.  The header is a format too, so it
+    and -0 included), "%s" writes text, an int or a bool as str() does,
+    "%.0s" takes a value and writes nothing, and a field with no value is
+    left empty.  The header is a format too, so it
     holds no "%"; values never become formats, so text holding a "%" is
     written as it is.
     """
@@ -127,27 +131,19 @@ def _cmd_eta0(args) -> str:
 
 
 # region-map rows: alpha, kappa, g, ell_minus, ell_plus and membership, then
-# eta0 and residual, nan where the search failed and empty where no exponent exists
+# eta0 and residual, nan where the search failed ("%.17g" writes nan as nan)
+# and empty where no exponent exists ("%.0s" writes nothing of its value)
 _MAP_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%s,"
 _MAP_FOUND = _MAP_ROW + "%.17g,%.17g\n"
-_MAP_NONE = _MAP_ROW + ",\n"
-_MAP_FAILED = _MAP_ROW + "nan,nan\n"
+_MAP_NONE = _MAP_ROW + "%.0s,%.0s\n"
 
 
 def _cmd_region_map(args) -> str:
-    cells = cs.region_map((args.amin, args.amax), (args.kmin, args.kmax), args.na, args.nk)
-    rows, values = [], []
-    for c in cells:
-        r = c.report
-        values += (c.alpha, c.kappa, r.g_value, r.ell_minus, r.ell_plus, r.membership.value)
-        if c.failed:
-            rows.append(_MAP_FAILED)
-        elif c.result:
-            rows.append(_MAP_FOUND)
-            values += (c.result.eta0, c.result.residual)
-        else:
-            rows.append(_MAP_NONE)
-    return _csv("alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual", rows, values)
+    m = cs.region_map((args.amin, args.amax), (args.kmin, args.kmax), args.na, args.nk)
+    rows = [_MAP_NONE if none else _MAP_FOUND for none in (np.isnan(m.eta0) & ~m.failed).tolist()]
+    columns = (m.alpha, m.kappa, m.g, m.ell_minus, m.ell_plus, m.membership, m.eta0, m.residual)
+    return _csv("alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual", rows,
+                [x for cell in zip(*(c.tolist() for c in columns)) for x in cell])
 
 
 def _cmd_corner_det(args) -> str:

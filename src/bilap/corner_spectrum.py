@@ -29,7 +29,7 @@ __all__ = [
     "RegionReport",
     "SingularExponentResult",
     "AngularProfile",
-    "RegionCell",
+    "RegionMap",
     "dispersion",
     "scaled_dispersion",
     "critical_interval",
@@ -229,10 +229,12 @@ def _factors(alpha, sin=math.sin) -> tuple:
     return _x_minus_sin(alpha, sin), b + s, alpha + s, _x_minus_sin(b, sin)
 
 
-def _g(factors: tuple, kappa: float) -> float:
-    """The eta^2 coefficient g = 2 (c k + d)(e k + f) from _factors(alpha)."""
+def _g(factors: tuple, kappa):
+    """The eta^2 coefficient g = 2 (c k + d)(e k + f) from _factors(alpha), at a
+    contrast or an array of them; inf, not an overflow warning, at huge |k|."""
     c, d, e, f = factors
-    return 2.0 * (c * kappa + d) * (e * kappa + f)
+    with np.errstate(over="ignore"):
+        return 2.0 * (c * kappa + d) * (e * kappa + f)
 
 
 def _roots(factors: tuple) -> tuple:
@@ -253,40 +255,39 @@ def critical_interval(alpha: float) -> tuple:
     return _roots(_factors(alpha))
 
 
-def _relative_factor(x: float, y: float, k: float) -> float:
-    """(x k + y) / (|x k| + |y|) for k < 0, with k scaled to -1 when below it
-    so that nothing overflows; 0 where both terms vanish."""
-    if k < -1.0:
-        y, k = y / -k, -1.0
-    scale = abs(x * k) + abs(y)
-    return (x * k + y) / scale if scale > 0.0 else 0.0
+def _relative_factor(x, y, k) -> np.ndarray:
+    """(x k + y) / (|x k| + |y|) for k < 0, with y divided by max(-k, 1) and k
+    clipped to -1 so that nothing overflows; 0 where both terms vanish."""
+    y, k = y / np.maximum(-k, 1.0), np.maximum(k, -1.0)
+    scale = np.abs(x * k) + np.abs(y)
+    return np.divide(x * k + y, scale, out=np.zeros_like(scale), where=scale > 0.0)
 
 
-def _report(factors: tuple, roots: tuple, kappa: float) -> RegionReport:
-    """classify_region at contrast kappa, given _factors(alpha) and their _roots."""
+def _membership(factors: tuple, kappa: np.ndarray) -> np.ndarray:
+    """Membership values, as strings, at the contrasts kappa given the
+    _factors of their alpha, as classify_region states them."""
     c, d, e, f = factors
     rel = _relative_factor(c, d, kappa) * _relative_factor(e, f, kappa)
-    if rel > _BOUNDARY_EPS:
-        member = Membership.INSIDE
-    elif rel < -_BOUNDARY_EPS:
-        member = Membership.OUTSIDE
-    else:
-        member = Membership.BOUNDARY
-    return RegionReport(_g(factors, kappa), *roots, member)
+    return np.where(rel > _BOUNDARY_EPS, Membership.INSIDE.value,
+                    np.where(rel < -_BOUNDARY_EPS, Membership.OUTSIDE.value,
+                             Membership.BOUNDARY.value))
 
 
 def classify_region(p: CornerProblem) -> RegionReport:
     """Place (alpha, kappa) relative to the ill-posedness region by the sign of g;
     Boundary where |g| <= 1e-9 of the scale 2 (|c k| + |d|)(|e k| + |f|) of
-    its factors g = 2 (c k + d)(e k + f), tested factor by factor."""
+    its factors g = 2 (c k + d)(e k + f), tested factor by factor (the one
+    formula, _membership, that region_map applies to every cell)."""
     factors = _factors(p.alpha)
-    return _report(factors, _roots(factors), p.kappa)
+    member = _membership(factors, np.array([p.kappa], dtype=float))[0]
+    return RegionReport(_g(factors, p.kappa), *_roots(factors), Membership(member))
 
 
 def _search(alpha, kappa):
-    """find_singular_exponent on the rows (alpha[i], kappa[i]): (result or None
-    per row, flags of the rows whose tail stayed positive), with one lockstep
-    root search over every row's bracket."""
+    """find_singular_exponent on the rows (alpha[i], kappa[i]), with one
+    lockstep root search over every row's bracket: arrays eta0 and residual
+    (nan where no exponent is found), tail (nan where none is negative) and
+    failed (the rows whose tail stayed positive)."""
     # the terms hold (1 - kappa)^2: beyond |kappa| ~ 1e154 they overflow, no
     # tail value is negative and the row fails
     with np.errstate(over="ignore", invalid="ignore"):
@@ -302,20 +303,16 @@ def _search(alpha, kappa):
         # terms (the scale of `residual`), does not count for its sign
         terms = _scaled_terms(alpha, kappa, _ETA_LO)
         found = (sum(terms) > _SIGN_FLOOR * sum(np.abs(t) for t in terms)) & ~failed
-    results = [None] * len(alpha)
+    eta0, residual = np.full(len(alpha), np.nan), np.full(len(alpha), np.nan)
     rows = np.flatnonzero(found)
-    if not rows.size:
-        return results, failed
-    a, k, hi = alpha[rows], kappa[rows], tail[rows]
-    w = _series(a, k)
-    eta0 = bracketed_roots(lambda i, x: _scaled(a[i], k[i], w[:, i], x),
-                           np.full(rows.size, _ETA_LO), hi, 1e-14)
-    terms = _scaled_terms(a, k, eta0)
-    residual = np.abs(sum(terms)) / sum(np.abs(t) for t in terms)
-    for j, r in enumerate(rows.tolist()):
-        results[r] = SingularExponentResult(float(eta0[j]), float(residual[j]),
-                                            (_ETA_LO, float(hi[j])))
-    return results, failed
+    if rows.size:
+        a, k = alpha[rows], kappa[rows]
+        w = _series(a, k)
+        eta0[rows] = bracketed_roots(lambda i, x: _scaled(a[i], k[i], w[:, i], x),
+                                     np.full(rows.size, _ETA_LO), tail[rows], 1e-14)
+        terms = _scaled_terms(a, k, eta0[rows])
+        residual[rows] = np.abs(sum(terms)) / sum(np.abs(t) for t in terms)
+    return eta0, residual, tail, failed
 
 
 def find_singular_exponent(p: CornerProblem) -> Optional[SingularExponentResult]:
@@ -355,11 +352,13 @@ def find_singular_exponent(p: CornerProblem) -> Optional[SingularExponentResult]
     pi - 1e-6 (1.6e-4 there at kappa = ell_plus / 10); from pi - 1e-7 to
     pi - 1e-9 the result was None.
     """
-    results, failed = _search(np.array([p.alpha]), np.array([p.kappa]))
+    eta0, residual, tail, failed = _search(np.array([p.alpha]), np.array([p.kappa]))
     if failed[0]:
         raise NumericalFailure(
             f"tail sign not confirmed after {_MAX_DOUBLINGS} doublings of eta_max")
-    return results[0]
+    if np.isnan(eta0[0]):
+        return None
+    return SingularExponentResult(float(eta0[0]), float(residual[0]), (_ETA_LO, float(tail[0])))
 
 
 def even_derivative_at_zero(p: CornerProblem, k: int) -> float:
@@ -533,22 +532,32 @@ def angular_profile(p: CornerProblem, lam: complex) -> AngularProfile:
 
 
 @dataclass(frozen=True)
-class RegionCell:
-    alpha: float
-    kappa: float
-    report: RegionReport
-    result: Optional[SingularExponentResult]
-    failed: bool = False
+class RegionMap:
+    """The cells of a region map as columns, one entry per cell, alpha-major.
+
+    ``membership`` holds Membership values as strings; ``eta0`` and
+    ``residual`` are nan where no exponent is found, failed cells included,
+    and ``failed`` flags the cells whose tail was not confirmed negative."""
+
+    alpha: np.ndarray
+    kappa: np.ndarray
+    g: np.ndarray
+    ell_minus: np.ndarray
+    ell_plus: np.ndarray
+    membership: np.ndarray
+    eta0: np.ndarray
+    residual: np.ndarray
+    failed: np.ndarray
 
 
-def region_map(alpha_range: tuple, kappa_range: tuple, n_alpha: int, n_kappa: int) -> list:
-    """Exponent search over a rectangular (alpha, kappa) grid.
+def region_map(alpha_range: tuple, kappa_range: tuple, n_alpha: int, n_kappa: int) -> RegionMap:
+    """Exponent search over a rectangular (alpha, kappa) grid, as one RegionMap.
 
-    Cells come in alpha-major order.  One search runs over the whole map, each
-    cell as find_singular_exponent would, with one lockstep root search over
-    every cell's bracket; a cell whose tail is not confirmed negative is flagged
-    failed.  The factors of g and (ell_minus, ell_plus) are formed once per
-    alpha column.
+    One search runs over the whole map, each cell as find_singular_exponent
+    would, with one lockstep root search over every cell's bracket.  The
+    factors of g and (ell_minus, ell_plus) are formed once per alpha column;
+    g and the membership are _g and _membership over the cells, so each cell
+    reads as classify_region says.
     """
     a_lo, a_hi = alpha_range
     k_lo, k_hi = kappa_range
@@ -561,11 +570,11 @@ def region_map(alpha_range: tuple, kappa_range: tuple, n_alpha: int, n_kappa: in
     alphas = np.linspace(a_lo, a_hi, n_alpha)
     kappas = np.linspace(k_lo, k_hi, n_kappa)
     A, K = (m.ravel() for m in np.meshgrid(alphas, kappas, indexing="ij"))
-    results, failed = _search(A, K)
-    columns = [(f, _roots(f)) for f in map(_factors, alphas.tolist())]
-    return [RegionCell(a, k, _report(*columns[i // n_kappa], k), result, bad)
-            for i, (a, k, result, bad)
-            in enumerate(zip(A.tolist(), K.tolist(), results, failed.tolist()))]
+    columns = np.array([(*f, *_roots(f)) for f in map(_factors, alphas.tolist())])
+    *factors, ell_minus, ell_plus = np.repeat(columns, n_kappa, axis=0).T
+    eta0, residual, _, failed = _search(A, K)
+    return RegionMap(A, K, _g(factors, K), ell_minus, ell_plus, _membership(factors, K),
+                     eta0, residual, failed)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ __all__ = [
     "ThreeSegmentDomain",
     "PiecewiseCubic",
     "ContrastRoots",
-    "quadratic_coefficients",
     "critical_contrasts_two_segment",
     "critical_contrasts_three_segment",
     "build_kernel_system",
@@ -67,22 +66,6 @@ class ThreeSegmentDomain:
 @dataclass(frozen=True)
 class ContrastRoots:
     roots: tuple
-
-
-def quadratic_coefficients(t: float) -> tuple:
-    """(p, q) of the contrast quadratic kappa^2 + p*kappa + q for ratio t = b/a < 0.
-
-    The discriminant p^2 - 4q factors as 16 t^2 (t-1)^2 (t^2 - t + 1), which is
-    positive for every t < 0.  NumericalFailure when doubles cannot show it:
-    p*p underflows below |t| ~ 1e-162, p*p and 4q overflow above |t| ~ 1e77.
-    """
-    if not t < 0.0:
-        raise ValueError(f"segment ratio must be negative, got {t}")
-    p = -4.0 * t + 6.0 * t * t - 4.0 * t * t * t
-    q = t * t * t * t
-    if not p * p - 4.0 * q > 0.0:  # false too when the powers overflow to inf - inf
-        raise NumericalFailure(f"contrast quadratic shows no positive discriminant at t={t}")
-    return p, q
 
 
 def critical_contrasts_two_segment(t: float) -> ContrastRoots:

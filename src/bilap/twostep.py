@@ -31,7 +31,6 @@ __all__ = [
     "two_step_solve",
     "compute_dual_singularity",
     "pairing_weights",
-    "singular_coefficient",
     "corrected_two_step_solve",
     "assemble_pairing_matrix",
     "kernel_residual",
@@ -40,8 +39,9 @@ __all__ = [
 EXCLUSION_RADIUS_CELLS = 4.0
 _RANK_TOL = 1e-8
 _SIGMA_MIN = 1e-12
-# pairing weights per grid, built on first use and dropped with the grid
-_WEIGHTS = weakref.WeakKeyDictionary()
+# kept-cell counts per node behind each grid's pairing weights, built on
+# first use and dropped with the grid
+_COUNTS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -168,21 +168,24 @@ def pairing_weights(grid: Grid2D) -> np.ndarray:
     cells whose centers fall within four mesh widths of a registered corner.
 
     Each kept cell gives a quarter of its area to each of its four nodes.  The
-    weights do not depend on sigma: they are built once per grid, as
-    ``Grid2D.factor()`` is, and returned read-only.  Integrands built from
-    dual fields behave like r^(-4/3) near a corner; the exclusion keeps every
-    evaluation finite, and its error vanishes under refinement.  On an lshape
-    grid with n <= 6 every cell is dropped, so the pairing matrix is zero and
-    a corrected solve raises SingularPairingMatrix.
+    weights do not depend on sigma: the kept-cell count per node is built
+    once per grid, as ``Grid2D.factor()`` is, and cached as int8 (an eighth
+    of the float weights); each call returns count * (h^2 / 4), read-only.
+    Integrands built from dual fields behave like r^(-4/3) near a corner; the
+    exclusion keeps every evaluation finite, and its error vanishes under
+    refinement.  On an lshape grid with n <= 6 every cell is dropped, so the
+    pairing matrix is zero and a corrected solve raises SingularPairingMatrix.
     """
-    w = _WEIGHTS.get(grid)
-    if w is None:
-        w = _WEIGHTS[grid] = _exclusion_weights(grid)
-        w.flags.writeable = False
+    count = _COUNTS.get(grid)
+    if count is None:
+        count = _COUNTS[grid] = _exclusion_weights(grid)
+    w = count * (grid.h * grid.h / 4.0)
+    w.flags.writeable = False
     return w
 
 
 def _exclusion_weights(grid: Grid2D) -> np.ndarray:
+    """The number of kept cells touching each node, as int8."""
     h = grid.h
     keep = grid.cell_mask.copy()
     # cells at least this many indices from a corner lie beyond the radius
@@ -194,19 +197,7 @@ def _exclusion_weights(grid: Grid2D) -> np.ndarray:
         cy = (np.arange(grid.ny)[sj] + 0.5) * h
         dist = np.hypot(cx[:, None] - c.x, cy[None, :] - c.y)
         keep[si, sj] &= dist >= EXCLUSION_RADIUS_CELLS * h
-    return _node_sum(grid, np.where(keep, h * h / 4.0, 0.0))
-
-
-def singular_coefficient(
-    grid: Grid2D, g: np.ndarray, singularity: CornerSingularity
-) -> float:
-    """Strength of the corner singularity excited by the source g.
-
-    Corner-excluded quadrature of g times the dual field, scaled by -1/pi;
-    drops to the quadrature floor exactly when the corrected intermediate is
-    used.
-    """
-    return float(-np.sum(pairing_weights(grid) * g * singularity.dual) / math.pi)
+    return _node_sum(grid, keep).astype(np.int8)
 
 
 # -- corrected solve ----------------------------------------------------------

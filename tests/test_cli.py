@@ -14,6 +14,7 @@ import pytest
 
 from bilap import cli, cones, corner_spectrum as cs, kernel1d, twostep
 from bilap.cli import run
+from bilap.errors import NumericalFailure
 from bilap.grid import Grid2D, lshape_grid, notched_grid
 
 
@@ -328,6 +329,13 @@ class TestMalformedInput:
         assert code == 0 and out.startswith("x,y,value\n")
 
 
+def map_cells(m):
+    """The cells of a RegionMap as tuples alpha, kappa, g, ell_minus,
+    ell_plus, membership, eta0, residual."""
+    return list(zip(*(c.tolist() for c in (m.alpha, m.kappa, m.g, m.ell_minus, m.ell_plus,
+                                           m.membership, m.eta0, m.residual))))
+
+
 class TestRegionMapCsv:
     def test_format(self, capsys):
         code, out, _ = invoke(capsys, "region-map", "--amin=0.5", "--amax=2.5", "--kmin=-5",
@@ -336,13 +344,11 @@ class TestRegionMapCsv:
         assert code == 0 and out.endswith("\n")
         assert lines[0] == "alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual"
         assert len(lines) == 10 and all(len(line.split(",")) == 8 for line in lines[1:])
-        cells = cs.region_map((0.5, 2.5), (-5.0, -0.2), 3, 3)
+        m = cs.region_map((0.5, 2.5), (-5.0, -0.2), 3, 3)
         fmt = lambda x: format(x, ".17g")
-        for line, c in zip(lines[1:], cells):
-            found = (fmt(c.result.eta0), fmt(c.result.residual)) if c.result else ("", "")
-            assert line.split(",") == [fmt(c.alpha), fmt(c.kappa), fmt(c.report.g_value),
-                                       fmt(c.report.ell_minus), fmt(c.report.ell_plus),
-                                       c.report.membership.value, *found]
+        for line, (*fields, member, eta0, residual) in zip(lines[1:], map_cells(m)):
+            found = ("", "") if math.isnan(eta0) else (fmt(eta0), fmt(residual))
+            assert line.split(",") == [*map(fmt, fields), member, *found]
 
     def test_failed_cells(self, capsys):
         # at alpha = 1e-300 the scan fails (eta0 and residual are nan) and
@@ -350,6 +356,36 @@ class TestRegionMapCsv:
         code, out, _ = invoke(capsys, "region-map", "--amin=1e-300", "--amax=0.1", "--na=2", "--nk=2")
         rows = [line.split(",") for line in out.splitlines()[1:3]]
         assert code == 0 and all(r[3] == "-inf" and r[6:] == ["nan", "nan"] for r in rows)
+
+    def test_extreme_contrasts(self, capsys):
+        # kappa = -5e-324 (the smallest subnormal) and -1e200, where g
+        # overflows to inf and the search fails: classify_region and
+        # find_singular_exponent, region_map and region-map agree cell by cell
+        # and raise no RuntimeWarning
+        argv = ("region-map", "--amin=0.3", "--amax=3.1", "--kmin=-1e200", "--kmax=-5e-324",
+                "--na=3", "--nk=2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = cs.region_map((0.3, 3.1), (-1e200, -5e-324), 3, 2)
+            cells = []
+            for a, k in zip(m.alpha.tolist(), m.kappa.tolist()):
+                p = cs.CornerProblem(a, k)
+                rep = cs.classify_region(p)
+                try:
+                    res = cs.find_singular_exponent(p)
+                    found = (None, None) if res is None else (res.eta0, res.residual)
+                except NumericalFailure:
+                    found = (math.nan, math.nan)
+                cells.append((a, k, rep.g_value, rep.ell_minus, rep.ell_plus,
+                              rep.membership.value, *found))
+            code, out, err = invoke(capsys, *argv)
+        assert m.kappa.tolist() == [-1e200, -5e-324] * 3
+        assert m.g.tolist()[::2] == [math.inf] * 3 and m.failed.tolist()[::2] == [True] * 3
+        # repr, so that nan matches nan
+        assert repr(map_cells(m)) == repr([c[:6] + ((math.nan,) * 2 if c[6] is None else c[6:])
+                                           for c in cells])
+        assert (code, out, err) == (0, per_field_csv(
+            "alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual", cells), "")
 
 
 def per_field(x) -> str:
@@ -378,15 +414,13 @@ class TestTemplateWriter:
         ((1e-300, 0.1), (-12.0, -0.05), 3, {"failed"}),
     ], ids=["found-none-boundary", "failed"])
     def test_region_map(self, capsys, alphas, kappas, n, kinds):
-        cells = cs.region_map(alphas, kappas, n, n)
-        seen = {c.report.membership.value for c in cells}
-        seen |= {"failed" if c.failed else "found" if c.result else "none" for c in cells}
-        assert kinds <= seen
-        rows = [(c.alpha, c.kappa, c.report.g_value, c.report.ell_minus, c.report.ell_plus,
-                 c.report.membership.value,
-                 *((math.nan, math.nan) if c.failed else
-                   (c.result.eta0, c.result.residual) if c.result else (None, None)))
-                for c in cells]
+        m = cs.region_map(alphas, kappas, n, n)
+        kind = ["failed" if bad else "none" if math.isnan(eta0) else "found"
+                for bad, eta0 in zip(m.failed.tolist(), m.eta0.tolist())]
+        assert kinds <= set(m.membership.tolist()) | set(kind)
+        rows = [(*cell[:6], *((math.nan, math.nan) if k == "failed" else
+                              cell[6:] if k == "found" else (None, None)))
+                for cell, k in zip(map_cells(m), kind)]
         argv = ("region-map", f"--amin={alphas[0]!r}", f"--amax={alphas[1]!r}",
                 f"--kmin={kappas[0]!r}", f"--kmax={kappas[1]!r}", f"--na={n}", f"--nk={n}")
         self.assert_same(capsys, argv, per_field_csv(

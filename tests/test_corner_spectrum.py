@@ -27,6 +27,7 @@ from bilap.corner_spectrum import (
     transmission_determinant,
     transmission_matrix,
 )
+from bilap.corner_spectrum import _factors
 from bilap.errors import NotSingular, NumericalFailure
 
 # high-precision reference for h at (pi/2, -1, 1): -11 - cosh(2 pi) + 4 cosh(pi)
@@ -547,11 +548,15 @@ class TestSearchOracle:
     @given(a0=st.floats(0.05, 2.0), width=st.floats(0.1, 1.0),
            k1=st.floats(-3.0, -0.05), height=st.floats(0.5, 20.0))
     def test_region_map_matches_single_searches(self, a0, width, k1, height):
-        cells = region_map((a0, a0 + width), (k1 - height, k1), 7, 9)
-        assert len(cells) == 63
-        for c in cells:
-            assert not c.failed
-            assert c.result == find_singular_exponent(CornerProblem(c.alpha, c.kappa))
+        m = region_map((a0, a0 + width), (k1 - height, k1), 7, 9)
+        assert len(m.alpha) == 63 and not m.failed.any()
+        for a, k, eta0, residual in zip(m.alpha.tolist(), m.kappa.tolist(),
+                                        m.eta0.tolist(), m.residual.tolist()):
+            res = find_singular_exponent(CornerProblem(a, k))
+            if res is None:
+                assert math.isnan(eta0) and math.isnan(residual)
+            else:
+                assert (eta0, residual) == (res.eta0, res.residual)
 
 
 class TestEdgeBand:
@@ -749,15 +754,15 @@ class TestGrowthBound:
 
 class TestRegionMap:
     def test_small_map_consistency(self):
-        cells = region_map((0.3, math.pi - 0.3), (-11.0, -0.1), 8, 8)
-        assert len(cells) == 64
-        for c in cells:
-            assert not c.failed
-            if c.report.g_value > 1e-3:
-                assert c.result is not None
-                assert dense_sign_changes(CornerProblem(c.alpha, c.kappa)) == 1
-            elif c.report.g_value < -1e-3:
-                assert c.result is None
+        m = region_map((0.3, math.pi - 0.3), (-11.0, -0.1), 8, 8)
+        assert len(m.alpha) == 64 and not m.failed.any()
+        for a, k, g, eta0 in zip(m.alpha.tolist(), m.kappa.tolist(), m.g.tolist(),
+                                 m.eta0.tolist()):
+            if g > 1e-3:
+                assert not math.isnan(eta0)
+                assert dense_sign_changes(CornerProblem(a, k)) == 1
+            elif g < -1e-3:
+                assert math.isnan(eta0)
 
     def test_reflection_invariance(self):
         alphas = (math.pi / 3, math.pi / 2, 2 * math.pi / 3)
@@ -787,19 +792,39 @@ class TestRegionMap:
 # cells, the kappa column at ell_plus(3.1415926) Inside cells with an exponent
 # and a Boundary cell at alpha = 3.1415926
 EDGE_MAP = ((1e-110, 3.1415926), (-1e200, critical_interval(3.1415926)[1]), 6, 5)
-MAPS = {"edges": EDGE_MAP, "ordinary": ((0.2, 2.9), (-12.0, -0.05), 9, 11)}
+MAPS = {"edges": EDGE_MAP, "ordinary": ((0.2, 2.9), (-12.0, -0.05), 9, 11),
+        "subnormal": ((0.01, 3.13), (-1e-300, -5e-324), 5, 4)}
+
+
+def scalar_membership(alpha, kappa):
+    """The membership by the scalar formula, one cell at a time: each factor
+    of g relative to its scale, with kappa scaled to -1 below it."""
+    def relative(x, y, k):
+        if k < -1.0:
+            y, k = y / -k, -1.0
+        scale = abs(x * k) + abs(y)
+        return (x * k + y) / scale if scale > 0.0 else 0.0
+
+    c, d, e, f = _factors(alpha)
+    rel = relative(c, d, kappa) * relative(e, f, kappa)
+    return "Inside" if rel > 1e-9 else "Outside" if rel < -1e-9 else "Boundary"
 
 
 class TestRegionMapBlocks:
     """Maps whose cells span every outcome of the search."""
 
     def test_edge_map_mixes_every_kind_of_cell(self):
-        cells = region_map(*EDGE_MAP)
-        kinds = {(c.report.membership, c.failed, c.result is not None) for c in cells}
+        m = region_map(*EDGE_MAP)
+        kinds = set(zip(map(Membership, m.membership.tolist()), m.failed.tolist(),
+                        (~np.isnan(m.eta0)).tolist()))
         assert {(Membership.OUTSIDE, True, False), (Membership.INSIDE, True, False),
                 (Membership.INSIDE, False, True), (Membership.BOUNDARY, False, False)} <= kinds
 
     @pytest.mark.parametrize("name", MAPS)
     def test_reports_match_classify_region(self, name):
-        for c in region_map(*MAPS[name]):
-            assert classify_region(CornerProblem(c.alpha, c.kappa)) == c.report
+        m = region_map(*MAPS[name])
+        for a, k, *report in zip(*(c.tolist() for c in (m.alpha, m.kappa, m.g, m.ell_minus,
+                                                         m.ell_plus, m.membership))):
+            rep = classify_region(CornerProblem(a, k))
+            assert [rep.g_value, rep.ell_minus, rep.ell_plus, rep.membership.value] == report
+            assert report[-1] == scalar_membership(a, k)

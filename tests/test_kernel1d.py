@@ -1,10 +1,7 @@
 """Tests for the 1D kernel detection: closed forms against the determinant scan."""
 
 import math
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -21,46 +18,8 @@ from bilap.kernel1d import (
     critical_contrasts_two_segment,
     kernel_basis,
     kernel_determinant,
-    quadratic_coefficients,
     scan_critical_contrasts,
 )
-
-
-class TestQuadraticCoefficients:
-    def test_symmetric_case(self):
-        assert quadratic_coefficients(-1.0) == (14.0, 1.0)
-
-    def test_ratio_minus_two(self):
-        assert quadratic_coefficients(-2.0) == (64.0, 16.0)
-
-    def test_discriminant_positive(self):
-        p, q = quadratic_coefficients(-1.0)
-        assert p * p - 4.0 * q == pytest.approx(192.0, rel=1e-14)
-        rng = np.random.default_rng(30)
-        for _ in range(100):
-            t = -math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
-            p, q = quadratic_coefficients(t)
-            assert p * p - 4.0 * q > 0.0
-
-    def test_rejects_positive_ratio(self):
-        with pytest.raises(ValueError):
-            quadratic_coefficients(0.5)
-
-    @pytest.mark.parametrize("t", [-1e-170, -1e100])
-    def test_unrepresentable_discriminant(self, t):
-        # p*p underflows to zero at -1e-170; t^4 overflows at -1e100
-        with pytest.raises(NumericalFailure):
-            quadratic_coefficients(t)
-
-    def test_guard_survives_optimized_mode(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = ("from bilap.errors import NumericalFailure\n"
-                "from bilap.kernel1d import quadratic_coefficients\n"
-                "try:\n    print(quadratic_coefficients(-1e-170))\n"
-                "except NumericalFailure:\n    print('NumericalFailure')\n")
-        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-        assert out.stdout.strip() == "NumericalFailure", out.stderr
 
 
 class TestClosedFormContrasts:
@@ -77,7 +36,8 @@ class TestClosedFormContrasts:
         rng = np.random.default_rng(31)
         for _ in range(50):
             t = -math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-            p, q = quadratic_coefficients(t)
+            # the contrast quadratic kappa^2 + p kappa + q of ratio t
+            p, q = -4.0 * t + 6.0 * t * t - 4.0 * t * t * t, t * t * t * t
             for r in critical_contrasts_two_segment(t).roots:
                 residual = r * r + p * r + q
                 assert abs(residual) <= 1e-12 * max(r * r, abs(p * r), q)

@@ -27,7 +27,6 @@ from bilap.twostep import (
     compute_dual_singularity,
     corrected_two_step_solve,
     kernel_residual,
-    singular_coefficient,
     pairing_weights,
     two_step_solve,
 )
@@ -369,6 +368,15 @@ class TestNodeTransfer:
             np.divide(scatter_reference(grid, grid.cell_mask, values), count, out=ref,
                       where=count > 0)
             assert field.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("make,n", [(lshape_grid, n) for n in (4, 6, 8, 34, 64, 256, 1024)]
+                             + [(notched_grid, n) for n in (16, 24, 32, 136, 512, 1024)]
+                             + [(rectangle_grid, n) for n in (2, 3, 16, 127, 513)])
+    def test_pairing_weights_bitwise_equal_to_scatter(self, make, n):
+        # the cached kept-cell counts times h^2 / 4 against the quarter areas
+        # of the kept cells added onto their nodes one by one
+        grid = make(n)
+        shape = (grid.nx, grid.ny)
         CX, CY = np.meshgrid((np.arange(grid.nx) + 0.5) * grid.h,
                              (np.arange(grid.ny) + 0.5) * grid.h, indexing="ij")
         far = np.ones(shape, dtype=bool)
@@ -435,10 +443,12 @@ class TestCorrection:
         cor = corrected_two_step_solve(g, sigma, f, [s])
         return g, sigma, f, s, unc, cor
 
+    # the strength of the corner singularity that a source excites is -1/pi
+    # times its corner-excluded pairing with the dual field
     def test_zero_source(self):
         g = lshape_grid(32)
         s = compute_dual_singularity(g, 0)
-        assert singular_coefficient(g, np.zeros((33, 33)), s) == 0.0
+        assert -pair(g, np.zeros((33, 33)), s.dual) / math.pi == 0.0
 
     def test_uncorrected_coefficient_persists(self):
         # the naive split keeps exciting the singularity as the grid refines
@@ -450,15 +460,15 @@ class TestCorrection:
             s = compute_dual_singularity(g, 0)
             unc = two_step_solve(g, sigma, f)
             sinv = sigma.inverse_at_nodes(g)
-            cs.append(singular_coefficient(g, sinv * unc.p, s))
+            cs.append(-pair(g, sinv * unc.p, s.dual) / math.pi)
         assert min(abs(c) for c in cs) > 1e-3
         assert abs(cs[0] - cs[1]) < 0.5 * abs(cs[1])
 
     def test_correction_kills_coefficient(self, corrected):
         g, sigma, f, s, unc, cor = corrected
         sinv = sigma.inverse_at_nodes(g)
-        c_unc = singular_coefficient(g, sinv * unc.p, s)
-        c_cor = singular_coefficient(g, sinv * cor.p, s)
+        c_unc = -pair(g, sinv * unc.p, s.dual) / math.pi
+        c_cor = -pair(g, sinv * cor.p, s.dual) / math.pi
         assert abs(c_cor) <= 0.1 * abs(c_unc)
 
     def test_orthogonality_by_construction(self, corrected):
