@@ -194,7 +194,8 @@ def _make_grid(kind: str, n: int) -> Grid2D:
 
 def _load_cells(path: str, shape: tuple, to_index) -> tuple:
     """(index arrays, values) of a CSV with rows a,b,value under one header line;
-    to_index(a, b columns) must give whole indices inside shape in every row."""
+    to_index(a, b columns) must give whole indices inside shape in every row,
+    and every value must be finite."""
     with warnings.catch_warnings():
         # numpy warns on a file with no data rows, which is rejected just below
         warnings.simplefilter("ignore", UserWarning)
@@ -204,6 +205,8 @@ def _load_cells(path: str, shape: tuple, to_index) -> tuple:
     ij = to_index(table[:, :2])
     ok = ((ij == np.floor(ij)) & (ij >= 0) & (ij < np.array(shape))).all(axis=1)
     _require(ok.all(), f"{path}: row {np.argmin(ok) + 1} is off the {shape[0]}x{shape[1]} grid")
+    finite = np.isfinite(table[:, 2])
+    _require(finite.all(), f"{path}: row {np.argmin(finite) + 1} has a value that is not finite")
     return tuple(ij.astype(int).T), table[:, 2]
 
 

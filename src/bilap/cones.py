@@ -59,6 +59,9 @@ def exponent_pair(d: int, mu: float) -> tuple:
     """Radial exponents (lambda_minus, lambda_plus) for eigenvalue mu.
 
     lambda_plus > 0 > lambda_minus, their sum is 2 - d and their product -mu.
+    With half = 1 - d/2 <= 0, lambda_minus = half - root and lambda_plus =
+    mu / (root - half), root = sqrt(half^2 + mu): neither form cancels, so
+    both hold to a few ulps however small mu is.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
@@ -66,7 +69,7 @@ def exponent_pair(d: int, mu: float) -> tuple:
         raise ValueError("mu must be positive")
     half = 1.0 - 0.5 * d
     root = math.sqrt(half * half + mu)
-    return half - root, half + root
+    return half - root, mu / (root - half)
 
 
 def legendre_p(nu: float, x: float) -> float:

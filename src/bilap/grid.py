@@ -2,13 +2,13 @@
 
 Domains are grid-aligned polygons given as cell masks over a unit bounding
 box.  Nodes with all four touching cells inside are interior unknowns; nodes
-touching at least one inside cell otherwise are boundary nodes carrying
-Dirichlet data.  Every reentrant corner of such a polygon opens 3*pi/2 and is
-a node touched by exactly three mask cells; Grid2D finds each one in its mask
-and registers it, at the node's own coordinates, with a local polar frame:
-theta = 0 lies on the corner's vertical edge (+y when the missing cell is
-above the node, -y when below) and theta sweeps from there into the domain,
-reaching the horizontal edge at 3*pi/2.
+touching at least one inside cell otherwise are boundary nodes, where every
+solve takes zero Dirichlet data.  Every reentrant corner of such a polygon
+opens 3*pi/2 and is a node touched by exactly three mask cells; Grid2D finds
+each one in its mask and registers it, at the node's own coordinates, with a
+local polar frame: theta = 0 lies on the corner's vertical edge (+y when the
+missing cell is above the node, -y when below) and theta sweeps from there
+into the domain, reaching the horizontal edge at 3*pi/2.
 
 Fields are nodal arrays of shape (nx + 1, ny + 1), in and out of every solve;
 the five-point operator acts on them as a slice stencil (``apply_laplacian``).
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import NumericalFailure
@@ -75,13 +73,8 @@ class Grid2D:
         self._check_connected()  # also rejects an empty mask
         self.h = 1.0 / nx
 
-        padded = np.zeros((nx + 2, ny + 2), dtype=bool)
-        padded[1:-1, 1:-1] = cell_mask
         # per node, the number of mask cells touching it
-        touching = self.touching = (
-            padded[:-1, :-1].astype(np.int8) + padded[1:, :-1]
-            + padded[:-1, 1:] + padded[1:, 1:]
-        )
+        touching = self.touching = self.node_sum(cell_mask.astype(np.int8))
         self.interior = touching == 4
         if not self.interior.any():
             raise ValueError(f"cell mask over {nx}x{ny} cells has no interior node")
@@ -109,6 +102,16 @@ class Grid2D:
         return ReentrantCorner(x=float(self.node_x[i]), y=float(self.node_y[j]),
                                frame_angle=(0.5 if above else -0.5) * math.pi,
                                orientation=1.0 if above == right else -1.0, i=i, j=j)
+
+    def node_sum(self, cell_values: np.ndarray) -> np.ndarray:
+        """Per node, the sum of the values of the mask cells touching it, in
+        the values' dtype; each node takes its additions in a fixed order and
+        cells off the mask add 0.  The one cell-to-node scatter."""
+        vals = np.where(self.cell_mask, cell_values, 0)
+        out = np.zeros((self.nx + 1, self.ny + 1), dtype=vals.dtype)
+        for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            out[di:di + self.nx, dj:dj + self.ny] += vals
+        return out
 
     # -- linear algebra -----------------------------------------------------
 
@@ -298,27 +301,16 @@ def _residual(grid: Grid2D, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.subtract(b[1:-1, 1:-1], lap, out=lap)[grid.interior[1:-1, 1:-1]]
 
 
-def solve_poisson_dirichlet(
-    grid: Grid2D,
-    rhs: np.ndarray,
-    boundary_values: Optional[np.ndarray] = None,
-):
-    """Solve the five-point system Lap u = rhs with Dirichlet data on the boundary.
+def solve_poisson_dirichlet(grid: Grid2D, rhs: np.ndarray):
+    """Solve the five-point system Lap u = rhs with zero Dirichlet data.
 
-    ``rhs`` and the optional ``boundary_values`` are full nodal arrays; the
-    returned field carries the boundary data and zeros outside the domain.
-    A solve that misses the residual target 1e-10 relative to ||rhs|| is
+    ``rhs`` is a full nodal array, read at the interior nodes; the returned
+    (u, residual) has u zero on the boundary and outside the domain.  A
+    solve that misses the residual target 1e-10 relative to ||rhs|| is
     refined once with its residual; NumericalFailure is raised when the
     refined solve still misses it, or when the residual is not a number.
     """
     b = np.where(grid.interior, rhs, 0.0)
-    if boundary_values is not None:
-        # the data moves to the rhs of each interior neighbour; subtracting 0.0
-        # where a neighbour is not a boundary node leaves b bitwise unchanged
-        data = np.where(grid.boundary, boundary_values, 0.0) / (grid.h * grid.h)
-        for shifted in (data[2:, 1:-1], data[:-2, 1:-1], data[1:-1, 2:], data[1:-1, :-2]):
-            b[1:-1, 1:-1] -= shifted
-        b[~grid.interior] = 0.0
     solver = grid.factor()
     u = solver.solve(b)
     r = _residual(grid, b, u)
@@ -337,8 +329,6 @@ def solve_poisson_dirichlet(
         residual = _norm(_residual(grid, b, u), scale) / bnorm
     if not residual <= _RESIDUAL_TOL:  # a nan residual fails too
         raise NumericalFailure(f"Poisson residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}")
-    if boundary_values is not None:
-        u[grid.boundary] = boundary_values[grid.boundary]
     return u, residual
 
 

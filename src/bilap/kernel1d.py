@@ -36,8 +36,9 @@ __all__ = [
 _SCAN_LO, _SCAN_HI, _SCAN_POINTS = -1e4, -1e-4, 10_000
 # contrasts per stacked determinant call of the scan: about 0.5 MB of 8x8 systems
 _KAPPA_CHUNK = 1000
-# |det| relative to the Hadamard bound above which a kernel system is regular
-_REGULAR_TOL = 1e-8
+# relative distance to a closed-form critical contrast within which a
+# contrast is critical
+_CRITICAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -196,16 +197,21 @@ def _null_vector(M: np.ndarray) -> np.ndarray:
 
 
 def kernel_basis(dom: Domain, kappa: float) -> Optional[PiecewiseCubic]:
-    """Kernel field at a critical contrast, or None when the system is regular.
+    """Kernel field at a critical contrast, or None at any other contrast.
 
-    Regularity is judged by |det| against 1e-8 times the Hadamard row-norm
-    bound.  The returned cubic is normalized to unit largest coefficient.
+    kappa is critical when it lies within 1e-6, relative, of one of the
+    domain's closed-form contrasts (for two segments those of t = b/a); a
+    closed form that is not a finite, normal float raises NumericalFailure.
+    The field is the SVD null vector of the interface system at kappa itself,
+    a piecewise cubic normalized to unit largest coefficient.
     """
-    M = build_kernel_system(dom, kappa)
-    scale = float(np.prod(np.linalg.norm(M, axis=1)))
-    if abs(np.linalg.det(M)) > _REGULAR_TOL * scale:
+    if isinstance(dom, TwoSegmentDomain):
+        roots = critical_contrasts_two_segment(dom.b / dom.a).roots
+    else:
+        roots = critical_contrasts_three_segment(dom.delta).roots
+    if not any(abs(kappa - r) <= _CRITICAL_TOL * abs(r) for r in roots):
         return None
-    v = _null_vector(M)
+    v = _null_vector(build_kernel_system(dom, kappa))
     if isinstance(dom, TwoSegmentDomain):
         a, b = dom.a, dom.b
         return PiecewiseCubic(

@@ -14,7 +14,6 @@ run through one split.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,9 +38,6 @@ __all__ = [
 EXCLUSION_RADIUS_CELLS = 4.0
 _RANK_TOL = 1e-8
 _SIGMA_MIN = 1e-12
-# kept-cell counts per node behind each grid's pairing weights, built on
-# first use and dropped with the grid
-_COUNTS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -68,18 +64,8 @@ class SigmaField:
         return _node_mean(grid, self.cells)
 
 
-def _node_sum(grid: Grid2D, cell_values: np.ndarray) -> np.ndarray:
-    """Per node, the sum of the values of the mask cells touching it; each node
-    takes its additions in a fixed order and cells off the mask add 0.0."""
-    vals = np.where(grid.cell_mask, cell_values, 0.0)
-    out = np.zeros((grid.nx + 1, grid.ny + 1))
-    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        out[di:di + grid.nx, dj:dj + grid.ny] += vals
-    return out
-
-
 def _node_mean(grid: Grid2D, cell_values: np.ndarray) -> np.ndarray:
-    total = _node_sum(grid, cell_values)
+    total = grid.node_sum(cell_values)
     return np.divide(total, grid.touching, out=np.zeros_like(total), where=grid.touching > 0)
 
 
@@ -107,12 +93,11 @@ def two_step_solve(grid: Grid2D, sigma: SigmaField, f: np.ndarray) -> FieldSolut
 
 def _split(grid: Grid2D, sinv: np.ndarray, f: np.ndarray, pm=None) -> FieldSolution:
     """Lap p0 = f; given a PairingMatrix ``pm``, p = p0 + sum_i c_i dual_i with c
-    zeroing each sum(weights * sinv * p * dual_i); then Lap v = sinv * p."""
+    zeroing each sum(pm.ws * p * dual_i); then Lap v = sinv * p."""
     p, res_p = solve_poisson_dirichlet(grid, f)
     coeff = None
     if pm is not None:
-        ws = pm.weights * sinv
-        rhs = np.array([-_pair(ws, d, p) for d in pm.duals])
+        rhs = np.array([-_pair(pm.ws, d, p) for d in pm.duals])
         coeff = np.linalg.solve(pm.matrix, rhs)
         p = p + sum(a * d for a, d in zip(coeff, pm.duals))
     v, res_v = solve_poisson_dirichlet(grid, sinv * p)
@@ -140,19 +125,20 @@ def compute_dual_singularity(grid: Grid2D, corner_index: int) -> CornerSingulari
 
     The leading term r^(-mu) sin(mu*theta), mu = pi/(3*pi/2) = 2/3, vanishes
     on the two corner edges; its trace on the remaining boundary is lifted by a
-    discrete harmonic solve so the total vanishes on the whole boundary.
+    discrete harmonic field so the total vanishes on the whole boundary.  The
+    lift is one zero-data solve whose rhs is the stencil's share of that trace
+    at each interior node.  (The zero-data solve with rhs Lap(leading) gives
+    the same field in exact arithmetic, but its rhs is of order h^(-8/3) at
+    the corner, and in doubles it is about ten times less accurate.)
     """
     corner = grid.corners[corner_index]
     mu = math.pi / REENTRANT_APERTURE
     r, theta = corner_polar(grid, corner)
     with np.errstate(divide="ignore"):
         leading = np.where(r > 0.0, r ** (-mu) * np.sin(mu * theta), 0.0)
-    lift_data = -leading
-    lift, _ = solve_poisson_dirichlet(
-        grid, np.zeros_like(leading), boundary_values=lift_data
-    )
-    dual = lift + leading
-    dual[~grid.interior] = 0.0
+    rhs = grid.apply_laplacian(np.where(grid.boundary, leading, 0.0))
+    dual, _ = solve_poisson_dirichlet(grid, rhs)
+    dual[grid.interior] += leading[grid.interior]
     return CornerSingularity(dual=dual)
 
 
@@ -167,27 +153,16 @@ def pairing_weights(grid: Grid2D) -> np.ndarray:
     """Nodal weights of the cellwise trapezoid rule over the mask, less the
     cells whose centers fall within four mesh widths of a registered corner.
 
-    Each kept cell gives a quarter of its area to each of its four nodes.  The
-    weights do not depend on sigma: the kept-cell count per node is built
-    once per grid, as ``Grid2D.factor()`` is, and cached as int8 (an eighth
-    of the float weights); each call returns count * (h^2 / 4), read-only.
+    Each kept cell gives a quarter of its area to each of its four nodes: the
+    weights are the kept-cell count per node, scattered as int8, times h^2/4,
+    in a new array on every call.  They do not depend on sigma.
     Integrands built from dual fields behave like r^(-4/3) near a corner; the
     exclusion keeps every evaluation finite, and its error vanishes under
     refinement.  On an lshape grid with n <= 6 every cell is dropped, so the
     pairing matrix is zero and a corrected solve raises SingularPairingMatrix.
     """
-    count = _COUNTS.get(grid)
-    if count is None:
-        count = _COUNTS[grid] = _exclusion_weights(grid)
-    w = count * (grid.h * grid.h / 4.0)
-    w.flags.writeable = False
-    return w
-
-
-def _exclusion_weights(grid: Grid2D) -> np.ndarray:
-    """The number of kept cells touching each node, as int8."""
     h = grid.h
-    keep = grid.cell_mask.copy()
+    keep = grid.cell_mask.astype(np.int8)
     # cells at least this many indices from a corner lie beyond the radius
     reach = math.ceil(EXCLUSION_RADIUS_CELLS) + 1
     for c in grid.corners:
@@ -197,7 +172,7 @@ def _exclusion_weights(grid: Grid2D) -> np.ndarray:
         cy = (np.arange(grid.ny)[sj] + 0.5) * h
         dist = np.hypot(cx[:, None] - c.x, cy[None, :] - c.y)
         keep[si, sj] &= dist >= EXCLUSION_RADIUS_CELLS * h
-    return _node_sum(grid, keep).astype(np.int8)
+    return grid.node_sum(keep) * (h * h / 4.0)
 
 
 # -- corrected solve ----------------------------------------------------------
@@ -206,17 +181,18 @@ def _exclusion_weights(grid: Grid2D) -> np.ndarray:
 @dataclass(frozen=True)
 class PairingMatrix:
     """Symmetric matrix of sigma-weighted dual-field pairings with rank data,
-    and the arrays it pairs: ``sinv`` (1/sigma at the nodes), ``weights`` (the
-    grid's read-only corner-excluded pairing weights) and ``duals`` (the dual
-    fields, in order).  Entry (i, j) is sum(weights * sinv * duals[i] *
-    duals[j]); ``tol`` is the relative rank tolerance behind ``kernel_dim``."""
+    and the arrays it pairs: ``sinv`` (1/sigma at the nodes), ``ws`` (the
+    grid's corner-excluded pairing weights times sinv, formed once per
+    assembly) and ``duals`` (the dual fields, in order).  Entry (i, j) is
+    sum(ws * duals[i] * duals[j]); ``tol`` is the relative rank tolerance
+    behind ``kernel_dim``."""
 
     matrix: np.ndarray
     singular_values: np.ndarray
     kernel_dim: int
     tol: float
     sinv: np.ndarray
-    weights: np.ndarray
+    ws: np.ndarray
     duals: tuple
 
 
@@ -237,19 +213,18 @@ def assemble_pairing_matrix(
     if n < 1:
         raise ValueError("need at least one singularity")
     sinv = sigma.inverse_at_nodes(grid)
-    w = pairing_weights(grid)
-    ws = w * sinv
+    ws = pairing_weights(grid) * sinv
     duals = tuple(s.dual for s in singularities)
     M = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
             M[i, j] = M[j, i] = _pair(ws, duals[i], duals[j])
-    np.abs(ws, out=ws)
-    scale = max(_pair(ws, d, d) for d in duals)
+    abs_ws = np.abs(ws)
+    scale = max(_pair(abs_ws, d, d) for d in duals)
     svals = np.linalg.svd(M, compute_uv=False)
     kernel = svals <= _RANK_TOL * scale if scale > 0.0 else np.ones_like(svals, bool)
     return PairingMatrix(matrix=M, singular_values=svals, kernel_dim=int(np.sum(kernel)),
-                         tol=_RANK_TOL, sinv=sinv, weights=w, duals=duals)
+                         tol=_RANK_TOL, sinv=sinv, ws=ws, duals=duals)
 
 
 def corrected_two_step_solve(

@@ -56,9 +56,25 @@ class TestExitCodes:
         ("kernel1d", "--delta", "1"),
         ("cone", "--mu", "-1"),
         ("classify", "--lambda1", "0"),
+        # contrasts far from the critical -1 and -1/7 of delta = 0.5 and the
+        # -7 +- 4 sqrt(3) of t = -1, where the interface system is still
+        # nearly singular, or its entries overflow
+        ("kernel1d", "--delta", "0.5", "--kappa=-1e4"),
+        ("kernel1d", "--t", "-1", "--kappa=-1e154"),
+        ("kernel1d", "--t", "-1", "--kappa=-1e308"),
+        ("kernel1d", "--delta", "0.5", "--kappa=-1e308"),
+        # 1e-4 off the critical -19 of delta = 0.95
+        ("kernel1d", "--delta", "0.95", "--kappa=-19.0019"),
+        # rhs files whose one value is not finite, written by the test
+        (*SOLVE, "--rhs", "file:{tmp}/nan.csv"),
+        (*SOLVE, "--rhs", "file:{tmp}/inf.csv"),
     ])
-    def test_argument_errors(self, capsys, argv):
-        code, out, err = invoke(capsys, *argv)
+    def test_argument_errors(self, capsys, tmp_path, argv):
+        for value in ("nan", "inf"):
+            write(tmp_path, f"{value}.csv", f"x,y,value\n0.25,0.25,{value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == 1 and out == ""
         assert err.startswith("error: ")
 
@@ -135,6 +151,13 @@ class TestExitCodes:
         assert code == 2 and out == "" and err.startswith("numerical failure: no degree bracket")
         code, out, err = invoke(capsys, "cone", "--alpha=0.0477")
         assert (code, err) == (0, "") and out.endswith(",Isomorphism\n")
+
+    def test_tiny_cross_section_eigenvalue(self, capsys):
+        # lambda_plus ~ mu / (d - 2); half + root would cancel to 0 here
+        code, out, err = invoke(capsys, "cone", "--mu=1e-17")
+        assert (code, err) == (0, "")
+        assert out == ("alpha,mu1,lambda_plus,classification\n"
+                       ",1.0000000000000001e-17,1.0000000000000001e-17,InjectiveNotOnto\n")
 
     def test_unwritable_output_exits_1(self, capsys, tmp_path):
         code, out, err = invoke(capsys, *SOLVE, "--output", str(tmp_path / "missing" / "x.csv"))
@@ -293,11 +316,6 @@ class TestMalformedInput:
         path = write(tmp_path, "rhs.csv", f"x,y,value\n{rows}\n")
         code, out, err = invoke(capsys, *SOLVE, "--rhs", f"file:{path}")
         assert code == 1 and out == "" and err.startswith("error: ")
-
-    def test_rhs_file_nan_is_numerical_failure(self, capsys, tmp_path):
-        path = write(tmp_path, "rhs.csv", "x,y,value\n0.25,0.25,nan\n")
-        code, out, err = invoke(capsys, *SOLVE, "--rhs", f"file:{path}")
-        assert code == 2 and out == "" and err.startswith("numerical failure: ")
 
     def test_rhs_file_near_overflow_scales_the_solution(self, capsys, tmp_path):
         # squares of 1e200 overflow; the residual norms must not take them

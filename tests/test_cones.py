@@ -53,6 +53,20 @@ class TestExponentPair:
             assert lp + lm == pytest.approx(2.0 - d, rel=1e-12, abs=1e-12)
             assert lp * lm == pytest.approx(-mu, rel=1e-12)
 
+    def test_lambda_plus_against_mpmath(self):
+        # half + sqrt(half^2 + mu), from the same double mu, with 360 digits
+        # to carry it through the sum's cancellation of up to 300 digits; in
+        # doubles that sum cancels for small mu once d >= 3
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            d = int(rng.integers(2, 11))
+            mu = 10.0 ** rng.uniform(-300.0, 3.0)
+            with mp.workdps(360):
+                half = 1 - mp.mpf(d) / 2
+                ref = half + mp.sqrt(half * half + mp.mpf(mu))
+            lp = exponent_pair(d, mu)[1]
+            assert abs(lp - ref) <= 1e-15 * ref, (d, mu)
+
 
 class TestLegendre:
     def test_degree_zero_and_one(self):

@@ -217,6 +217,25 @@ class TestKernelBasis:
     def test_regular_contrast_returns_none(self):
         assert kernel_basis(TwoSegmentDomain(-1.0, 1.0), -0.5) is None
 
+    def test_agrees_with_scan_on_random_segments(self):
+        # a kernel, with a null vector to 1e-10, at every contrast the scan
+        # finds, and none 1e-5 off either side of it or between the two
+        rng = np.random.default_rng(35)
+        for _ in range(6):
+            a, b = np.exp(rng.uniform(-1.5, 1.5, 2))
+            dom = TwoSegmentDomain(-float(a), float(b))
+            scan = scan_critical_contrasts(dom).roots
+            assert len(scan) == 2
+            for kappa in scan:
+                cubic = kernel_basis(dom, kappa)
+                assert cubic is not None
+                coeffs = np.array([cubic.coeffs[0][3], cubic.coeffs[0][2],
+                                   cubic.coeffs[1][3], cubic.coeffs[1][2]])
+                assert np.abs(build_kernel_system(dom, kappa) @ coeffs).max() <= 1e-10
+                for off in (kappa * (1.0 - 1e-5), kappa * (1.0 + 1e-5)):
+                    assert kernel_basis(dom, off) is None
+            assert kernel_basis(dom, -math.sqrt(scan[0] * scan[1])) is None
+
     def test_three_segment_kernel(self):
         dom = ThreeSegmentDomain(0.5)
         for kappa in (-1.0, -1.0 / 7.0):
