@@ -7,10 +7,15 @@ writer, _csv: a header, one template per row and one "%" pass over the flat
 values.  region-map writes the columns of one corner_spectrum.RegionMap, eight
 values per cell, with two row templates: a cell with no exponent writes its
 eta0 and residual as empty fields.  solve writes x,y,value at every interior
-node, rows in np.nonzero(grid.interior) order.  Exit codes: 0 success, 1
-argument error (including a size whose arrays cannot be allocated), 2
-numerical failure (including a rank-deficient pairing matrix in a corrected
-solve).
+node, rows in np.nonzero(grid.interior) order.
+
+Each key=value line of a --config file is an option of the subcommand,
+parsed as --key=value ('_' read as '-'; an on/off key such as correct=false
+as --no-correct) by the same parser as the flags, which override it; a key
+that is not an option of the subcommand is an argument error.  Exit codes:
+0 success, 1 argument error (including a size whose arrays cannot be
+allocated), 2 numerical failure (including a rank-deficient pairing matrix in
+a corrected solve).
 """
 
 from __future__ import annotations
@@ -30,10 +35,6 @@ from .errors import NumericalFailure
 from .grid import Grid2D, lshape_grid, notched_grid, rectangle_grid
 
 
-class _ArgumentError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -43,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
     # argparse exits with code 2 on bad usage; route through our own code 1
     def error(self, message):
-        raise _ArgumentError(message)
+        raise ValueError(message)
 
 
 def _csv(header: str, rows, values) -> str:
@@ -72,34 +73,33 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _load_config(path: str) -> dict:
-    """key=value lines; '#' starts a comment; later keys win."""
-    out = {}
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _config_options(path: str, args: argparse.Namespace) -> list:
+    """The lines of a --config file as options of the chosen subcommand:
+    key=value becomes --key=value ('_' read as '-'), and an on/off key such as
+    correct=false becomes --no-correct.  '#' starts a comment; later keys win."""
+    conf = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise _ArgumentError(f"malformed config line: {raw.rstrip()}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _config_defaults(path: str, args: argparse.Namespace) -> dict:
-    """The --config values for the chosen subcommand's options, booleans parsed
-    strictly; the rest stay strings for argparse to convert."""
-    conf = {k: v for k, v in _load_config(path).items()
-            if k in vars(args) and k not in ("command", "config")}
+            key, _, value = line.partition("=")
+            key = key.strip().replace("_", "-")
+            _require("=" in line and key != "", f"malformed config line: {raw.rstrip()}")
+            conf[key] = value.strip()
+    options = []
     for key, value in conf.items():
-        if isinstance(getattr(args, key), bool):  # an on/off flag such as --correct
+        # argparse would read --config, or any prefix of it, as the option itself
+        _require(not "config".startswith(key), f"{key}={value}: config files do not nest")
+        if isinstance(getattr(args, key.replace("-", "_"), None), bool):  # such as --correct
             _require(value.lower() in _BOOLEANS, f"{key}={value}: not true|false|yes|no|1|0")
-            conf[key] = _BOOLEANS[value.lower()]
-    return conf
+            options.append(f"--{key}" if _BOOLEANS[value.lower()] else f"--no-{key}")
+        else:
+            options.append(f"--{key}={value}")
+    return options
 
 
 def _emit(text: str, output: Optional[str]):
@@ -112,7 +112,7 @@ def _emit(text: str, output: Optional[str]):
 
 def _require(cond: bool, message: str):
     if not cond:
-        raise _ArgumentError(message)
+        raise ValueError(message)
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -167,10 +167,10 @@ def _cmd_kernel1d(args) -> str:
     else:
         dom = kernel1d.ThreeSegmentDomain(args.delta)
         closed = kernel1d.critical_contrasts_three_segment(args.delta)
+    _require(args.samples >= 1, "--samples must be positive")
     text = _csv("root_index,critical_contrast", ["%s,%.17g\n" * len(closed.roots)],
                 [x for pair in enumerate(closed.roots) for x in pair])
     if args.kappa is not None:
-        _require(args.samples >= 1, "--samples must be positive")
         basis = kernel1d.kernel_basis(dom, args.kappa)
         _require(basis is not None,
                  f"kappa={args.kappa} is not a critical contrast of this domain")
@@ -186,20 +186,25 @@ _DOMAINS = {"rectangle": "rectangle_grid", "lshape": "lshape_grid", "notched": "
 
 
 def _make_grid(kind: str, n: int) -> Grid2D:
-    # argparse checks --domain against _DOMAINS, but not a --config default
-    _require(kind in _DOMAINS, f"unknown domain '{kind}' ({'|'.join(_DOMAINS)})")
     _require(n > 0, f"--n must be positive, got {n}")
     return globals()[_DOMAINS[kind]](n)
 
 
 def _load_cells(path: str, shape: tuple, to_index) -> tuple:
     """(index arrays, values) of a CSV with rows a,b,value under one header line;
-    to_index(a, b columns) must give whole indices inside shape in every row,
-    and every value must be finite."""
+    line 1 must not be three numbers, to_index(a, b columns) must give whole
+    indices inside shape in every row, and every value must be finite."""
     with warnings.catch_warnings():
         # numpy warns on a file with no data rows, which is rejected just below
         warnings.simplefilter("ignore", UserWarning)
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with open(path, "rb") as fh:
+        first = fh.readline().split(b",")
+    try:
+        numbers = len(first) == 3 and [float(x) for x in first]
+    except ValueError:
+        numbers = []
+    _require(not numbers, f"{path}: line 1 is a data row, not a header")
     _require(table.size > 0, f"{path}: no data rows under the header")
     _require(table.shape[1] == 3, f"{path}: expected rows of three values")
     ij = to_index(table[:, :2])
@@ -234,7 +239,7 @@ def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
         values = [_finite_float(v) for v in fields]
     except argparse.ArgumentTypeError as exc:
         # float() takes 'nan', which would silently drop a split or a patch
-        raise _ArgumentError(f"sigma spec '{spec}': {exc}") from None
+        raise ValueError(f"sigma spec '{spec}': {exc}") from None
     if kind == "constant":
         return twostep.SigmaField.constant(grid, values[0])
     cx = (np.arange(grid.nx) + 0.5) * grid.h
@@ -262,7 +267,7 @@ def _rhs_from_spec(grid: Grid2D, spec: str) -> np.ndarray:
         index, values = _load_cells(spec[5:], field.shape, lambda xy: np.rint(xy / grid.h))
         field[index] = values
         return field
-    raise _ArgumentError(f"unknown rhs spec '{spec}' (sine2d|one|generic|file:<csv>)")
+    raise ValueError(f"unknown rhs spec '{spec}' (sine2d|one|generic|file:<csv>)")
 
 
 def _cmd_solve(args) -> str:
@@ -323,12 +328,13 @@ def _cmd_classify(args) -> str:
 
 
 def _build_parser():
-    """The parser and its subparsers by command name."""
+    """The parser of every subcommand."""
     parser = _Parser(prog="bilap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="key=value file; flags override it")
+        p.add_argument("--config", help="file of key=value lines, each read as the option"
+                                        " --key=value of this subcommand; flags override it")
         p.add_argument("--output", "-o", help="output path (default stdout)")
 
     p = sub.add_parser("eta0", help="singular exponent search at one corner problem")
@@ -384,7 +390,7 @@ def _build_parser():
     p.add_argument("--lambda1", type=_finite_float)
     common(p)
 
-    return parser, sub.choices
+    return parser
 
 
 _COMMANDS = {
@@ -407,18 +413,17 @@ def run(argv: Sequence[str]) -> int:
     """Dispatch one invocation; returns the process exit code.
 
     One parser serves every invocation in a process.  An invocation with
-    --config parses its arguments again on a parser of its own, so that the
-    config values it sets as defaults never reach the next invocation.
+    --config is parsed once more with the file's lines inserted right after
+    the command as options, so the flags that follow still win.
     """
     try:
-        args = _shared_parser()[0].parse_args(list(argv))
+        argv = list(argv)
+        args = _shared_parser().parse_args(argv)
         if args.config:
-            # config values become the subcommand's defaults, so flags keep precedence
-            parser, subparsers = _build_parser()
-            subparsers[args.command].set_defaults(**_config_defaults(args.config, args))
-            args = parser.parse_args(list(argv))
+            i = argv.index(args.command) + 1
+            args = _shared_parser().parse_args(argv[:i] + _config_options(args.config, args) + argv[i:])
         _emit(_COMMANDS[args.command](args), args.output)
-    except (_ArgumentError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except NumericalFailure as exc:

@@ -68,6 +68,8 @@ class TestExitCodes:
         # rhs files whose one value is not finite, written by the test
         (*SOLVE, "--rhs", "file:{tmp}/nan.csv"),
         (*SOLVE, "--rhs", "file:{tmp}/inf.csv"),
+        # --samples is checked without --kappa too
+        ("kernel1d", "--t", "-1", "--samples", "-5"),
     ])
     def test_argument_errors(self, capsys, tmp_path, argv):
         for value in ("nan", "inf"):
@@ -246,7 +248,7 @@ class TestConfig:
         assert from_config == invoke(capsys, "solve", "--domain", "notched", "--n", "32")
 
     def test_config_unknown_domain_exits_1(self, capsys, tmp_path):
-        # argparse checks --domain choices on the command line only
+        # a config line is parsed as its flag, so argparse checks the --domain choices
         conf = write(tmp_path, "c.conf", "domain=disk\n")
         code, out, err = invoke(capsys, "solve", "--config", conf)
         assert code == 1 and out == "" and err.startswith("error: ")
@@ -255,6 +257,20 @@ class TestConfig:
         conf = write(tmp_path, "c.conf", "n=abc\n")
         code, out, err = invoke(capsys, *SOLVE[:3], "--config", conf)
         assert code == 1 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("line", ["nn=8", "alpha=1", "config=x", "conf=x", "=8"])
+    def test_key_that_is_not_an_option_exits_1(self, capsys, tmp_path, line):
+        # a misspelt key, another subcommand's option and a nested config
+        conf = write(tmp_path, "c.conf", f"{line}\n")
+        code, out, err = invoke(capsys, *SOLVE, "--config", conf)
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("key", ["sigma-file", "sigma_file"])
+    def test_key_spelt_as_its_flag(self, capsys, tmp_path, key):
+        conf = write(tmp_path, "c.conf", f"{key}=constant:-2\n")
+        from_config = invoke(capsys, *SOLVE, "--config", conf)
+        assert from_config[0] == 0
+        assert from_config == invoke(capsys, *SOLVE, "--sigma-file", "constant:-2")
 
     @pytest.mark.parametrize("value", ["maybe", "", "off"])
     def test_bad_boolean_exits_1(self, capsys, tmp_path, value):
@@ -340,6 +356,16 @@ class TestMalformedInput:
             warnings.simplefilter("error")
             code, out, err = invoke(capsys, *SOLVE, option, f"file:{path}")
         assert code == 1 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("option,rows", [("--sigma-file", "3,4,-2.0\n5,5,-2.0\n"),
+                                             ("--sigma-file", "3,4,-2.0\n"),
+                                             ("--rhs", "0.25,0.25,1.0\n0.5,0.5,2.0\n"),
+                                             ("--rhs", "0.25,0.25,1.0\n")])
+    def test_file_without_header_exits_1(self, capsys, tmp_path, option, rows):
+        # line 1 is always read as the header, so a data row there would be lost
+        path = write(tmp_path, "cells.csv", rows)
+        code, out, err = invoke(capsys, *SOLVE, option, f"file:{path}")
+        assert (code, out, err) == (1, "", f"error: {path}: line 1 is a data row, not a header\n")
 
     def test_rhs_file_in_range(self, capsys, tmp_path):
         path = write(tmp_path, "rhs.csv", "x,y,value\n0.25,0.25,1.0\n1.0,1.0,5.0\n")
@@ -655,7 +681,7 @@ def test_solve_builds_its_grid_through_the_module_constructor(capsys, monkeypatc
     assert built == [8]
 
 
-def test_one_parser_per_process_built_on_first_run():
+def test_one_parser_per_process_built_on_first_run(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import argparse, io, contextlib\n"
             "built = []\n"
@@ -666,14 +692,18 @@ def test_one_parser_per_process_built_on_first_run():
             "argparse.ArgumentParser.__init__ = counting\n"
             "from bilap.cli import run\n"
             "counts = [len(built)]\n"
+            "with open('c.conf', 'w') as fh:\n"
+            "    fh.write('beta=0.5\\n')\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    for _ in range(3):\n"
-            "        run(['classify', '--lambda1', '1.5'])\n"
+            "    for argv in (['classify', '--lambda1', '1.5'], ['classify', '--config', 'c.conf',\n"
+            "                 '--lambda1', '1.5'], ['classify', '--lambda1', '1.5']):\n"
+            "        assert run(argv) == 0\n"
             "        counts.append(len(built))\n"
             "print(*counts)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+                         env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path, timeout=60)
     counts = [int(x) for x in out.stdout.split()]
-    # nothing at import; the first run builds the parser and its subparsers
+    # nothing at import; the first run builds the parser and its subparsers,
+    # and a --config run parses on that same parser
     assert len(counts) == 4 and counts[0] == 0 and counts[1] > 0, out.stderr
     assert counts[1] == counts[2] == counts[3]

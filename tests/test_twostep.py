@@ -353,7 +353,7 @@ class TestNodeTransfer:
                              + [(notched_grid, n) for n in (16, 24, 32, 136, 512, 1024)]
                              + [(rectangle_grid, n) for n in (2, 3, 16, 127, 513)])
     def test_pairing_weights_bitwise_equal_to_scatter(self, make, n):
-        # the cached kept-cell counts times h^2 / 4 against the quarter areas
+        # the scattered kept-cell counts times h^2 / 4 against the quarter areas
         # of the kept cells added onto their nodes one by one
         grid = make(n)
         shape = (grid.nx, grid.ny)

@@ -1,0 +1,248 @@
+"""Print one digest line per CLI invocation, to compare the CLI's bytes
+between two source trees.
+
+Runs a fixed list of argv through bilap.cli.run in one process, with
+RuntimeWarnings raised as errors, and prints for each the sha256 of its exit
+code, stdout and stderr, then the argv.  The list covers every subcommand at
+its defaults and the edge inputs of tests/test_cli.py, --config and file:
+cases included.  Their files are written under relative names in a temporary
+directory that is the working directory while the list runs, so two runs
+print comparable lines:
+
+    PYTHONPATH=<other tree>/src python tools/cli_digest.py > before.txt
+    PYTHONPATH=src python tools/cli_digest.py > after.txt
+    diff before.txt after.txt
+
+An exception that escapes run (a RuntimeWarning, say) is digested in place
+of the exit code as its type and message.
+"""
+
+import contextlib
+import hashlib
+import io
+import shlex
+import tempfile
+import warnings
+
+from bilap.cli import run
+
+SOLVE = ["solve", "--domain", "lshape", "--n", "16"]
+SINGULAR_PATCH = "patch:0.25:0.75:0.25:0.75:-0.4782838593387099:1"
+CRITICAL = "-13.928203230275509"  # a critical contrast of --t -1
+
+# name: text of each input file; missing.conf and missing.csv are never written
+FILES = {
+    "size.conf": "n=8\nrhs=one\n",
+    "map.conf": "na=3\nnk=4\n",
+    "notched.conf": "domain=notched\nn=32\n",
+    "eta0.conf": "alpha=1.0\nkappa=-5\n",
+    "corner.conf": "alpha=1\nkappa=-2\neta=0.3\n",
+    "kernel.conf": f"t=-1\nkappa={CRITICAL}\nsamples=21\n",
+    "cone.conf": "alpha=1.2\n",
+    "comments.conf": "# a comment\n\nn = 8   # size\ncorrect = no\n",
+    "later.conf": "n=abc\nn=8\n",
+    "negative.conf": "n=-4\n",
+    "zero.conf": "n=0\n",
+    "disk.conf": "domain=disk\n",
+    "type.conf": "n=abc\n",
+    "nan.conf": "beta=nan\n",
+    "inf.conf": "beta=inf\n",
+    "malformed.conf": "n 8\n",
+    "empty-key.conf": "=8\n",
+    "misspelt.conf": "nn=8\n",
+    "other.conf": "alpha=1\n",
+    "nested.conf": "config=x\n",
+    "dashed.conf": "sigma-file=constant:-2\n",
+    "underscored.conf": "sigma_file=constant:-2\n",
+    **{f"correct-{v or 'empty'}.conf": f"correct={v}\n"
+       for v in ("false", "no", "0", "TRUE", "yes", "1", "maybe", "", "off")},
+    "sigma.csv": "i,j,value\n3,4,-2.0\n15,15,-3.0\n",
+    "sigma-off-grid.csv": "i,j,value\n16,0,-2.0\n",
+    "sigma-fraction.csv": "i,j,value\n1.5,2,-2.0\n",
+    "sigma-short.csv": "i,j,value\n3,4\n",
+    "sigma-inf.csv": "i,j,value\n3,4,inf\n",
+    "sigma-no-header.csv": "3,4,-2.0\n5,5,-2.0\n",
+    "sigma-one-row.csv": "3,4,-2.0\n",
+    "header-only.csv": "a,b,value\n",
+    "rhs.csv": "x,y,value\n0.25,0.25,1.0\n1.0,1.0,5.0\n",
+    "rhs-off-grid.csv": "x,y,value\n2.0,0.5,1.0\n",
+    "rhs-nan.csv": "x,y,value\n0.25,0.25,nan\n",
+    "rhs-inf.csv": "x,y,value\n0.25,0.25,inf\n",
+    "rhs-no-header.csv": "0.25,0.25,1.0\n",
+    "rhs-big.csv": "x,y,value\n" + "".join(f"{i / 16},{j / 16},1e200\n"
+                                            for i in range(1, 16) for j in range(1, 16)),
+}
+
+INVOCATIONS = [
+    # every subcommand at its defaults
+    ["eta0"], ["region-map"], ["corner-det"], ["kernel1d"], ["solve"], ["cone"], ["classify"],
+    # eta0
+    ["eta0", "--alpha", "1.0", "--kappa", "-5"],
+    ["eta0", "--alpha=1.0", "--kappa=-0.1"],
+    ["eta0", "--alpha", "1.0", "--kappa", "-1e-3"],
+    ["eta0", "--alpha", "1.0", "--kappa=-1e-3"],
+    ["eta0", "--alpha", "1e-9", "--kappa", "-1"],
+    ["eta0", "--alpha=3.14", "--kappa=-1e-8"],
+    ["eta0", "--alpha", "1", "--kappa=-1e200"],
+    ["eta0", "--alpha", "1e-20", "--kappa", "-1"],
+    ["eta0", "--alpha", "1e-300", "--kappa", "-1"],
+    ["eta0", "--alpha", "4.0", "--kappa", "-1"],
+    ["eta0", "--alpha", "1.0"],
+    ["eta0", "--alpha", "one", "--kappa", "-1"],
+    # region-map
+    ["region-map", "--na", "6", "--nk", "5"],
+    ["region-map", "--na", "2", "--nk", "2", "--kmin", "-1e6"],
+    ["region-map", "--amin=0.5", "--amax=2.5", "--kmin=-5", "--kmax=-0.2", "--na=3", "--nk=3"],
+    ["region-map", "--amin=1e-300", "--amax=0.1", "--na=2", "--nk=2"],
+    ["region-map", "--amin=0.3", "--amax=3.1", "--kmin=-1e200", "--kmax=-5e-324", "--na=3",
+     "--nk=2"],
+    ["region-map", "--amin=3.14", "--amax=3.1415926", "--kmin=-1e-300", "--kmax=-1e-301",
+     "--na=2", "--nk=2"],
+    ["region-map", "--amin=1.0", "--amax=2.0", "--kmin=-18.817146090151702",
+     "--kmax=-0.7060234342587407", "--na=5", "--nk=5"],
+    ["region-map", "--bogus", "1"],
+    ["region-map", "--na", "100000000000"],
+    # corner-det
+    ["corner-det", "--alpha=1", "--kappa=-2", "--eta=0.3"],
+    ["corner-det", "--alpha", "1", "--kappa=-1", "--eta", "400"],
+    ["corner-det", "--alpha", "1", "--kappa=-1", "--eta", "1e300"],
+    ["corner-det", "--alpha", "1", "--kappa", "-1", "--eta", "nan"],
+    # kernel1d
+    ["kernel1d", "--t", "-1"],
+    ["kernel1d", "--t", "-2.5e0"],
+    ["kernel1d", "--t=-2.5e0"],
+    ["kernel1d", "--delta=0.4"],
+    ["kernel1d", "--t", "-1", "--kappa", CRITICAL, "--samples", "21"],
+    ["kernel1d", "--t=-1", f"--kappa={CRITICAL}"],
+    ["kernel1d", "--t=-1", f"--kappa={CRITICAL}", "--samples=1"],
+    ["kernel1d", "--t", "-1", "--kappa", CRITICAL, "--samples", "0"],
+    ["kernel1d", "--t", "-1", "--samples", "-5"],
+    ["kernel1d", "--t", "0", "--samples", "-5"],
+    ["kernel1d", "--t", "-1", "--kappa", "inf"],
+    ["kernel1d", "--t", "-1", "--delta", "0.5"],
+    ["kernel1d", "--t", "0"],
+    ["kernel1d", "--delta", "1"],
+    ["kernel1d", "--delta", "0.5", "--kappa=-1e4"],
+    ["kernel1d", "--t", "-1", "--kappa=-1e154"],
+    ["kernel1d", "--t", "-1", "--kappa=-1e308"],
+    ["kernel1d", "--delta", "0.5", "--kappa=-1e308"],
+    ["kernel1d", "--delta", "0.95", "--kappa=-19.0019"],
+    ["kernel1d", "--t=-1e103"],
+    ["kernel1d", "--t=-1e300"],
+    ["kernel1d", "--t=-1e102"],
+    ["kernel1d", "--t=-1e-102"],
+    ["kernel1d", "--t=-1e-103"],
+    ["kernel1d", "--t=-1e-200"],
+    ["kernel1d", "--delta=1e-103"],
+    ["kernel1d", "--delta=1e-300"],
+    ["kernel1d", "--delta=3e-103"],
+    # cone
+    ["cone", "--alpha=1.2"],
+    ["cone", "--mu=2"],
+    ["cone", "--alpha=0.0476"],
+    ["cone", "--alpha=0.0477"],
+    ["cone", "--mu=1e-17"],
+    ["cone", "--mu=0.5", "--d", "2"],
+    ["cone", "--mu", "-1"],
+    ["cone", "--alpha", "1.0", "--d", "4"],
+    ["cone", "--alpha", "1.0", "--mu", "2"],
+    # classify
+    ["classify", "--lambda1", "1.5"],
+    ["classify", "--beta=0.5", "--l=2", "--d=3", "--lambda1=1.5"],
+    ["classify", "--beta=0.0", "--l=1", "--d=2", "--lambda1=1.0000000000000002"],
+    ["classify", "--lambda1", "0"],
+    ["classify", "--lambda1", "1", "--beta", "nan"],
+    # solve
+    SOLVE,
+    [*SOLVE, "--correct"],
+    [*SOLVE, "--no-correct"],
+    [*SOLVE, "--rhs", "one"],
+    [*SOLVE, "--rhs", "sine2d"],
+    [*SOLVE, "--rhs", "bogus"],
+    [*SOLVE, "--sigma-file", "split-x:0.5:1:-3"],
+    [*SOLVE, "--sigma-file", "constant:-2"],
+    [*SOLVE, "--sigma-file", "patch:0.3:0.7:0.3:0.7:-3:1"],
+    [*SOLVE, "--sigma-file", SINGULAR_PATCH],
+    *([*SOLVE, "--sigma-file", spec] for spec in (
+        "constant", "constant:", "constant:1:2", "constant:one", "split-x:0.5:1",
+        "split-x:0.5:1:2:3", "patch:0.1:0.2:0.1", "patch", "disk:1", "constant:inf",
+        "split-x:0.5:1:-inf", "split-x:nan:1:-2", "patch:nan:0.75:0.25:0.75:-3:1")),
+    ["solve", "--domain", "notched", "--n", "32"],
+    ["solve", "--domain", "notched", "--n", "64", "--sigma-file", "split-x:0.5:1:-3"],
+    ["solve", "--domain", "rectangle", "--n", "17", "--no-correct"],
+    ["solve", "--domain", "lshape", "--n", "4", "--no-correct"],
+    ["solve", "--domain", "lshape", "--n", "4"],
+    ["solve", "--domain", "rectangle", "--n", "1"],
+    ["solve", "--domain", "lshape", "--n", "2"],
+    ["solve", "--domain", "disk"],
+    ["solve", "--domain", "rectangle", "--n", "0"],
+    ["solve", "--domain", "rectangle", "--n", "-4"],
+    ["solve", "--domain", "rectangle", "--n", "1000000000"],
+    [*SOLVE, "--output", "missing/x.csv"],
+    # file: inputs
+    *([*SOLVE, "--sigma-file", f"file:{name}"] for name in (
+        "sigma.csv", "sigma-off-grid.csv", "sigma-fraction.csv", "sigma-short.csv",
+        "sigma-inf.csv", "sigma-no-header.csv", "sigma-one-row.csv", "header-only.csv",
+        "missing.csv")),
+    *([*SOLVE, "--rhs", f"file:{name}"] for name in (
+        "rhs.csv", "rhs-off-grid.csv", "rhs-nan.csv", "rhs-inf.csv", "rhs-no-header.csv",
+        "header-only.csv", "missing.csv")),
+    ["solve", "--domain", "rectangle", "--n", "16", "--no-correct", "--rhs", "file:rhs-big.csv"],
+    # --config
+    [*SOLVE, "--rhs", "one", "--config", "size.conf"],
+    ["solve", "--domain", "lshape", "--config", "size.conf"],
+    ["region-map", "--config", "map.conf"],
+    ["region-map", "--config", "map.conf", "--na", "2"],
+    ["solve", "--config", "notched.conf"],
+    ["solve", "--config", "notched.conf", "--n", "16"],
+    ["eta0", "--config", "eta0.conf"],
+    ["eta0", "--kappa", "-0.1", "--config", "eta0.conf"],
+    ["corner-det", "--config", "corner.conf"],
+    ["kernel1d", "--config", "kernel.conf"],
+    ["cone", "--config", "cone.conf"],
+    [*SOLVE, "--config", "comments.conf"],
+    [*SOLVE, "--config", "later.conf"],
+    ["solve", "--config", "negative.conf"],
+    ["solve", "--config", "zero.conf"],
+    ["solve", "--config", "disk.conf"],
+    ["solve", "--domain", "lshape", "--config", "type.conf"],
+    ["classify", "--lambda1", "1", "--config", "nan.conf"],
+    ["classify", "--lambda1", "1", "--config", "inf.conf"],
+    [*SOLVE, "--config", "malformed.conf"],
+    [*SOLVE, "--config", "missing.conf"],
+    *([*SOLVE, "--config", f"correct-{v}.conf"]
+      for v in ("false", "no", "0", "TRUE", "yes", "1", "maybe", "empty", "off")),
+    [*SOLVE, "--correct", "--config", "correct-false.conf"],
+    # keys that are not options of the subcommand
+    [*SOLVE, "--config", "empty-key.conf"],
+    [*SOLVE, "--config", "misspelt.conf"],
+    [*SOLVE, "--config", "other.conf"],
+    [*SOLVE, "--config", "nested.conf"],
+    [*SOLVE, "--config", "dashed.conf"],
+    [*SOLVE, "--config", "underscored.conf"],
+]
+
+
+def digest(argv: list) -> str:
+    """sha256 of the exit code, stdout and stderr of one run(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except Exception as exc:  # a RuntimeWarning raised as an error, say
+            code = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(repr((code, out.getvalue(), err.getvalue())).encode()).hexdigest()
+
+
+def main() -> None:
+    warnings.simplefilter("error", RuntimeWarning)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, text in FILES.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for argv in INVOCATIONS:
+            print(digest(argv), shlex.join(argv), flush=True)
+
+
+if __name__ == "__main__":
+    main()
