@@ -9,13 +9,17 @@ values per cell, with two row templates: a cell with no exponent writes its
 eta0 and residual as empty fields.  solve writes x,y,value at every interior
 node, rows in np.nonzero(grid.interior) order.
 
-Each key=value line of a --config file is an option of the subcommand,
-parsed as --key=value ('_' read as '-'; an on/off key such as correct=false
-as --no-correct) by the same parser as the flags, which override it; a key
-that is not an option of the subcommand is an argument error.  Exit codes:
-0 success, 1 argument error (including a size whose arrays cannot be
-allocated), 2 numerical failure (including a rank-deficient pairing matrix in
-a corrected solve).
+Each invocation is parsed once.  The key=value lines of a --config file are
+read first and inserted right after the command, each as the subcommand's
+own option --key=value ('_' read as '-'; correct=false is --correct=false, as
+--correct takes an optional true|false|yes|no|1|0), so the flags that follow
+override them and every argparse rule (type, choices, required options, one
+of --t|--delta or --alpha|--mu) applies to both alike.  A key that is not an
+option of the subcommand is an argument error, and no option may be
+abbreviated, on the command line or in a file.  Exit codes: 0 success, 1
+argument error (including a size whose arrays cannot be allocated), 2
+numerical failure (including a rank-deficient pairing matrix in a corrected
+solve).
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ from .grid import Grid2D, lshape_grid, notched_grid, rectangle_grid
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # no prefix of an option stands for it, so a new option cannot turn
+        # an invocation or a config file into an ambiguous one
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # a value such as -1e6 is a number, not an option (argparse only
         # takes -N and -N.N for numbers)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
@@ -76,10 +82,23 @@ def _finite_float(text: str) -> float:
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _config_options(path: str, args: argparse.Namespace) -> list:
-    """The lines of a --config file as options of the chosen subcommand:
-    key=value becomes --key=value ('_' read as '-'), and an on/off key such as
-    correct=false becomes --no-correct.  '#' starts a comment; later keys win."""
+def _boolean(text: str) -> bool:
+    """The type of --correct's optional value, from the command line or --config."""
+    if text.lower() not in _BOOLEANS:
+        raise argparse.ArgumentTypeError(f"not true|false|yes|no|1|0: {text!r}")
+    return _BOOLEANS[text.lower()]
+
+
+def _config_options(argv: list) -> list:
+    """The lines of the --config file that argv names (the last one, as
+    argparse reads it), if any, as options of the chosen subcommand: key=value
+    becomes --key=value ('_' read as '-').  '#' starts a comment; later keys win."""
+    path = None
+    for prev, arg in zip([None, *argv], argv):
+        if prev == "--config" or arg.startswith("--config="):
+            path = arg.removeprefix("--config=")
+    if path is None:
+        return []
     conf = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -89,17 +108,9 @@ def _config_options(path: str, args: argparse.Namespace) -> list:
             key, _, value = line.partition("=")
             key = key.strip().replace("_", "-")
             _require("=" in line and key != "", f"malformed config line: {raw.rstrip()}")
+            _require(key != "config", f"config={value.strip()}: config files do not nest")
             conf[key] = value.strip()
-    options = []
-    for key, value in conf.items():
-        # argparse would read --config, or any prefix of it, as the option itself
-        _require(not "config".startswith(key), f"{key}={value}: config files do not nest")
-        if isinstance(getattr(args, key.replace("-", "_"), None), bool):  # such as --correct
-            _require(value.lower() in _BOOLEANS, f"{key}={value}: not true|false|yes|no|1|0")
-            options.append(f"--{key}" if _BOOLEANS[value.lower()] else f"--no-{key}")
-        else:
-            options.append(f"--{key}={value}")
-    return options
+    return [f"--{key}={value}" for key, value in conf.items()]
 
 
 def _emit(text: str, output: Optional[str]):
@@ -119,8 +130,6 @@ def _require(cond: bool, message: str):
 
 
 def _cmd_eta0(args) -> str:
-    _require(args.alpha is not None and args.kappa is not None,
-             "eta0 requires --alpha and --kappa")
     prob = cs.CornerProblem(args.alpha, args.kappa)
     report = cs.classify_region(prob)
     result = cs.find_singular_exponent(prob)
@@ -147,8 +156,6 @@ def _cmd_region_map(args) -> str:
 
 
 def _cmd_corner_det(args) -> str:
-    _require(None not in (args.alpha, args.kappa, args.eta),
-             "corner-det requires --alpha, --kappa and --eta")
     prob = cs.CornerProblem(args.alpha, args.kappa)
     lam = 1.0 + 1j * args.eta
     det = cs.transmission_determinant(prob, lam)
@@ -159,8 +166,6 @@ def _cmd_corner_det(args) -> str:
 
 
 def _cmd_kernel1d(args) -> str:
-    _require((args.t is None) != (args.delta is None),
-             "kernel1d requires exactly one of --t or --delta")
     if args.t is not None:
         dom = kernel1d.TwoSegmentDomain(a=-1.0, b=-args.t)
         closed = kernel1d.critical_contrasts_two_segment(args.t)
@@ -274,12 +279,10 @@ def _cmd_solve(args) -> str:
     grid = _make_grid(args.domain, args.n)
     sigma = _sigma_from_spec(grid, args.sigma_file)
     rhs = _rhs_from_spec(grid, args.rhs)
-    if args.correct:
-        sing = [twostep.compute_dual_singularity(grid, i) for i in range(len(grid.corners))]
-        sol = twostep.corrected_two_step_solve(grid, sigma, rhs, sing)
-    else:
-        sol = twostep.two_step_solve(grid, sigma, rhs)
-    return _solve_csv(grid, sol.v)
+    # with no dual fields the corrected solve is the plain two-step solve
+    corners = range(len(grid.corners)) if args.correct else ()
+    sing = [twostep.compute_dual_singularity(grid, i) for i in corners]
+    return _solve_csv(grid, twostep.corrected_two_step_solve(grid, sigma, rhs, sing).v)
 
 
 def _solve_csv(grid: Grid2D, v: np.ndarray) -> str:
@@ -299,8 +302,6 @@ def _solve_csv(grid: Grid2D, v: np.ndarray) -> str:
 
 
 def _cmd_cone(args) -> str:
-    _require((args.alpha is None) != (args.mu is None),
-             "cone requires exactly one of --alpha or --mu")
     if args.alpha is not None:
         _require(args.d == 3, "cap cones require --d 3")
         mu1 = cones.cap_first_eigenvalue(args.alpha)
@@ -314,7 +315,6 @@ def _cmd_cone(args) -> str:
 
 
 def _cmd_classify(args) -> str:
-    _require(args.lambda1 is not None, "classify requires --lambda1")
     cls = cones.fredholm_classify(
         cones.WeightedIndex(args.beta, args.l, args.d), args.lambda1
     )
@@ -328,19 +328,22 @@ def _cmd_classify(args) -> str:
 
 
 def _build_parser():
-    """The parser of every subcommand."""
-    parser = _Parser(prog="bilap", description=__doc__)
+    """The parser of every subcommand, each bound to its handler."""
+    parser = _Parser(prog="bilap", description="Fredholm regions, singular exponents, critical"
+                     " contrasts and two-step solves for Delta(sigma Delta u) = f with a"
+                     " sign-changing sigma.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
         p.add_argument("--config", help="file of key=value lines, each read as the option"
                                         " --key=value of this subcommand; flags override it")
         p.add_argument("--output", "-o", help="output path (default stdout)")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("eta0", help="singular exponent search at one corner problem")
-    p.add_argument("--alpha", type=_finite_float)
-    p.add_argument("--kappa", type=_finite_float)
-    common(p)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--kappa", type=_finite_float, required=True)
+    common(p, _cmd_eta0)
 
     p = sub.add_parser("region-map", help="exponent sweep over an (alpha, kappa) grid")
     p.add_argument("--amin", type=_finite_float, default=math.pi / 200.0)
@@ -349,59 +352,51 @@ def _build_parser():
     p.add_argument("--kmax", type=_finite_float, default=-0.05)
     p.add_argument("--na", type=int, default=50)
     p.add_argument("--nk", type=int, default=50)
-    common(p)
+    common(p, _cmd_region_map)
 
     p = sub.add_parser("corner-det", help="interface determinant at lambda = 1 + i*eta")
-    p.add_argument("--alpha", type=_finite_float)
-    p.add_argument("--kappa", type=_finite_float)
-    p.add_argument("--eta", type=_finite_float)
-    common(p)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--kappa", type=_finite_float, required=True)
+    p.add_argument("--eta", type=_finite_float, required=True)
+    common(p, _cmd_corner_det)
 
     p = sub.add_parser("kernel1d", help="critical contrasts and kernel samples in 1D")
-    p.add_argument("--t", type=_finite_float, help="segment ratio b/a < 0 (two segments)")
-    p.add_argument("--delta", type=_finite_float, help="inner half-width (three segments)")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--t", type=_finite_float, help="segment ratio b/a < 0 (two segments)")
+    one.add_argument("--delta", type=_finite_float, help="inner half-width (three segments)")
     p.add_argument("--kappa", type=_finite_float, help="emit kernel samples at this contrast")
     p.add_argument("--samples", type=int, default=1001)
-    common(p)
+    common(p, _cmd_kernel1d)
 
     p = sub.add_parser("solve", help="two-step solve on a masked polygon grid")
     p.add_argument("--domain", choices=tuple(_DOMAINS), default="lshape")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--sigma-file", dest="sigma_file", default="one")
     p.add_argument("--rhs", default="generic")
-    p.add_argument("--correct", dest="correct", action="store_true", default=True)
+    p.add_argument("--correct", type=_boolean, nargs="?", const=True, default=True,
+                   metavar="true|false", help="correct along the dual fields (default true)")
     p.add_argument("--no-correct", dest="correct", action="store_false")
-    common(p)
+    common(p, _cmd_solve)
 
     p = sub.add_parser("cone", help="cap eigenvalue, exponent and classification")
-    p.add_argument("--alpha", type=_finite_float,
-                   help="cap half-angle, with --d 3: answered on [0.047620, 0.9*pi];"
-                        " a smaller cap has its first degree above 50 and exits 2")
-    p.add_argument("--mu", type=_finite_float)
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--alpha", type=_finite_float,
+                     help="cap half-angle, with --d 3: answered on [0.047620, 0.9*pi];"
+                          " a smaller cap has its first degree above 50 and exits 2")
+    one.add_argument("--mu", type=_finite_float)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--beta", type=_finite_float, default=0.0)
     p.add_argument("--l", type=int, default=1)
-    common(p)
+    common(p, _cmd_cone)
 
     p = sub.add_parser("classify", help="weighted-index classification from lambda1")
     p.add_argument("--beta", type=_finite_float, default=0.0)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--lambda1", type=_finite_float)
-    common(p)
+    p.add_argument("--lambda1", type=_finite_float, required=True)
+    common(p, _cmd_classify)
 
     return parser
-
-
-_COMMANDS = {
-    "eta0": _cmd_eta0,
-    "region-map": _cmd_region_map,
-    "corner-det": _cmd_corner_det,
-    "kernel1d": _cmd_kernel1d,
-    "solve": _cmd_solve,
-    "cone": _cmd_cone,
-    "classify": _cmd_classify,
-}
 
 
 # one parser for every invocation in the process, built on the first call of
@@ -412,17 +407,14 @@ _shared_parser = functools.cache(_build_parser)
 def run(argv: Sequence[str]) -> int:
     """Dispatch one invocation; returns the process exit code.
 
-    One parser serves every invocation in a process.  An invocation with
-    --config is parsed once more with the file's lines inserted right after
-    the command as options, so the flags that follow still win.
+    One parser serves every invocation in a process and parses each once,
+    with the lines of its --config file inserted right after the command as
+    options, so the flags that follow still win.
     """
     try:
         argv = list(argv)
-        args = _shared_parser().parse_args(argv)
-        if args.config:
-            i = argv.index(args.command) + 1
-            args = _shared_parser().parse_args(argv[:i] + _config_options(args.config, args) + argv[i:])
-        _emit(_COMMANDS[args.command](args), args.output)
+        args = _shared_parser().parse_args(argv[:1] + _config_options(argv) + argv[1:])
+        _emit(args.handler(args), args.output)
     except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

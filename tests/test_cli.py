@@ -70,6 +70,8 @@ class TestExitCodes:
         (*SOLVE, "--rhs", "file:{tmp}/inf.csv"),
         # --samples is checked without --kappa too
         ("kernel1d", "--t", "-1", "--samples", "-5"),
+        # no prefix of an option stands for it
+        ("solve", "--sig", "constant:-2"),
     ])
     def test_argument_errors(self, capsys, tmp_path, argv):
         for value in ("nan", "inf"):
@@ -258,9 +260,11 @@ class TestConfig:
         code, out, err = invoke(capsys, *SOLVE[:3], "--config", conf)
         assert code == 1 and out == "" and err.startswith("error: ")
 
-    @pytest.mark.parametrize("line", ["nn=8", "alpha=1", "config=x", "conf=x", "=8"])
+    @pytest.mark.parametrize("line", ["nn=8", "alpha=1", "config=x", "conf=x", "=8",
+                                      "sig=constant:-2"])
     def test_key_that_is_not_an_option_exits_1(self, capsys, tmp_path, line):
-        # a misspelt key, another subcommand's option and a nested config
+        # a misspelt key, another subcommand's option, a nested config and a
+        # prefix of an option
         conf = write(tmp_path, "c.conf", f"{line}\n")
         code, out, err = invoke(capsys, *SOLVE, "--config", conf)
         assert code == 1 and out == "" and err.startswith("error: ")
@@ -277,6 +281,32 @@ class TestConfig:
         conf = write(tmp_path, "c.conf", f"correct={value}\n")
         code, out, err = invoke(capsys, *SOLVE, "--config", conf)
         assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_required_option_from_config(self, capsys, tmp_path):
+        conf = write(tmp_path, "c.conf", "alpha=1.0\n")
+        from_config = invoke(capsys, "eta0", "--config", conf, "--kappa", "-5")
+        assert from_config[0] == 0
+        assert from_config == invoke(capsys, "eta0", "--alpha", "1.0", "--kappa", "-5")
+
+    @pytest.mark.parametrize("value,flag", [("no", "--no-correct"), ("FALSE", "--no-correct"),
+                                            ("yes", "--correct")])
+    def test_correct_takes_a_value_on_the_command_line(self, capsys, value, flag):
+        assert invoke(capsys, *SOLVE, f"--correct={value}") == invoke(capsys, *SOLVE, flag)
+
+    @pytest.mark.parametrize("argv", [("classify", "--lambda1", "1.5"),
+                                      ("classify", "--config", "{conf}", "--lambda1", "1.5")])
+    def test_one_parse_per_invocation(self, capsys, tmp_path, monkeypatch, argv):
+        conf = write(tmp_path, "c.conf", "beta=0.5\n")
+        calls = []
+        parse_args = cli._Parser.parse_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", counting)
+        assert invoke(capsys, *(a.format(conf=conf) for a in argv))[0] == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_config_value_exits_1(self, capsys, tmp_path, value):
@@ -707,3 +737,29 @@ def test_one_parser_per_process_built_on_first_run(tmp_path):
     # and a --config run parses on that same parser
     assert len(counts) == 4 and counts[0] == 0 and counts[1] > 0, out.stderr
     assert counts[1] == counts[2] == counts[3]
+
+
+def help_text(capsys, *argv) -> str:
+    """The help that an invocation prints."""
+    with pytest.raises(SystemExit) as exit_:
+        run(list(argv))
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 0 and err == ""
+    return out
+
+
+def test_help_lists_the_subcommands_and_no_code_notes(capsys):
+    text = help_text(capsys, "--help")
+    for command in ("eta0", "region-map", "corner-det", "kernel1d", "solve", "cone", "classify"):
+        assert command in text
+    assert "_csv" not in text and "np.nonzero" not in text
+
+
+@pytest.mark.parametrize("argv,usage", [
+    (("eta0", "-h"), "--alpha ALPHA --kappa KAPPA"),
+    (("cone", "-h"), "(--alpha ALPHA | --mu MU)"),
+    (("kernel1d", "-h"), "(--t T | --delta DELTA)"),
+])
+def test_usage_shows_the_required_options(capsys, argv, usage):
+    # the usage paragraph, with its line breaks undone
+    assert usage in " ".join(help_text(capsys, *argv).split("\n\n")[0].split())

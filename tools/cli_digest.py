@@ -36,6 +36,7 @@ FILES = {
     "map.conf": "na=3\nnk=4\n",
     "notched.conf": "domain=notched\nn=32\n",
     "eta0.conf": "alpha=1.0\nkappa=-5\n",
+    "alpha.conf": "alpha=1.0\n",
     "corner.conf": "alpha=1\nkappa=-2\neta=0.3\n",
     "kernel.conf": f"t=-1\nkappa={CRITICAL}\nsamples=21\n",
     "cone.conf": "alpha=1.2\n",
@@ -54,6 +55,7 @@ FILES = {
     "nested.conf": "config=x\n",
     "dashed.conf": "sigma-file=constant:-2\n",
     "underscored.conf": "sigma_file=constant:-2\n",
+    "abbreviated.conf": "sig=constant:-2\n",
     **{f"correct-{v or 'empty'}.conf": f"correct={v}\n"
        for v in ("false", "no", "0", "TRUE", "yes", "1", "maybe", "", "off")},
     "sigma.csv": "i,j,value\n3,4,-2.0\n15,15,-3.0\n",
@@ -156,6 +158,8 @@ INVOCATIONS = [
     SOLVE,
     [*SOLVE, "--correct"],
     [*SOLVE, "--no-correct"],
+    [*SOLVE, "--correct=no"],
+    [*SOLVE, "--sig", "constant:-2"],
     [*SOLVE, "--rhs", "one"],
     [*SOLVE, "--rhs", "sine2d"],
     [*SOLVE, "--rhs", "bogus"],
@@ -197,6 +201,7 @@ INVOCATIONS = [
     ["solve", "--config", "notched.conf", "--n", "16"],
     ["eta0", "--config", "eta0.conf"],
     ["eta0", "--kappa", "-0.1", "--config", "eta0.conf"],
+    ["eta0", "--config", "alpha.conf", "--kappa", "-5"],
     ["corner-det", "--config", "corner.conf"],
     ["kernel1d", "--config", "kernel.conf"],
     ["cone", "--config", "cone.conf"],
@@ -220,6 +225,7 @@ INVOCATIONS = [
     [*SOLVE, "--config", "nested.conf"],
     [*SOLVE, "--config", "dashed.conf"],
     [*SOLVE, "--config", "underscored.conf"],
+    [*SOLVE, "--config", "abbreviated.conf"],
 ]
 
 
