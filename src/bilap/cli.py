@@ -168,10 +168,9 @@ def _cmd_corner_det(args) -> str:
 def _cmd_kernel1d(args) -> str:
     if args.t is not None:
         dom = kernel1d.TwoSegmentDomain(a=-1.0, b=-args.t)
-        closed = kernel1d.critical_contrasts_two_segment(args.t)
     else:
         dom = kernel1d.ThreeSegmentDomain(args.delta)
-        closed = kernel1d.critical_contrasts_three_segment(args.delta)
+    closed = dom.critical_contrasts()
     _require(args.samples >= 1, "--samples must be positive")
     text = _csv("root_index,critical_contrast", ["%s,%.17g\n" * len(closed.roots)],
                 [x for pair in enumerate(closed.roots) for x in pair])
@@ -223,6 +222,8 @@ def _load_cells(path: str, shape: tuple, to_index) -> tuple:
 # the values that follow each numeric sigma spec's name
 _SIGMA_VALUES = {"constant": "<v>", "split-x": "<x0>:<left>:<right>",
                  "patch": "<x0>:<x1>:<y0>:<y1>:<inside>:<outside>"}
+# the rhs specs, written once for --rhs help and its error message
+_RHS_SPECS = ("sine2d", "one", "generic", "file:<csv>")
 
 
 def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
@@ -272,7 +273,7 @@ def _rhs_from_spec(grid: Grid2D, spec: str) -> np.ndarray:
         index, values = _load_cells(spec[5:], field.shape, lambda xy: np.rint(xy / grid.h))
         field[index] = values
         return field
-    raise ValueError(f"unknown rhs spec '{spec}' (sine2d|one|generic|file:<csv>)")
+    raise ValueError(f"unknown rhs spec '{spec}' ({'|'.join(_RHS_SPECS)})")
 
 
 def _cmd_solve(args) -> str:
@@ -371,8 +372,11 @@ def _build_parser():
     p = sub.add_parser("solve", help="two-step solve on a masked polygon grid")
     p.add_argument("--domain", choices=tuple(_DOMAINS), default="lshape")
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--sigma-file", dest="sigma_file", default="one")
-    p.add_argument("--rhs", default="generic")
+    sigma_specs = ["one", *(f"{kind}:{values}" for kind, values in _SIGMA_VALUES.items()), "file:<csv>"]
+    p.add_argument("--sigma-file", dest="sigma_file", default="one", metavar="SPEC",
+                   help="sigma field: " + ", ".join(sigma_specs) + " (csv rows i,j,value; default one)")
+    p.add_argument("--rhs", default="generic", metavar="SPEC",
+                   help="right-hand side: " + ", ".join(_RHS_SPECS) + " (csv rows x,y,value; default generic)")
     p.add_argument("--correct", type=_boolean, nargs="?", const=True, default=True,
                    metavar="true|false", help="correct along the dual fields (default true)")
     p.add_argument("--no-correct", dest="correct", action="store_false")

@@ -10,6 +10,7 @@ double inequality in (beta, l, d) against the leading exponent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,8 +45,18 @@ class WeightedIndex:
     def __post_init__(self):
         if self.l < 1:
             raise ValueError("order l must be a positive integer")
-        if self.d < 2:
-            raise ValueError("dimension must be at least 2")
+        if self.l > sys.float_info.max:
+            raise ValueError("order l must not exceed the largest float")
+        _check_dimension(self.d)
+
+
+def _check_dimension(d: int):
+    """ValueError unless 2 <= d <= the largest float: the exponent and band
+    formulas take d as a float."""
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    if d > sys.float_info.max:
+        raise ValueError("dimension must not exceed the largest float")
 
 
 class Classification(Enum):
@@ -63,8 +74,7 @@ def exponent_pair(d: int, mu: float) -> tuple:
     mu / (root - half), root = sqrt(half^2 + mu): neither form cancels, so
     both hold to a few ulps however small mu is.
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    _check_dimension(d)
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     half = 1.0 - 0.5 * d

@@ -453,9 +453,11 @@ def transmission_determinant(p: CornerProblem, lam: complex) -> complex:
 
 def normalized_determinant(p: CornerProblem, lam: complex) -> float:
     """|det| divided by the product of row norms; O(1) scale for conditioning tests."""
-    M = transmission_matrix(p, lam)
-    d = np.linalg.det(M)
-    return float(abs(d) / np.prod(np.linalg.norm(M, axis=1)))
+    return _normalized_det(transmission_matrix(p, lam))
+
+
+def _normalized_det(M: np.ndarray) -> float:
+    return float(abs(np.linalg.det(M)) / np.prod(np.linalg.norm(M, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -515,13 +517,14 @@ def angular_profile(p: CornerProblem, lam: complex) -> AngularProfile:
 
     Raises NotSingular when the normalized determinant exceeds 1e-6.
     """
-    lam = _check_lambda(lam)
-    nd = normalized_determinant(p, lam)
+    lam = complex(lam)
+    M = transmission_matrix(p, lam)  # rejects the excluded lambdas
+    nd = _normalized_det(M)
     if nd > _SINGULAR_TOL:
         raise NotSingular(
             f"normalized determinant {nd:.3e} exceeds tolerance {_SINGULAR_TOL:.1e} at {lam}"
         )
-    x = np.linalg.svd(transmission_matrix(p, lam))[2][-1].conj()
+    x = np.linalg.svd(M)[2][-1].conj()
     pivot = int(np.argmax(np.abs(x)))
     coeffs = x / x[pivot]
     return AngularProfile(lam=lam, alpha=p.alpha, kappa=p.kappa, coeffs=coeffs)

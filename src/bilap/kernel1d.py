@@ -1,14 +1,20 @@
 """Kernel detection for 1D piecewise-constant fourth-order configurations.
 
 On an interval split by one or two material interfaces, a clamped field whose
-weighted fourth-order operator vanishes is piecewise cubic.  Interface
-matching reduces the kernel question to a small dense determinant in the
-contrast; the critical contrasts have closed forms, and an independent
-determinant scan recovers them without consulting those forms.
+weighted fourth-order operator vanishes is piecewise cubic.  One segment model
+serves both domains: the segments alternate coefficient 1 and kappa from the
+left, and value, slope, sigma v'' and sigma v''' are continuous at each inner
+breakpoint.  An end segment is spanned by (x - end)^3 and (x - end)^2, so it
+is clamped at that end; an inner segment by 1 up to (x - mid)^3 about its
+midpoint.  Interface matching reduces the kernel question to a small dense
+determinant in the contrast; the critical contrasts have closed forms, and an
+independent determinant scan recovers them without consulting those forms.
+A domain class gives only its breakpoints and its closed-form contrasts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -52,6 +58,14 @@ class TwoSegmentDomain:
         if not self.a < 0.0 < self.b:
             raise ValueError(f"need a < 0 < b, got a={self.a}, b={self.b}")
 
+    @property
+    def breakpoints(self) -> tuple:
+        return (self.a, 0.0, self.b)
+
+    def critical_contrasts(self) -> ContrastRoots:
+        """The closed-form critical contrasts of the ratio t = b/a."""
+        return critical_contrasts_two_segment(self.b / self.a)
+
 
 @dataclass(frozen=True)
 class ThreeSegmentDomain:
@@ -62,6 +76,14 @@ class ThreeSegmentDomain:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+
+    @property
+    def breakpoints(self) -> tuple:
+        return (-1.0, -self.delta, self.delta, 1.0)
+
+    def critical_contrasts(self) -> ContrastRoots:
+        """The closed-form critical contrasts of the half-width delta."""
+        return critical_contrasts_three_segment(self.delta)
 
 
 @dataclass(frozen=True)
@@ -103,47 +125,43 @@ def _closed_form(r1: float, r2: float, where: str) -> ContrastRoots:
 Domain = Union[TwoSegmentDomain, ThreeSegmentDomain]
 
 
+def _segments(breakpoints: tuple) -> list:
+    """(ref, powers) of each segment's basis (x - ref)^p, in column order: an
+    end segment has powers (3, 2) about that end, an inner one 0 to 3 about
+    its midpoint."""
+    last = len(breakpoints) - 2
+    return [(lo, (3, 2)) if s == 0 else (hi, (3, 2)) if s == last else (0.5 * (lo + hi), (0, 1, 2, 3))
+            for s, (lo, hi) in enumerate(zip(breakpoints[:-1], breakpoints[1:]))]
+
+
 def build_kernel_system(dom: Domain, kappa) -> np.ndarray:
     """Interface-condition matrix whose null vectors are kernel fields.
 
-    Two segments: 4x4 in the clamped-basis coefficients (A1, B1, A2, B2),
-    matching value, slope, weighted curvature and weighted third derivative
-    at 0.  Three segments: 8x8 in (outer-left, middle monomial, outer-right)
-    coefficients with the same four conditions at each of x = -delta, delta.
-    Clamped end conditions are built into the outer bases.  An array of
+    Columns are the coefficients of each segment's basis, segment by segment
+    from the left; rows are the jumps (left minus right) of v, v', sigma v''
+    and sigma v''' at each inner breakpoint in turn, sigma being 1 on the
+    even segments and kappa on the odd ones.  The system is M0 + kappa M1,
+    M1 holding the sigma-weighted entries of the odd segments.  An array of
     contrasts gives the stack of their matrices, contrast axes first.
     """
     k = np.asarray(kappa, dtype=float)
     if np.any(k == 0.0):
         raise ValueError("kappa must be nonzero")
-    if isinstance(dom, TwoSegmentDomain):
-        a, b = dom.a, dom.b
-        rows = [
-            [-a ** 3, a * a, b ** 3, -b * b],
-            [3.0 * a * a, -2.0 * a, -3.0 * b * b, 2.0 * b],
-            [-6.0 * a, 2.0, 6.0 * k * b, -2.0 * k],
-            [6.0, 0.0, -6.0 * k, 0.0],
-        ]
-    else:
-        d = dom.delta
-        xl = 1.0 - d   # (x + 1) at x = -delta
-        xr = d - 1.0   # (x - 1) at x = +delta
-        rows = [
-            # x = -delta: value, slope, kappa-weighted curvature, weighted 3rd
-            [xl ** 3, xl * xl, -1.0, d, -d * d, d ** 3, 0.0, 0.0],
-            [3.0 * xl * xl, 2.0 * xl, 0.0, -1.0, 2.0 * d, -3.0 * d * d, 0.0, 0.0],
-            [6.0 * xl, 2.0, 0.0, 0.0, -2.0 * k, 6.0 * k * d, 0.0, 0.0],
-            [6.0, 0.0, 0.0, 0.0, 0.0, -6.0 * k, 0.0, 0.0],
-            # x = +delta
-            [0.0, 0.0, 1.0, d, d * d, d ** 3, -xr ** 3, -xr * xr],
-            [0.0, 0.0, 0.0, 1.0, 2.0 * d, 3.0 * d * d, -3.0 * xr * xr, -2.0 * xr],
-            [0.0, 0.0, 0.0, 0.0, 2.0 * k, 6.0 * k * d, -6.0 * xr, -2.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, 6.0 * k, -6.0, 0.0],
-        ]
-    out = np.empty(k.shape + (len(rows), len(rows)))
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            out[..., i, j] = entry
+    bps = dom.breakpoints
+    segs = _segments(bps)
+    first = list(itertools.accumulate((len(powers) for _, powers in segs), initial=0))
+    M0, M1 = np.zeros((2, first[-1], first[-1]))
+    for i, x in enumerate(bps[1:-1]):
+        for s, sign in ((i, 1.0), (i + 1, -1.0)):
+            ref, powers = segs[s]
+            for order in range(4):
+                part = M1 if s % 2 and order >= 2 else M0
+                for j, p in enumerate(powers):
+                    if order <= p:
+                        part[4 * i + order, first[s] + j] = sign * math.perm(p, order) * (x - ref) ** (p - order)
+    # in place: one stack-sized array, not a second one for the sum
+    out = k[..., None, None] * M1
+    out += M0
     return out
 
 
@@ -200,35 +218,18 @@ def kernel_basis(dom: Domain, kappa: float) -> Optional[PiecewiseCubic]:
     """Kernel field at a critical contrast, or None at any other contrast.
 
     kappa is critical when it lies within 1e-6, relative, of one of the
-    domain's closed-form contrasts (for two segments those of t = b/a); a
-    closed form that is not a finite, normal float raises NumericalFailure.
-    The field is the SVD null vector of the interface system at kappa itself,
-    a piecewise cubic normalized to unit largest coefficient.
+    domain's closed-form contrasts; a closed form that is not a finite,
+    normal float raises NumericalFailure.  The field is the SVD null vector
+    of the interface system at kappa itself, a piecewise cubic normalized to
+    unit largest coefficient.
     """
-    if isinstance(dom, TwoSegmentDomain):
-        roots = critical_contrasts_two_segment(dom.b / dom.a).roots
-    else:
-        roots = critical_contrasts_three_segment(dom.delta).roots
-    if not any(abs(kappa - r) <= _CRITICAL_TOL * abs(r) for r in roots):
+    if not any(abs(kappa - r) <= _CRITICAL_TOL * abs(r) for r in dom.critical_contrasts().roots):
         return None
-    v = _null_vector(build_kernel_system(dom, kappa))
-    if isinstance(dom, TwoSegmentDomain):
-        a, b = dom.a, dom.b
-        return PiecewiseCubic(
-            breakpoints=(a, 0.0, b),
-            refs=(a, b),
-            coeffs=((0.0, 0.0, v[1], v[0]), (0.0, 0.0, v[3], v[2])),
-        )
-    d = dom.delta
-    return PiecewiseCubic(
-        breakpoints=(-1.0, -d, d, 1.0),
-        refs=(-1.0, 0.0, 1.0),
-        coeffs=(
-            (0.0, 0.0, v[1], v[0]),
-            (v[2], v[3], v[4], v[5]),
-            (0.0, 0.0, v[7], v[6]),
-        ),
-    )
+    v = iter(_null_vector(build_kernel_system(dom, kappa)).tolist())
+    segs = _segments(dom.breakpoints)
+    terms = [dict(zip(powers, v)) for _, powers in segs]  # {power: coefficient}
+    return PiecewiseCubic(breakpoints=dom.breakpoints, refs=tuple(ref for ref, _ in segs),
+                          coeffs=tuple(tuple(t.get(p, 0.0) for p in range(4)) for t in terms))
 
 
 def scan_critical_contrasts(dom: Domain) -> ContrastRoots:

@@ -72,6 +72,11 @@ class TestExitCodes:
         ("kernel1d", "--t", "-1", "--samples", "-5"),
         # no prefix of an option stands for it
         ("solve", "--sig", "constant:-2"),
+        # a dimension or order past the largest float
+        ("cone", "--mu", "1", "--d", "1" + "0" * 400),
+        ("cone", "--mu", "1", "--l", "1" + "0" * 400),
+        ("classify", "--lambda1", "1", "--d", "1" + "0" * 400),
+        ("classify", "--lambda1", "1", "--l", "1" + "0" * 400),
     ])
     def test_argument_errors(self, capsys, tmp_path, argv):
         for value in ("nan", "inf"):
@@ -759,7 +764,19 @@ def test_help_lists_the_subcommands_and_no_code_notes(capsys):
     (("eta0", "-h"), "--alpha ALPHA --kappa KAPPA"),
     (("cone", "-h"), "(--alpha ALPHA | --mu MU)"),
     (("kernel1d", "-h"), "(--t T | --delta DELTA)"),
+    (("solve", "-h"), "[--sigma-file SPEC] [--rhs SPEC]"),
 ])
 def test_usage_shows_the_required_options(capsys, argv, usage):
     # the usage paragraph, with its line breaks undone
     assert usage in " ".join(help_text(capsys, *argv).split("\n\n")[0].split())
+
+
+def test_solve_help_gives_each_spec_grammar(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+    text = help_text(capsys, "solve", "-h")
+    lines = {line.split()[0]: line for line in text.splitlines() if line.startswith("  --")}
+    for spec in ("one", "constant:<v>", "split-x:<x0>:<left>:<right>",
+                 "patch:<x0>:<x1>:<y0>:<y1>:<inside>:<outside>", "file:<csv>", "rows i,j,value"):
+        assert spec in lines["--sigma-file"]
+    for spec in ("sine2d, one, generic, file:<csv>", "rows x,y,value"):
+        assert spec in lines["--rhs"]

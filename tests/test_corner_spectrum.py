@@ -27,6 +27,7 @@ from bilap.corner_spectrum import (
     transmission_determinant,
     transmission_matrix,
 )
+from bilap import corner_spectrum as cs
 from bilap.corner_spectrum import _factors
 from bilap.errors import NotSingular, NumericalFailure
 
@@ -724,6 +725,15 @@ class TestAngularProfile:
         p = CornerProblem(math.pi / 2, -1.0)
         with pytest.raises(NotSingular):
             angular_profile(p, 1.0 + 0.8j)
+
+    def test_one_interface_system(self, profile, monkeypatch):
+        # the determinant check and the null vector read the same matrix
+        p, _, prof = profile
+        built = []
+        monkeypatch.setattr(cs, "transmission_matrix",
+                            lambda *args, _build=cs.transmission_matrix: built.append(args) or _build(*args))
+        again = angular_profile(p, prof.lam)
+        assert len(built) == 1 and np.array_equal(again.coeffs, prof.coeffs)
 
 
 class TestGrowthBound:

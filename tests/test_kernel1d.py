@@ -120,33 +120,17 @@ class TestKernelSystem:
             assert dets[idx] == kernel_determinant(dom, k)
 
 
-def broadcast_stack_system(dom, kappa):
-    """The interface systems of build_kernel_system, entry for entry the same
-    expressions, broadcast against kappa and stacked."""
-    k = np.asarray(kappa, dtype=float)
+def field_of(dom, c) -> PiecewiseCubic:
+    """The piecewise cubic with coefficients c in the column order of
+    build_kernel_system: segment by segment from the left, (x - a)^3 and
+    (x - a)^2 on the left end segment at a, 1, x, x^2 and x^3 on the inner
+    segment of three, and (x - b)^3 and (x - b)^2 on the right end segment at b."""
     if isinstance(dom, TwoSegmentDomain):
-        a, b = dom.a, dom.b
-        rows = [
-            [-a ** 3, a * a, b ** 3, -b * b],
-            [3.0 * a * a, -2.0 * a, -3.0 * b * b, 2.0 * b],
-            [-6.0 * a, 2.0, 6.0 * k * b, -2.0 * k],
-            [6.0, 0.0, -6.0 * k, 0.0],
-        ]
-    else:
-        d = dom.delta
-        xl, xr = 1.0 - d, d - 1.0
-        rows = [
-            [xl ** 3, xl * xl, -1.0, d, -d * d, d ** 3, 0.0, 0.0],
-            [3.0 * xl * xl, 2.0 * xl, 0.0, -1.0, 2.0 * d, -3.0 * d * d, 0.0, 0.0],
-            [6.0 * xl, 2.0, 0.0, 0.0, -2.0 * k, 6.0 * k * d, 0.0, 0.0],
-            [6.0, 0.0, 0.0, 0.0, 0.0, -6.0 * k, 0.0, 0.0],
-            [0.0, 0.0, 1.0, d, d * d, d ** 3, -xr ** 3, -xr * xr],
-            [0.0, 0.0, 0.0, 1.0, 2.0 * d, 3.0 * d * d, -3.0 * xr * xr, -2.0 * xr],
-            [0.0, 0.0, 0.0, 0.0, 2.0 * k, 6.0 * k * d, -6.0 * xr, -2.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, 6.0 * k, -6.0, 0.0],
-        ]
-    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
-    return np.stack(entries, axis=-1).reshape(k.shape + (len(rows), len(rows)))
+        return PiecewiseCubic((dom.a, 0.0, dom.b), (dom.a, dom.b),
+                              ((0.0, 0.0, c[1], c[0]), (0.0, 0.0, c[3], c[2])))
+    d = dom.delta
+    return PiecewiseCubic((-1.0, -d, d, 1.0), (-1.0, 0.0, 1.0),
+                          ((0.0, 0.0, c[1], c[0]), tuple(c[2:6]), (0.0, 0.0, c[7], c[6])))
 
 
 class TestKernelSystemFill:
@@ -157,9 +141,28 @@ class TestKernelSystemFill:
         -np.geomspace(1e-6, 1e6, 12).reshape(3, 4),
     ], ids=["scalar", "1d", "2d"])
     def test_matches_broadcast_and_stack(self, dom, kappa):
-        system, ref = build_kernel_system(dom, kappa), broadcast_stack_system(dom, kappa)
-        assert system.shape == ref.shape == np.shape(kappa) + ref.shape[-2:]
-        assert system.dtype == ref.dtype and np.array_equal(system, ref)
+        # each row of the system at a scalar contrast, or of each system of a
+        # stack, applied to coefficients c is the jump (left minus right) at
+        # its breakpoint of v, v', sigma v'' or sigma v''' of the cubic with
+        # those coefficients, sigma being 1, kappa, 1 from the left
+        k = np.asarray(kappa)
+        system = build_kernel_system(dom, kappa)
+        n = 4 if isinstance(dom, TwoSegmentDomain) else 8
+        assert system.shape == k.shape + (n, n) and system.dtype == float
+        rng = np.random.default_rng(36)
+        for c in rng.uniform(-1.0, 1.0, (5, n)):
+            field = field_of(dom, c.tolist())
+            # each segment on its own, so a breakpoint reads both of its sides
+            segment = [PiecewiseCubic(field.breakpoints[s:s + 2], field.refs[s:s + 1],
+                                      field.coeffs[s:s + 1]) for s in range(len(field.refs))]
+            sigma = [1.0 if s % 2 == 0 else k for s in range(len(field.refs))]
+            rows, scale = system @ c, np.abs(system) @ np.abs(c)
+            for i, x in enumerate(field.breakpoints[1:-1]):
+                for order in range(4):
+                    left, right = (segment[s].derivative(x, order) * (sigma[s] if order >= 2 else 1.0)
+                                   for s in (i, i + 1))
+                    r = 4 * i + order
+                    assert np.all(np.abs(rows[..., r] - (left - right)) <= 1e-13 * scale[..., r])
 
 
 class TestDeterminantScanOracle:

@@ -14,12 +14,14 @@ print comparable lines:
     diff before.txt after.txt
 
 An exception that escapes run (a RuntimeWarning, say) is digested in place
-of the exit code as its type and message.
+of the exit code as its type and message, and the exit of -h as its code;
+help is wrapped at 80 columns whatever the terminal.
 """
 
 import contextlib
 import hashlib
 import io
+import os
 import shlex
 import tempfile
 import warnings
@@ -29,6 +31,10 @@ from bilap.cli import run
 SOLVE = ["solve", "--domain", "lshape", "--n", "16"]
 SINGULAR_PATCH = "patch:0.25:0.75:0.25:0.75:-0.4782838593387099:1"
 CRITICAL = "-13.928203230275509"  # a critical contrast of --t -1
+# both closed-form critical contrasts of --delta=0.4 and of --t=-2.5e0
+DELTA_ROOTS = ("-0.6666666666666667", "-0.0683760683760684")
+T_ROOTS = ("-109.64373248598598", "-0.3562675140140157")
+HUGE = "1" + "0" * 400  # an integer past the largest float
 
 # name: text of each input file; missing.conf and missing.csv are never written
 FILES = {
@@ -138,6 +144,8 @@ INVOCATIONS = [
     ["kernel1d", "--delta=1e-103"],
     ["kernel1d", "--delta=1e-300"],
     ["kernel1d", "--delta=3e-103"],
+    *(["kernel1d", "--delta=0.4", f"--kappa={root}", "--samples", "21"] for root in DELTA_ROOTS),
+    *(["kernel1d", "--t=-2.5e0", f"--kappa={root}", "--samples", "21"] for root in T_ROOTS),
     # cone
     ["cone", "--alpha=1.2"],
     ["cone", "--mu=2"],
@@ -148,12 +156,16 @@ INVOCATIONS = [
     ["cone", "--mu", "-1"],
     ["cone", "--alpha", "1.0", "--d", "4"],
     ["cone", "--alpha", "1.0", "--mu", "2"],
+    ["cone", "--mu", "1", "--d", HUGE],
+    ["cone", "--mu", "1", "--l", HUGE],
     # classify
     ["classify", "--lambda1", "1.5"],
     ["classify", "--beta=0.5", "--l=2", "--d=3", "--lambda1=1.5"],
     ["classify", "--beta=0.0", "--l=1", "--d=2", "--lambda1=1.0000000000000002"],
     ["classify", "--lambda1", "0"],
     ["classify", "--lambda1", "1", "--beta", "nan"],
+    ["classify", "--lambda1", "1", "--d", HUGE],
+    ["classify", "--lambda1", "1", "--l", HUGE],
     # solve
     SOLVE,
     [*SOLVE, "--correct"],
@@ -182,6 +194,7 @@ INVOCATIONS = [
     ["solve", "--domain", "rectangle", "--n", "0"],
     ["solve", "--domain", "rectangle", "--n", "-4"],
     ["solve", "--domain", "rectangle", "--n", "1000000000"],
+    ["solve", "-h"],
     [*SOLVE, "--output", "missing/x.csv"],
     # file: inputs
     *([*SOLVE, "--sigma-file", f"file:{name}"] for name in (
@@ -235,6 +248,8 @@ def digest(argv: list) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = run(argv)
+        except SystemExit as exc:  # -h prints its help and exits
+            code = exc.code
         except Exception as exc:  # a RuntimeWarning raised as an error, say
             code = f"{type(exc).__name__}: {exc}"
     return hashlib.sha256(repr((code, out.getvalue(), err.getvalue())).encode()).hexdigest()
@@ -242,6 +257,7 @@ def digest(argv: list) -> str:
 
 def main() -> None:
     warnings.simplefilter("error", RuntimeWarning)
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for name, text in FILES.items():
             with open(name, "w", encoding="utf-8") as fh:
