@@ -71,14 +71,14 @@ def exponent_pair(d: int, mu: float) -> tuple:
 
     lambda_plus > 0 > lambda_minus, their sum is 2 - d and their product -mu.
     With half = 1 - d/2 <= 0, lambda_minus = half - root and lambda_plus =
-    mu / (root - half), root = sqrt(half^2 + mu): neither form cancels, so
-    both hold to a few ulps however small mu is.
+    mu / (root - half), root = hypot(half, sqrt(mu)): neither form cancels,
+    so both hold to a few ulps however small mu is, and root never overflows.
     """
     _check_dimension(d)
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     half = 1.0 - 0.5 * d
-    root = math.sqrt(half * half + mu)
+    root = math.hypot(half, math.sqrt(mu))
     return half - root, mu / (root - half)
 
 

@@ -168,6 +168,13 @@ class TestExitCodes:
         assert out == ("alpha,mu1,lambda_plus,classification\n"
                        ",1.0000000000000001e-17,1.0000000000000001e-17,InjectiveNotOnto\n")
 
+    def test_huge_dimension(self, capsys):
+        # |1 - d/2| squared overflows here, but lambda_plus ~ 1/d does not
+        code, out, err = invoke(capsys, "cone", "--mu", "1", "--d", "1" + "0" * 200)
+        assert (code, err) == (0, "")
+        lambda_plus = float(out.splitlines()[1].split(",")[2])
+        assert lambda_plus == pytest.approx(1e-200, rel=1e-15)
+
     def test_unwritable_output_exits_1(self, capsys, tmp_path):
         code, out, err = invoke(capsys, *SOLVE, "--output", str(tmp_path / "missing" / "x.csv"))
         assert code == 1 and out == "" and err.startswith("error: ")

@@ -67,6 +67,19 @@ class TestExponentPair:
             lp = exponent_pair(d, mu)[1]
             assert abs(lp - ref) <= 1e-15 * ref, (d, mu)
 
+    @pytest.mark.parametrize("d", [10 ** 155, 10 ** 200, 10 ** 300], ids=["1e155", "1e200", "1e300"])
+    def test_huge_dimension(self, d):
+        # half^2 overflows once |half| passes about 1.3e154; lambda_plus, about
+        # mu / (2 |half|), is still a normal float
+        for mu in (1e-3, 1.0, 1e3):
+            lm, lp = exponent_pair(d, mu)
+            with mp.workdps(700):
+                half = 1 - mp.mpf(d) / 2
+                root = mp.sqrt(half * half + mp.mpf(mu))
+                ref_m, ref_p = half - root, mp.mpf(mu) / (root - half)
+            assert lp > 0.0 and abs(lp - ref_p) <= 1e-15 * ref_p, (d, mu)
+            assert abs(lm - ref_m) <= 1e-15 * abs(ref_m), (d, mu)
+
 
 class TestLegendre:
     def test_degree_zero_and_one(self):

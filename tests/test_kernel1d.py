@@ -1,4 +1,4 @@
-"""Tests for the 1D kernel detection: closed forms against the determinant scan."""
+"""Tests for the 1D kernel detection: closed forms against the eigenvalue oracle."""
 
 import math
 import sys
@@ -16,8 +16,8 @@ from bilap.kernel1d import (
     build_kernel_system,
     critical_contrasts_three_segment,
     critical_contrasts_two_segment,
+    _pencil,
     kernel_basis,
-    kernel_determinant,
     scan_critical_contrasts,
 )
 
@@ -97,27 +97,27 @@ class TestKernelSystem:
         for _ in range(20):
             dom = TwoSegmentDomain(-rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0))
             for kappa in (0.5, 1.0, 4.0):
-                assert abs(kernel_determinant(dom, kappa)) > 1e-8
+                assert abs(np.linalg.det(build_kernel_system(dom, kappa))) > 1e-8
 
     def test_determinant_sign_changes_at_roots(self):
         dom = TwoSegmentDomain(-1.0, 1.0)
         for root in critical_contrasts_two_segment(-1.0).roots:
-            lo, hi = root * 1.001, root * 0.999
-            assert kernel_determinant(dom, lo) * kernel_determinant(dom, hi) < 0.0
+            lo, hi = np.linalg.det(build_kernel_system(dom, [root * 1.001, root * 0.999]))
+            assert lo * hi < 0.0
 
     def test_nonroot_determinant(self):
-        assert abs(kernel_determinant(TwoSegmentDomain(-1.0, 1.0), -2.0)) > 1.0
+        assert abs(np.linalg.det(build_kernel_system(TwoSegmentDomain(-1.0, 1.0), -2.0))) > 1.0
 
     @pytest.mark.parametrize("dom", [TwoSegmentDomain(-1.5, 2.0), ThreeSegmentDomain(0.4)])
     def test_contrast_array_stacks_scalar_systems(self, dom):
         kappas = -np.geomspace(1e-3, 1e3, 9).reshape(3, 3)
         stack = build_kernel_system(dom, kappas)
-        dets = kernel_determinant(dom, kappas)
+        dets = np.linalg.det(stack)
         assert dets.shape == (3, 3)
         for idx in np.ndindex(3, 3):
             k = float(kappas[idx])
             assert np.array_equal(stack[idx], build_kernel_system(dom, k))
-            assert dets[idx] == kernel_determinant(dom, k)
+            assert dets[idx] == np.linalg.det(build_kernel_system(dom, k))
 
 
 def field_of(dom, c) -> PiecewiseCubic:
@@ -165,31 +165,79 @@ class TestKernelSystemFill:
                     assert np.all(np.abs(rows[..., r] - (left - right)) <= 1e-13 * scale[..., r])
 
 
+def assert_matches(found, closed, rel=1e-11):
+    """Both contrasts found, each within rel of its closed form."""
+    assert len(found) == 2
+    for f, c in zip(found, closed):
+        assert abs(f - c) <= rel * abs(c)
+
+
+def random_domains(family: str, n: int, seed: int) -> list:
+    """n seeded random domains of one family."""
+    rng = np.random.default_rng(seed)
+    if family == "ends":
+        return [TwoSegmentDomain(float(a), float(b))
+                for a, b in zip(-rng.uniform(0.05, 5.0, n), rng.uniform(0.05, 5.0, n))]
+    if family == "ratio":  # a = -1, so |t| = b
+        bs = np.exp(rng.uniform(math.log(1e-2), math.log(50.0), n))
+        return [TwoSegmentDomain(-1.0, float(b)) for b in bs]
+    return [ThreeSegmentDomain(float(d)) for d in rng.uniform(1e-3, 0.999, n)]
+
+
 class TestDeterminantScanOracle:
+    """scan_critical_contrasts, the eigenvalue oracle, against the closed forms."""
+
     def test_two_segment_symmetric(self):
-        scan = scan_critical_contrasts(TwoSegmentDomain(-1.0, 1.0))
-        closed = critical_contrasts_two_segment(-1.0).roots
-        assert len(scan.roots) == 2
-        for s, c in zip(scan.roots, closed):
-            assert abs(s - c) <= 1e-10 * max(1.0, abs(c))
+        assert_matches(scan_critical_contrasts(TwoSegmentDomain(-1.0, 1.0)).roots,
+                       critical_contrasts_two_segment(-1.0).roots)
 
     def test_three_segment_half(self):
-        scan = scan_critical_contrasts(ThreeSegmentDomain(0.5))
-        closed = critical_contrasts_three_segment(0.5).roots
-        assert len(scan.roots) == 2
-        for s, c in zip(scan.roots, closed):
-            assert abs(s - c) <= 1e-8
+        assert_matches(scan_critical_contrasts(ThreeSegmentDomain(0.5)).roots,
+                       critical_contrasts_three_segment(0.5).roots)
 
     def test_zero_set_equivalence_random_ratios(self):
         rng = np.random.default_rng(34)
         for _ in range(50):
             t = -math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
             dom = TwoSegmentDomain(-1.0, -t)  # a = -1, b = -t so b/a = t
-            closed = critical_contrasts_two_segment(t).roots
-            scan = scan_critical_contrasts(dom).roots
-            assert len(scan) == 2
-            for s, c in zip(scan, closed):
-                assert abs(s - c) <= 1e-8 * max(1.0, abs(c))
+            assert_matches(scan_critical_contrasts(dom).roots, critical_contrasts_two_segment(t).roots)
+
+    @pytest.mark.parametrize("family, seed", [("ends", 37), ("ratio", 38), ("three", 39)])
+    def test_random_domains_match_the_closed_forms(self, family, seed):
+        # a in (-5, -0.05) and b in (0.05, 5); |t| log-uniform in [1e-2, 50];
+        # delta in [1e-3, 0.999]: roots from about -1.3e6 to -1.4e-8
+        for dom in random_domains(family, 1000, seed):
+            assert_matches(scan_critical_contrasts(dom).roots, dom.critical_contrasts().roots)
+
+    def test_large_root_at_t_minus_30(self):
+        # the large root lies far beyond -1e4
+        roots = scan_critical_contrasts(TwoSegmentDomain(-1.0, 30.0)).roots
+        with mp.workdps(50):
+            t = mp.mpf(-30)
+            base, root = 2 - 3 * t + 2 * t * t, 2 * abs(t - 1) * mp.sqrt(t * t - t + 1)
+            closed = sorted(float(x * t) for x in (base + root, base - root))
+        assert closed[0] == pytest.approx(-113512.864, rel=1e-8)
+        assert_matches(roots, closed)
+
+    def test_small_root_at_delta_0_02(self):
+        # the small root lies above -1e-4
+        roots = scan_critical_contrasts(ThreeSegmentDomain(0.02)).roots
+        with mp.workdps(50):
+            d = mp.mpf(0.02)
+            closed = sorted(float(x) for x in (d ** 3 / (d ** 3 - 1), d / (d - 1)))
+        assert closed[1] == pytest.approx(-8.0e-6, rel=1e-4)
+        assert_matches(roots, closed)
+
+    def test_m0_is_nonsingular(self):
+        # the oracle solves with M0, and M0 + kappa M1 is the interface system
+        domains = random_domains("ends", 100, 40) + random_domains("three", 100, 41)
+        domains += [TwoSegmentDomain(-5.0, 0.05), TwoSegmentDomain(-0.05, 5.0),
+                    ThreeSegmentDomain(1e-3), ThreeSegmentDomain(0.999)]
+        for dom in domains:
+            M0, M1 = _pencil(dom)
+            assert np.linalg.matrix_rank(M0) == M0.shape[0]
+            assert np.count_nonzero(M1.any(axis=0)) == 2
+            assert np.array_equal(build_kernel_system(dom, -2.5), -2.5 * M1 + M0)
 
 
 class TestKernelBasis:

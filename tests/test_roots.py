@@ -1,6 +1,6 @@
 """Tests for the lockstep root search: its contract on plain functions, its
-worst case against bisection, and its cost and results on the brackets that
-corner_spectrum and kernel1d give it."""
+worst case against bisection, and its cost and results on the eta0 brackets
+of corner_spectrum and on sign changes of kernel1d's interface determinant."""
 
 import math
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bilap.corner_spectrum import CornerProblem, critical_interval, find_singular_exponent, scaled_dispersion
-from bilap.kernel1d import ThreeSegmentDomain, TwoSegmentDomain, kernel_determinant, scan_critical_contrasts
+from bilap.kernel1d import ThreeSegmentDomain, TwoSegmentDomain, build_kernel_system
 from bilap.roots import bracketed_roots
 
 # the search's worst case: at most this many steps beyond ceil(log2((hi - lo) / tol))
@@ -181,12 +181,15 @@ class TestSmoothBrackets:
                                      ThreeSegmentDomain(0.3), ThreeSegmentDomain(0.8)])
     def test_kernel_determinant_brackets(self, dom):
         grid = -np.geomspace(1e4, 1e-4, 10_000)
-        signs = np.sign(kernel_determinant(dom, grid))
+        signs = np.sign(np.linalg.det(build_kernel_system(dom, grid)))
         i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-        f = Counted(i.size, lambda rows, k: kernel_determinant(dom, k))
+        f = Counted(i.size, lambda rows, k: np.linalg.det(build_kernel_system(dom, k)))
         roots = bracketed_roots(f, grid[i], grid[i + 1], 1e-12)
         assert i.size >= 2 and f.evals.max() <= 10
         for k, lo, hi in zip(roots, grid[i], grid[i + 1]):
-            ref, _ = plain_bisection(lambda v: kernel_determinant(dom, v), lo, hi, 1e-12)
+            ref, _ = plain_bisection(lambda v: np.linalg.det(build_kernel_system(dom, v)), lo, hi, 1e-12)
             assert abs(k - ref) <= 1e-12 * (1.0 + abs(ref))
-        assert sorted(roots.tolist()) == list(scan_critical_contrasts(dom).roots)
+        closed = dom.critical_contrasts().roots
+        assert len(roots) == len(closed)
+        for k, c in zip(sorted(roots.tolist()), closed):
+            assert abs(k - c) <= 1e-11 * abs(c)

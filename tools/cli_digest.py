@@ -35,6 +35,7 @@ CRITICAL = "-13.928203230275509"  # a critical contrast of --t -1
 DELTA_ROOTS = ("-0.6666666666666667", "-0.0683760683760684")
 T_ROOTS = ("-109.64373248598598", "-0.3562675140140157")
 HUGE = "1" + "0" * 400  # an integer past the largest float
+BIG = "1" + "0" * 200  # an integer whose half squared overflows
 
 # name: text of each input file; missing.conf and missing.csv are never written
 FILES = {
@@ -156,6 +157,7 @@ INVOCATIONS = [
     ["cone", "--mu", "-1"],
     ["cone", "--alpha", "1.0", "--d", "4"],
     ["cone", "--alpha", "1.0", "--mu", "2"],
+    ["cone", "--mu", "1", "--d", BIG],
     ["cone", "--mu", "1", "--d", HUGE],
     ["cone", "--mu", "1", "--l", HUGE],
     # classify
