@@ -255,6 +255,7 @@ def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
         x0, left, right = values
         return twostep.SigmaField(np.where(CX < x0, left, right))
     x0, x1, y0, y1, inside, outside = values
+    _require(x0 < x1 and y0 < y1, f"sigma spec '{spec}': a patch needs x0 < x1 and y0 < y1")
     inpatch = (CX >= x0) & (CX < x1) & (CY >= y0) & (CY < y1)
     return twostep.SigmaField(np.where(inpatch, inside, outside))
 
@@ -385,8 +386,8 @@ def _build_parser():
     p = sub.add_parser("cone", help="cap eigenvalue, exponent and classification")
     one = p.add_mutually_exclusive_group(required=True)
     one.add_argument("--alpha", type=_finite_float,
-                     help="cap half-angle, with --d 3: answered on [0.047620, 0.9*pi];"
-                          " a smaller cap has its first degree above 50 and exits 2")
+                     help="cap half-angle, with --d 3: answered on [2.96e-154, 0.9*pi], the degree"
+                          " bracketed on (0, 3.9625/alpha - 1/2]; a smaller cap exits 2")
     one.add_argument("--mu", type=_finite_float)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--beta", type=_finite_float, default=0.0)

@@ -30,6 +30,7 @@ __all__ = [
 
 _SERIES_CAP = 10 ** 5
 _CAP_ALPHA_MAX = 0.9 * math.pi
+_J0_MID = 3.962451833991042  # (j01 + j02) / 2, midway between J_0's first two zeros
 # distance from a band edge within which the range is not closed
 _EDGE_TOL = 1e-12
 
@@ -82,52 +83,51 @@ def exponent_pair(d: int, mu: float) -> tuple:
     return half - root, mu / (root - half)
 
 
-def legendre_p(nu: float, x: float) -> float:
-    """Legendre function of the first kind, real degree nu >= 0, on (-1, 1].
-
-    Hypergeometric series in (1 - x)/2, accumulated to relative 1e-14.  The
-    series terminates exactly at integer degree; near x = -1 convergence slows
-    and the term cap may trip (NumericalFailure).
-    """
-    if nu < 0.0:
-        raise ValueError("degree nu must be non-negative")
-    if not -1.0 < x <= 1.0:
-        raise ValueError("argument must lie in (-1, 1]")
-    z = 0.5 * (1.0 - x)
+def _series(nu: float, z: float) -> float:
+    """P_nu(1 - 2z) as the hypergeometric series 2F1(-nu, nu + 1; 1; z),
+    accumulated to relative 1e-14 (NumericalFailure if the term cap trips)."""
     term, total = 1.0, 1.0
     for j in range(_SERIES_CAP):
         term *= (j - nu) * (j + nu + 1.0) / ((j + 1.0) * (j + 1.0)) * z
         total += term
         if abs(term) <= 1e-14 * abs(total):
             return total
-    raise NumericalFailure(f"Legendre series cap {_SERIES_CAP} hit at nu={nu}, x={x}")
+    raise NumericalFailure(f"Legendre series cap {_SERIES_CAP} hit at nu={nu}, z={z}")
+
+
+def legendre_p(nu: float, x: float) -> float:
+    """Legendre function of the first kind, real degree nu >= 0, on (-1, 1]:
+    _series at z = (1 - x)/2, which terminates exactly at integer degree; near
+    x = -1 convergence slows and the term cap may trip (NumericalFailure)."""
+    if nu < 0.0:
+        raise ValueError("degree nu must be non-negative")
+    if not -1.0 < x <= 1.0:
+        raise ValueError("argument must lie in (-1, 1]")
+    return _series(nu, 0.5 * (1.0 - x))
 
 
 def cap_first_eigenvalue(alpha: float) -> float:
     """First Dirichlet eigenvalue mu_1 of the spherical cap of half-angle alpha.
 
     The ground mode is axisymmetric, so mu_1 = nu (nu + 1) with nu the smallest
-    positive degree at which P_nu(cos alpha) vanishes; nu is bracketed by a
-    0.05-step scan on (0, 50] and polished by bracketed_roots (Chandrupatla's
-    method) to 1e-14 * (1 + nu).  ValueError outside (0, 0.9 pi]; below
-    alpha ~ 0.047620, where nu = 50, the scan finds no bracket and raises
-    NumericalFailure, so the caps it answers are alpha in [0.047620, 0.9 pi].
+    positive degree at which P_nu(cos alpha) vanishes.  Sturm comparison with
+    J_0((nu + 1/2) alpha) (Szego, Orthogonal Polynomials, 6.21) puts nu below
+    j01 / alpha - 1/2, and the one bracket (0, h], h = (j01 + j02) / (2 alpha)
+    - 1/2 midway to the next degree, holds it alone: the series in
+    z = sin^2(alpha / 2) (no cancellation for small caps) is 1 at 0 and at most
+    -0.39 at h.  bracketed_roots polishes nu to 1e-15 * (1 + nu).  ValueError
+    outside (0, 0.9 pi]; NumericalFailure below alpha ~ 2.96e-154, where h^2
+    overflows, so the caps answered are alpha in [2.96e-154, 0.9 pi].
     """
     if not 0.0 < alpha <= _CAP_ALPHA_MAX:
         raise ValueError(f"alpha must lie in (0, {_CAP_ALPHA_MAX:.6f}]")
-    x = math.cos(alpha)
-    f = lambda nu: legendre_p(nu, x)
-    prev_nu, prev_val = 1e-3, f(1e-3)
-    nu = prev_nu
-    while nu < 50.0:
-        nu = min(nu + 0.05, 50.0)
-        val = f(nu)
-        if prev_val * val <= 0.0:
-            # legendre_p sums its series on Python floats, one degree at a time
-            root = bracketed_roots(lambda _, nus: [f(float(v)) for v in nus], [prev_nu], [nu], 1e-14)[0]
-            return float(root * (root + 1.0))
-        prev_nu, prev_val = nu, val
-    raise NumericalFailure(f"no degree bracket found on (0, 50] for alpha={alpha}")
+    hi = _J0_MID / alpha - 0.5
+    if math.isinf(hi * (hi + 1.0)):
+        raise NumericalFailure(f"cap too narrow: the degree bracket end {hi:.6g} squared overflows")
+    z = math.sin(0.5 * alpha) ** 2
+    # _series sums on Python floats, one degree at a time
+    nu = bracketed_roots(lambda _, nus: [_series(float(v), z) for v in nus], [0.0], [hi], 1e-15)[0]
+    return float(nu * (nu + 1.0))
 
 
 def fredholm_classify(w: WeightedIndex, lambda1_plus: float) -> Classification:

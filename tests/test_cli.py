@@ -155,11 +155,13 @@ class TestExitCodes:
             "root_index,critical_contrast\n0,-3e-103\n1,-2.7000000000000002e-308\n")
 
     def test_smallest_cap_aperture(self, capsys):
-        # the degree scan ends at nu = 50, the first degree at alpha ~ 0.047620
-        code, out, err = invoke(capsys, "cone", "--alpha=0.0476")
-        assert code == 2 and out == "" and err.startswith("numerical failure: no degree bracket")
-        code, out, err = invoke(capsys, "cone", "--alpha=0.0477")
-        assert (code, err) == (0, "") and out.endswith(",Isomorphism\n")
+        # caps answer down to alpha ~ 2.9553e-154, where the square of the
+        # degree bracket end 3.9625/alpha - 1/2 overflows
+        for alpha in ("0.0476", "0.0477", "1e-150", "3e-154"):
+            code, out, err = invoke(capsys, "cone", f"--alpha={alpha}")
+            assert (code, err) == (0, "") and out.endswith(",Isomorphism\n"), alpha
+        code, out, err = invoke(capsys, "cone", "--alpha=1e-155")
+        assert code == 2 and out == "" and err.startswith("numerical failure: cap too narrow")
 
     def test_tiny_cross_section_eigenvalue(self, capsys):
         # lambda_plus ~ mu / (d - 2); half + root would cancel to 0 here
@@ -357,6 +359,9 @@ class TestMalformedInput:
         ("constant:1:2", "constant:<v> takes 1 value(s), got 2"),
         ("constant:one", "not a finite number: 'one'"),
         ("split-x:nan:1:-2", "not a finite number: 'nan'"),
+        # a patch with its bounds out of order holds no cell
+        *((spec, "a patch needs x0 < x1 and y0 < y1") for spec in (
+            "patch:0.7:0.3:0.3:0.7:-2:1", "patch:0.3:0.7:0.7:0.3:-2:1", "patch:0.5:0.5:0.3:0.7:-2:1")),
     ])
     def test_sigma_spec_message(self, capsys, spec, message):
         code, out, err = invoke(capsys, *SOLVE, "--sigma-file", spec)

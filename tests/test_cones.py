@@ -15,10 +15,14 @@ from bilap.cones import (
     fredholm_classify,
     isomorphism_in_dimension,
     legendre_p,
+    _series,
 )
+from bilap.errors import NumericalFailure
 
 # root of P_{1/2}(cos alpha) on (pi/2, pi), frozen from a 40-digit evaluation
 ALPHA_C = 2.2813183068406470
+# the first two zeros of J_0, at 30 digits
+J01, J02 = mp.besseljzero(0, 1), mp.besseljzero(0, 2)
 
 
 def legendre_recurrence(n, x):
@@ -132,6 +136,90 @@ class TestCapEigenvalue:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             cap_first_eigenvalue(0.95 * math.pi)
+
+
+def series_on_grid(nu, z):
+    """2F1(-nu, nu + 1; 1; z) summed elementwise in numpy until every term is
+    below 1e-16 of its row's sum of absolute terms."""
+    term, total, scale = np.ones_like(nu), np.ones_like(nu), np.ones_like(nu)
+    for j in range(100000):
+        term = term * (j - nu) * (j + nu + 1.0) / (j + 1.0) ** 2 * z
+        total, scale = total + term, scale + np.abs(term)
+        if (np.abs(term) <= 1e-16 * scale).all():
+            return total
+    raise AssertionError("series did not converge")
+
+
+def degree_of(mu):
+    """The degree nu >= 0 with nu (nu + 1) = mu, by the form that does not cancel."""
+    return mu / (0.5 + (0.25 + mu) ** 0.5)
+
+
+def series_root(alpha: float, nu: float, p) -> mp.mpf:
+    """The root of p(degree, alpha) near the double nu, by two secant steps
+    at 60 digits from nu and nu (1 + 1e-10): about 1e-35 relative."""
+    with mp.workdps(60):
+        a, x0 = mp.mpf(alpha), mp.mpf(nu)
+        x1 = x0 * (1 + mp.mpf(10) ** -10)
+        f0, f1 = p(x0, a), p(x1, a)
+        for _ in range(2):
+            x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+            f1 = p(x1, a)
+        assert abs(x1 - x0) <= mp.mpf(10) ** -20 * x1  # the last step, about 1e-25
+        return x1
+
+
+def mp_series(deg, alpha):
+    """The plain sum of 2F1(-deg, deg + 1; 1; sin^2(alpha/2)), to 1e-50."""
+    z = mp.sin(alpha / 2) ** 2
+    term, total, j = mp.mpf(1), mp.mpf(1), 0
+    while abs(term) > mp.mpf(10) ** -50:
+        term *= (j - deg) * (j + deg + 1) / (j + 1) ** 2 * z
+        total += term
+        j += 1
+    return total
+
+
+class TestCapBracket:
+    """The degree bracket (0, h], h = (j01 + j02) / (2 alpha) - 1/2."""
+
+    def test_series_changes_sign_once_on_the_bracket(self):
+        alphas = np.geomspace(1e-150, 0.9 * math.pi, 500)
+        h = float((J01 + J02) / 2) / alphas - 0.5
+        z = np.sin(0.5 * alphas) ** 2
+        nu = h[:, None] * np.linspace(0.0, 1.0, 101)
+        values = series_on_grid(nu, z[:, None])
+        assert (values[:, 0] == 1.0).all()
+        assert ((values[:, :-1] > 0) != (values[:, 1:] > 0)).sum(axis=1).tolist() == [1] * 500
+        at_h = [_series(float(e), float(zz)) for e, zz in zip(h, z)]
+        assert max(at_h) <= -0.39
+        assert np.allclose(at_h, values[:, -1], rtol=0.0, atol=1e-12)
+
+    def test_first_eigenvalue_against_the_series_oracle(self):
+        # the plain 60-digit sum, since mpmath's hyp2f1 and legenp lose the
+        # sign at tiny caps; from alpha = 0.05 up, legenp at 30 digits changes
+        # sign across mu1 (1 -+ 2e-14) too (at 60 it can take seconds a call)
+        rng = np.random.default_rng(27)
+        alphas = np.concatenate([np.exp(rng.uniform(math.log(1e-150), math.log(0.05), 32)),
+                                 rng.uniform(0.05, 0.9 * math.pi, 8)])
+        for alpha in alphas.tolist():
+            mu1 = cap_first_eigenvalue(alpha)
+            root = series_root(alpha, degree_of(mu1), mp_series)
+            with mp.workdps(60):
+                assert abs(mu1 - root * (root + 1)) <= 2e-14 * root * (root + 1), alpha
+                # Sturm comparison with J_0: the first degree, below j01 / alpha - 1/2
+                assert root < J01 / mp.mpf(alpha) - mp.mpf(1) / 2, alpha
+            if alpha >= 0.05:
+                with mp.workdps(30):
+                    x = mp.cos(mp.mpf(alpha))
+                    lo, hi = (mp.legenp(degree_of(mp.mpf(mu1) * (1 + e)), 0, x) for e in (-2e-14, 2e-14))
+                assert lo * hi < 0, alpha
+
+    def test_narrowest_cap(self):
+        # below alpha ~ 2.9553e-154 the bracket end h squared overflows
+        assert cap_first_eigenvalue(3e-154) == pytest.approx(float((J01 / mp.mpf(3e-154)) ** 2), rel=1e-14)
+        with pytest.raises(NumericalFailure, match="cap too narrow"):
+            cap_first_eigenvalue(2.95e-154)
 
 
 class TestCriticalAperture:

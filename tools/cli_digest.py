@@ -152,6 +152,9 @@ INVOCATIONS = [
     ["cone", "--mu=2"],
     ["cone", "--alpha=0.0476"],
     ["cone", "--alpha=0.0477"],
+    ["cone", "--alpha=1e-3"],
+    ["cone", "--alpha=1e-150"],
+    ["cone", "--alpha=1e-155"],
     ["cone", "--mu=1e-17"],
     ["cone", "--mu=0.5", "--d", "2"],
     ["cone", "--mu", "-1"],
@@ -184,7 +187,8 @@ INVOCATIONS = [
     *([*SOLVE, "--sigma-file", spec] for spec in (
         "constant", "constant:", "constant:1:2", "constant:one", "split-x:0.5:1",
         "split-x:0.5:1:2:3", "patch:0.1:0.2:0.1", "patch", "disk:1", "constant:inf",
-        "split-x:0.5:1:-inf", "split-x:nan:1:-2", "patch:nan:0.75:0.25:0.75:-3:1")),
+        "split-x:0.5:1:-inf", "split-x:nan:1:-2", "patch:nan:0.75:0.25:0.75:-3:1",
+        "patch:0.7:0.3:0.3:0.7:-2:1")),
     ["solve", "--domain", "notched", "--n", "32"],
     ["solve", "--domain", "notched", "--n", "64", "--sigma-file", "split-x:0.5:1:-3"],
     ["solve", "--domain", "rectangle", "--n", "17", "--no-correct"],
