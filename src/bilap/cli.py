@@ -2,12 +2,16 @@
 
 Subcommands: region-map, eta0, corner-det, kernel1d, solve, cone, classify.
 Output is CSV text with floats at 17 significant digits, so identical
-invocations produce byte-identical files.  Every subcommand writes through one
-writer, _csv: a header, one template per row and one "%" pass over the flat
-values.  region-map writes the columns of one corner_spectrum.RegionMap, eight
-values per cell, with two row templates: a cell with no exponent writes its
-eta0 and residual as empty fields.  solve writes x,y,value at every interior
-node, rows in np.nonzero(grid.interior) order.
+invocations under the same BLAS settings produce byte-identical files: a
+solve's blocked matrix products and Cholesky factor sum in an order that
+depends on the BLAS thread count (OPENBLAS_NUM_THREADS), so on larger grids
+(lshape at n = 256, say) the last digits move with it.  Every subcommand
+writes through one writer, _csv: a header, one template per row and one "%"
+pass over the flat values.  region-map writes the columns of one
+corner_spectrum.RegionMap, eight values per cell, with two row templates: a
+cell with no exponent writes its eta0 and residual as empty fields.  solve
+writes x,y,value at every interior node, rows in np.nonzero(grid.interior)
+order.
 
 Each invocation is parsed once.  The key=value lines of a --config file are
 read first and inserted right after the command, each as the subcommand's
@@ -257,19 +261,25 @@ def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
     x0, x1, y0, y1, inside, outside = values
     _require(x0 < x1 and y0 < y1, f"sigma spec '{spec}': a patch needs x0 < x1 and y0 < y1")
     inpatch = (CX >= x0) & (CX < x1) & (CY >= y0) & (CY < y1)
+    # a patch between cell centres, or off the mask, would write the bytes of
+    # constant:<outside>
+    _require((inpatch & grid.cell_mask).any(),
+             f"sigma spec '{spec}': the patch holds no cell centre of the domain")
     return twostep.SigmaField(np.where(inpatch, inside, outside))
 
 
 def _rhs_from_spec(grid: Grid2D, spec: str) -> np.ndarray:
-    X, Y = np.meshgrid(grid.node_x, grid.node_y, indexing="ij")
+    """The nodal rhs; sine2d and generic are outer products of per-axis
+    factors, each node taking the operations of its meshgrid form in order."""
+    x, y = grid.node_x, grid.node_y
     if spec == "sine2d":
-        return 4.0 * math.pi ** 4 * np.sin(math.pi * X) * np.sin(math.pi * Y)
+        return np.multiply.outer(4.0 * math.pi ** 4 * np.sin(math.pi * x), np.sin(math.pi * y))
     if spec == "one":
-        return np.ones_like(X)
+        return np.ones(grid.interior.shape)
     if spec == "generic":
-        return np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0
+        return np.multiply.outer(np.sin(3.0 * x + 1.0), np.cos(2.0 * y)) + 2.0
     if spec.startswith("file:"):
-        field = np.zeros_like(X)
+        field = np.zeros(grid.interior.shape)
         # each (x, y) goes to the nearest node, ties to the even index
         index, values = _load_cells(spec[5:], field.shape, lambda xy: np.rint(xy / grid.h))
         field[index] = values
@@ -291,15 +301,20 @@ def _solve_csv(grid: Grid2D, v: np.ndarray) -> str:
     """x,y,value at every interior node, in np.nonzero(grid.interior) order.
 
     The coordinates go into the row templates, "<x>,<y>,%.17g" per row, with
-    each axis formatted once and the rows joined once per node column; the
-    one "%" pass of _csv then fills in the values, gathered by the same mask
-    in the same order.
+    each axis formatted once and the rows joined once per run of interior
+    nodes along a node column; the one "%" pass of _csv then fills in the
+    values, gathered by the same mask in the same order.
     """
+    xs = ["%.17g," % x for x in grid.node_x.tolist()]
     ys = ["%.17g,%%.17g\n" % y for y in grid.node_y.tolist()]
+    # each column's first and last nodes are on the box's edge, never
+    # interior, so every run [a, b) starts at a step up and ends at a step down
+    step = np.diff(grid.interior.astype(np.int8), axis=1)
+    cols, starts = np.nonzero(step > 0)
+    ends = np.nonzero(step < 0)[1]
     rows = []
-    for i in np.flatnonzero(grid.interior.any(axis=1)).tolist():
-        pre = "%.17g," % grid.node_x[i]
-        rows += [pre, pre.join(map(ys.__getitem__, np.flatnonzero(grid.interior[i]).tolist()))]
+    for i, a, b in zip(cols.tolist(), (starts + 1).tolist(), (ends + 1).tolist()):
+        rows += [xs[i], xs[i].join(ys[a:b])]
     return _csv("x,y,value", rows, v[grid.interior].tolist())
 
 

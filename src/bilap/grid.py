@@ -186,6 +186,12 @@ class _CapacitanceSolver:
     along x only on Gamma's J distinct columns, so a solve takes two 2D
     transforms, two 1D passes along y and two on J columns along x, where
     the fast solves of y and of P^T q would take four 2D transforms.
+
+    All of its dense algebra, C's block products, the Cholesky factor and
+    the solves with it, runs in scipy's BLAS (the DSTs call none).  numpy's
+    and scipy's wheels each bundle an OpenBLAS with a thread pool of its
+    own; a product in numpy's next to a factorisation in scipy's puts both
+    pools' threads on the same cores, and they oversubscribe them.
     """
 
     def __init__(self, grid: Grid2D):
@@ -246,7 +252,13 @@ def _capacitance(n: int, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.
     with j sorted, every block of C is one matmul.  The factors are formed
     as e^(+-mu (j - c)) times expm1 terms, about a centre c per block of j
     values spanning at most _EXP_SPAN / mu_max, so nothing overflows.
+
+    Each block is one scipy dgemm on F-contiguous views, which f2py passes
+    without a copy, so the products run in the BLAS that factors C and not
+    in numpy's, whose thread pool would contend with scipy's for the cores.
     """
+    from scipy.linalg.blas import dgemm
+
     k = np.arange(1, n)
     sin_t = np.sin(theta)
     mu = (2.0 * np.arcsinh(sin_t))[:, None]
@@ -266,7 +278,9 @@ def _capacitance(n: int, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.
     with np.errstate(under="ignore"):
         for r, (br, cr) in enumerate(zip(blocks, centres)):
             for s in range(r, len(blocks)):
-                M = (X[r] * np.exp(mu * (cr - centres[s]))).T @ Y[s]
+                # A.T @ Y[s], both operands passed as F-contiguous views
+                A = X[r] * np.exp(mu * (cr - centres[s]))
+                M = dgemm(1.0, A.T, Y[s].T, trans_b=True)
                 if s == r:
                     jr = j[br]
                     M = np.where(jr[:, None] <= jr[None, :], M, M.T)
@@ -289,8 +303,10 @@ def corner_polar(grid: Grid2D, corner: ReentrantCorner):
 
 def _norm(values: np.ndarray, scale: float) -> float:
     """Euclidean norm of values / scale, summed by numpy itself: np.linalg.norm
-    calls BLAS, which can stall for milliseconds when it runs two threads.
-    No square overflows when scale is at least max|values|."""
+    calls numpy's BLAS, whose thread pool is not the one of scipy's BLAS that
+    the solve runs in; the two pools' threads oversubscribe the cores, and a
+    call can stall for milliseconds.  No square overflows when scale is at
+    least max|values|."""
     scaled = values.ravel() / scale
     return math.sqrt(float(np.einsum("i,i->", scaled, scaled)))
 

@@ -144,8 +144,9 @@ def compute_dual_singularity(grid: Grid2D, corner_index: int) -> CornerSingulari
 
 def _pair(ws: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """sum(ws * a * b) over three nodal arrays in one pass, with no product
-    array, summed by numpy itself: a BLAS dot can stall for milliseconds when
-    it runs two threads."""
+    array, summed by numpy itself: a dot would run in numpy's BLAS, whose
+    thread pool oversubscribes the cores with the one of scipy's BLAS that
+    the Poisson solves run in, and can stall for milliseconds."""
     return float(np.einsum("ij,ij,ij->", ws, a, b))
 
 

@@ -362,6 +362,9 @@ class TestMalformedInput:
         # a patch with its bounds out of order holds no cell
         *((spec, "a patch needs x0 < x1 and y0 < y1") for spec in (
             "patch:0.7:0.3:0.3:0.7:-2:1", "patch:0.3:0.7:0.7:0.3:-2:1", "patch:0.5:0.5:0.3:0.7:-2:1")),
+        # a patch between two cell centres, and one over the missing quadrant
+        *((spec, "the patch holds no cell centre of the domain") for spec in (
+            "patch:0.29:0.33:0.29:0.33:-2:1", "patch:0.6:0.9:0.6:0.9:-2:1")),
     ])
     def test_sigma_spec_message(self, capsys, spec, message):
         code, out, err = invoke(capsys, *SOLVE, "--sigma-file", spec)
@@ -649,6 +652,17 @@ class TestSolveCsv:
         ref = "".join(f"{fmt(grid.node_x[i])},{fmt(grid.node_y[j])},{fmt(v[i, j])}\n"
                       for i, j in zip(ii, jj))
         assert cli._solve_csv(grid, v) == "x,y,value\n" + ref and "nan" not in ref
+
+    @pytest.mark.parametrize("make", [lambda: lshape_grid(512), lambda: notched_grid(24)],
+                             ids=["lshape-512", "notched-24"])
+    def test_rhs_matches_its_meshgrid_form(self, make):
+        # the per-axis outer products against the elementwise meshgrid forms, bit for bit
+        grid = make()
+        X, Y = np.meshgrid(grid.node_x, grid.node_y, indexing="ij")
+        ref = {"sine2d": 4.0 * math.pi ** 4 * np.sin(math.pi * X) * np.sin(math.pi * Y),
+               "generic": np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0}
+        for spec, field in ref.items():
+            assert cli._rhs_from_spec(grid, spec).tobytes() == field.tobytes()
 
     def test_side_u_has_split_node_columns(self):
         grid = side_u_grid()

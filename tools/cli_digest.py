@@ -9,9 +9,14 @@ cases included.  Their files are written under relative names in a temporary
 directory that is the working directory while the list runs, so two runs
 print comparable lines:
 
+    export OPENBLAS_NUM_THREADS=2
     PYTHONPATH=<other tree>/src python tools/cli_digest.py > before.txt
     PYTHONPATH=src python tools/cli_digest.py > after.txt
     diff before.txt after.txt
+
+Run both trees under the same BLAS thread settings: the solves at n = 256
+sum their blocked matrix products and Cholesky factor in an order that
+depends on the thread count, so their bytes move with it.
 
 An exception that escapes run (a RuntimeWarning, say) is digested in place
 of the exit code as its type and message, and the exit of -h as its code;
@@ -188,9 +193,13 @@ INVOCATIONS = [
         "constant", "constant:", "constant:1:2", "constant:one", "split-x:0.5:1",
         "split-x:0.5:1:2:3", "patch:0.1:0.2:0.1", "patch", "disk:1", "constant:inf",
         "split-x:0.5:1:-inf", "split-x:nan:1:-2", "patch:nan:0.75:0.25:0.75:-3:1",
-        "patch:0.7:0.3:0.3:0.7:-2:1")),
+        "patch:0.7:0.3:0.3:0.7:-2:1", "patch:0.29:0.33:0.29:0.33:-2:1",
+        "patch:0.6:0.9:0.6:0.9:-2:1")),
     ["solve", "--domain", "notched", "--n", "32"],
     ["solve", "--domain", "notched", "--n", "64", "--sigma-file", "split-x:0.5:1:-3"],
+    # large enough that the capacitance matrix takes blocked, threaded BLAS
+    ["solve", "--domain", "lshape", "--n", "256"],
+    ["solve", "--domain", "notched", "--n", "256", "--sigma-file", "patch:0.1:0.3:0.1:0.3:-2:1"],
     ["solve", "--domain", "rectangle", "--n", "17", "--no-correct"],
     ["solve", "--domain", "lshape", "--n", "4", "--no-correct"],
     ["solve", "--domain", "lshape", "--n", "4"],
