@@ -231,14 +231,16 @@ _RHS_SPECS = ("sine2d", "one", "generic", "file:<csv>")
 
 
 def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
-    """Builders: 'one', 'constant:<v>', 'split-x:<x0>:<left>:<right>',
-    'patch:<x0>:<x1>:<y0>:<y1>:<inside>:<outside>' or 'file:<csv>' with rows i,j,value."""
+    """Builders: 'one', 'constant:<v>', 'split-x:<x0>:<left>:<right>' (the patch box x < x0),
+    'patch:<x0>:<x1>:<y0>:<y1>:<inside>:<outside>' or 'file:<csv>' with rows i,j,value.
+    A box holds some, not all, of the domain's cell centres, and a file names one of its cells."""
     if spec in ("one", "1"):
         return twostep.SigmaField.constant(grid, 1.0)
     kind, _, rest = spec.partition(":")
     if kind == "file":
         cells = np.ones((grid.nx, grid.ny))
         index, values = _load_cells(rest, cells.shape, lambda ij: ij)
+        _require(grid.cell_mask[index].any(), f"{rest}: no row names a cell of the domain")
         cells[index] = values
         return twostep.SigmaField(cells)
     _require(kind in _SIGMA_VALUES, f"unknown sigma spec '{spec}'")
@@ -252,20 +254,19 @@ def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
         raise ValueError(f"sigma spec '{spec}': {exc}") from None
     if kind == "constant":
         return twostep.SigmaField.constant(grid, values[0])
-    cx = (np.arange(grid.nx) + 0.5) * grid.h
-    cy = (np.arange(grid.ny) + 0.5) * grid.h
-    CX, CY = np.meshgrid(cx, cy, indexing="ij")
+    box = "the patch"
     if kind == "split-x":
-        x0, left, right = values
-        return twostep.SigmaField(np.where(CX < x0, left, right))
+        values, box = [-math.inf, values[0], -math.inf, math.inf, *values[1:]], "the side x < x0"
     x0, x1, y0, y1, inside, outside = values
     _require(x0 < x1 and y0 < y1, f"sigma spec '{spec}': a patch needs x0 < x1 and y0 < y1")
-    inpatch = (CX >= x0) & (CX < x1) & (CY >= y0) & (CY < y1)
-    # a patch between cell centres, or off the mask, would write the bytes of
-    # constant:<outside>
-    _require((inpatch & grid.cell_mask).any(),
-             f"sigma spec '{spec}': the patch holds no cell centre of the domain")
-    return twostep.SigmaField(np.where(inpatch, inside, outside))
+    cx = (np.arange(grid.nx) + 0.5) * grid.h
+    cy = (np.arange(grid.ny) + 0.5) * grid.h
+    inbox = ((cx >= x0) & (cx < x1))[:, None] & ((cy >= y0) & (cy < y1))
+    # a box holding none, or all, of the domain's cells would give a constant sigma
+    held = inbox[grid.cell_mask]
+    _require(held.any(), f"sigma spec '{spec}': {box} holds no cell centre of the domain")
+    _require(not held.all(), f"sigma spec '{spec}': {box} holds every cell centre of the domain")
+    return twostep.SigmaField(np.where(inbox, inside, outside))
 
 
 def _rhs_from_spec(grid: Grid2D, spec: str) -> np.ndarray:
@@ -390,7 +391,8 @@ def _build_parser():
     p.add_argument("--n", type=int, default=64)
     sigma_specs = ["one", *(f"{kind}:{values}" for kind, values in _SIGMA_VALUES.items()), "file:<csv>"]
     p.add_argument("--sigma-file", dest="sigma_file", default="one", metavar="SPEC",
-                   help="sigma field: " + ", ".join(sigma_specs) + " (csv rows i,j,value; default one)")
+                   help="sigma field: " + ", ".join(sigma_specs) + " (csv rows i,j,value, one in the"
+                        " domain; a patch or split-x's x < x0 holds some, not all, cells; default one)")
     p.add_argument("--rhs", default="generic", metavar="SPEC",
                    help="right-hand side: " + ", ".join(_RHS_SPECS) + " (csv rows x,y,value; default generic)")
     p.add_argument("--correct", type=_boolean, nargs="?", const=True, default=True,

@@ -162,10 +162,6 @@ class Grid2D:
         lap /= self.h * self.h
         return lap
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Discrete L2 pairing h^2 * sum over interior nodes."""
-        return float(self.h * self.h * np.sum(a[self.interior] * b[self.interior]))
-
 
 class _CapacitanceSolver:
     """Dirichlet Poisson solves on a masked grid through fast solves on the

@@ -32,7 +32,6 @@ __all__ = [
     "pairing_weights",
     "corrected_two_step_solve",
     "assemble_pairing_matrix",
-    "kernel_residual",
 ]
 
 EXCLUSION_RADIUS_CELLS = 4.0
@@ -57,16 +56,10 @@ class SigmaField:
         return cls(np.full((grid.nx, grid.ny), value))
 
     def inverse_at_nodes(self, grid: Grid2D) -> np.ndarray:
-        """1/sigma transferred cell-to-node by arithmetic mean over touching cells."""
-        return _node_mean(grid, 1.0 / self.cells)
-
-    def at_nodes(self, grid: Grid2D) -> np.ndarray:
-        return _node_mean(grid, self.cells)
-
-
-def _node_mean(grid: Grid2D, cell_values: np.ndarray) -> np.ndarray:
-    total = grid.node_sum(cell_values)
-    return np.divide(total, grid.touching, out=np.zeros_like(total), where=grid.touching > 0)
+        """1/sigma transferred cell-to-node by arithmetic mean over touching
+        cells, 0 at nodes off the mask: the one way sigma reaches the nodes."""
+        total = grid.node_sum(1.0 / self.cells)
+        return np.divide(total, grid.touching, out=np.zeros_like(total), where=grid.touching > 0)
 
 
 @dataclass(frozen=True)
@@ -248,20 +241,3 @@ def corrected_two_step_solve(
         raise SingularPairingMatrix(f"pairing matrix has kernel dimension {pm.kernel_dim}")
     return _split(grid, pm.sinv, f, pm)
 
-
-def kernel_residual(
-    grid: Grid2D, sigma: SigmaField, psi: np.ndarray, test_field: np.ndarray
-) -> float:
-    """Normalized weak-form residual |(sigma Lap psi, Lap w)| of a kernel candidate.
-
-    Both Laplacians are the discrete five-point ones; the scaling makes the
-    value comparable across grids and test fields.
-    """
-    sig = sigma.at_nodes(grid)
-    lap_psi = grid.apply_laplacian(psi)
-    lap_w = grid.apply_laplacian(test_field)
-    num = abs(grid.inner(sig * lap_psi, lap_w))
-    den = math.sqrt(grid.inner(sig * lap_psi, sig * lap_psi)) * math.sqrt(
-        grid.inner(lap_w, lap_w)
-    )
-    return num / max(den, 1e-300)

@@ -340,7 +340,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("rows", ["-1,0,-2.0", "0,-3,-2.0", "16,0,-2.0", "0,16,-2.0",
                                       "1.5,2,-2.0", "3,4,-2.0\n2,20,-2.0", "3,4", "3,4,inf",
-                                      "3,4,-inf"])
+                                      "3,4,-inf", "12,12,-2.0"])
     def test_sigma_file_rows(self, capsys, tmp_path, rows):
         path = write(tmp_path, "sigma.csv", f"i,j,value\n{rows}\n")
         code, out, err = invoke(capsys, *SOLVE, "--sigma-file", f"file:{path}")
@@ -365,10 +365,24 @@ class TestMalformedInput:
         # a patch between two cell centres, and one over the missing quadrant
         *((spec, "the patch holds no cell centre of the domain") for spec in (
             "patch:0.29:0.33:0.29:0.33:-2:1", "patch:0.6:0.9:0.6:0.9:-2:1")),
+        # split-x is the patch box x < x0 under the same rule: each would give a constant sigma
+        ("split-x:2:1:-3", "the side x < x0 holds every cell centre of the domain"),
+        ("split-x:-1:1:-3", "the side x < x0 holds no cell centre of the domain"),
+        ("patch:0:1:0:1:-2:1", "the patch holds every cell centre of the domain"),
     ])
     def test_sigma_spec_message(self, capsys, spec, message):
         code, out, err = invoke(capsys, *SOLVE, "--sigma-file", spec)
         assert (code, out, err) == (1, "", f"error: sigma spec '{spec}': {message}\n")
+
+    @pytest.mark.parametrize("make,x0", [(lambda: lshape_grid(16), 0.5),
+                                         (lambda: notched_grid(24), 0.4),
+                                         (lambda: lshape_grid(64), 0.1)])
+    def test_split_x_is_the_cells_left_of_x0(self, make, x0):
+        # the patch box x < x0 holds the cells whose centres lie left of x0
+        grid = make()
+        centres = (np.arange(grid.nx) + 0.5) * grid.h
+        ref = np.where(np.meshgrid(centres, centres, indexing="ij")[0] < x0, 1.0, -3.0)
+        assert cli._sigma_from_spec(grid, f"split-x:{x0}:1:-3").cells.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", ["0", "-4"])
     def test_size_must_be_positive(self, capsys, tmp_path, n):

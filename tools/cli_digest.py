@@ -77,6 +77,7 @@ FILES = {
     "sigma-inf.csv": "i,j,value\n3,4,inf\n",
     "sigma-no-header.csv": "3,4,-2.0\n5,5,-2.0\n",
     "sigma-one-row.csv": "3,4,-2.0\n",
+    "sigma-off-mask.csv": "i,j,value\n12,12,-2.0\n",
     "header-only.csv": "a,b,value\n",
     "rhs.csv": "x,y,value\n0.25,0.25,1.0\n1.0,1.0,5.0\n",
     "rhs-off-grid.csv": "x,y,value\n2.0,0.5,1.0\n",
@@ -194,7 +195,8 @@ INVOCATIONS = [
         "split-x:0.5:1:2:3", "patch:0.1:0.2:0.1", "patch", "disk:1", "constant:inf",
         "split-x:0.5:1:-inf", "split-x:nan:1:-2", "patch:nan:0.75:0.25:0.75:-3:1",
         "patch:0.7:0.3:0.3:0.7:-2:1", "patch:0.29:0.33:0.29:0.33:-2:1",
-        "patch:0.6:0.9:0.6:0.9:-2:1")),
+        "patch:0.6:0.9:0.6:0.9:-2:1", "split-x:2:1:-3", "split-x:-1:1:-3",
+        "patch:0:1:0:1:-2:1")),
     ["solve", "--domain", "notched", "--n", "32"],
     ["solve", "--domain", "notched", "--n", "64", "--sigma-file", "split-x:0.5:1:-3"],
     # large enough that the capacitance matrix takes blocked, threaded BLAS
@@ -214,8 +216,8 @@ INVOCATIONS = [
     # file: inputs
     *([*SOLVE, "--sigma-file", f"file:{name}"] for name in (
         "sigma.csv", "sigma-off-grid.csv", "sigma-fraction.csv", "sigma-short.csv",
-        "sigma-inf.csv", "sigma-no-header.csv", "sigma-one-row.csv", "header-only.csv",
-        "missing.csv")),
+        "sigma-inf.csv", "sigma-no-header.csv", "sigma-one-row.csv", "sigma-off-mask.csv",
+        "header-only.csv", "missing.csv")),
     *([*SOLVE, "--rhs", f"file:{name}"] for name in (
         "rhs.csv", "rhs-off-grid.csv", "rhs-nan.csv", "rhs-inf.csv", "rhs-no-header.csv",
         "header-only.csv", "missing.csv")),
