@@ -6,9 +6,14 @@ invocations under the same BLAS settings produce byte-identical files: a
 solve's blocked matrix products and Cholesky factor sum in an order that
 depends on the BLAS thread count (OPENBLAS_NUM_THREADS), so on larger grids
 (lshape at n = 256, say) the last digits move with it.  Every subcommand
-writes through one writer, _csv: a header, one template per row and one "%"
-pass over the flat values.  region-map writes the columns of one
-corner_spectrum.RegionMap, eight values per cell, with two row templates: a
+writes through one column writer, _csv: a header, then the fields of its
+columns joined row by row.  Its floats are written by one numpy kernel,
+_float_fields, which gives the bytes of format(x, ".17g") for every float64.
+It rounds each value to 17 digits by one np.longdouble product, where that
+product's error bound decides the rounding, and writes every other value (a
+near-tie, a decade edge, 0, -0, nan, inf; about 2% of a solve's values, and
+every value where np.longdouble is float64) by "%.17g" itself.  region-map
+writes the columns of one corner_spectrum.RegionMap, eight values per cell: a
 cell with no exponent writes its eta0 and residual as empty fields.  solve
 writes x,y,value at every interior node, rows in np.nonzero(grid.interior)
 order.
@@ -57,18 +62,204 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _csv(header: str, rows, values) -> str:
-    """CSV text from one "%" pass: the header line, then the row templates in
-    rows, joined in order and filled from the flat sequence values.
+# -- CSV ---------------------------------------------------------------------
+#
+# The float kernel writes format(x, ".17g") in bulk.  To 17 digits |x| is
+# N 10^(k - 16), N an integer in [10^16, 10^17).  N is the rounded product
+# m = |x| 10^(16 - k) in np.longdouble, taken only where m's error bound
+# decides the rounding; every other value (a near-tie, a decade edge, 0, -0,
+# nan, inf) is written by "%.17g" itself.  Its text is laid into a frame of
+# 32 bytes, NUL where nothing is written:
+#
+#   byte 2       "-" of a negative x
+#   bytes 3-6    "0000", the leading zeros of 0.000ddd (fixed notation, k < 0)
+#   bytes 7-23   the 17 digits of N
+#   bytes 25-29  the exponent, e+dd or e-ddd (k < -4 or k > 16)
+#
+# with bytes 3-23 masked to the digits shown (no trailing zero after the
+# point) and the point inserted after the first of them shown (fixed
+# notation, k >= 0: after the units digit), so the digits end by byte 24.
 
-    In a template "%.17g" writes a float as format(x, ".17g") does (nan, inf
-    and -0 included), "%s" writes text, an int or a bool as str() does,
-    "%.0s" takes a value and writes nothing, and a field with no value is
-    left empty.  The header is a format too, so it
-    holds no "%"; values never become formats, so text holding a "%" is
-    written as it is.
+_BLOCK = 1 << 12  # floats per kernel call, so its temporaries (a few hundred bytes a float) stay bounded
+# below this many values the kernel's fixed cost, some 60 numpy calls, is more
+# than that of "%.17g" on each
+_KERNEL_MIN = 128
+_K0, _K1 = -325, 309  # the exponents k the kernel meets: from 5e-324 and 1.8e308, one off
+
+
+@functools.cache
+def _tables() -> tuple:
+    """The float kernel's tables, built on first use.  By exponent, at
+    index k - _K0:
+
+    pow10     10^(16 - k) in np.longdouble, correctly rounded (the largest
+              longdouble where that is past its range)
+    at        33 times the first frame byte shown, the end of the units
+              digit, and the point's byte
+    exponent  the exponent's bytes, in the last frame word
+
+    and band, the bound on m's relative error as a float64: twice the
+    longdouble epsilon, for one rounding in pow10 and one in the product.
+    By 4-digit chunk c < 10^4, the j-th after the lead digit (j = 0 to 3):
+
+    chunk     the ASCII digits of c, as a little-endian integer
+    ends[j]   the end, in frame bytes, of chunk j's digits shown, where it
+              is the last nonzero one; 0 where c = 0
+
+    And as frame words, word-major, keep[33 s + e] masks bytes [s, e) (so
+    keep[b] bytes [0, b)), and dot[b] holds "." at byte b (b = 32: none).
     """
-    return "".join([header, "\n", *rows]) % tuple(values)
+    ld = np.finfo(np.longdouble)
+    bits = ld.nmant + 1
+    mantissas, shifts = [], []
+    for q in range(16 - _K1, 16 - _K0 + 1)[::-1]:
+        # 10^q = mant 2^shift, mant rounded to bits bits, half to even
+        if q >= 0:
+            shift = max((10 ** q).bit_length() - bits, 0)
+            den = 1 << shift
+            mant, rem = divmod(10 ** q, den)
+        else:
+            den = 10 ** -q
+            shift = 1 - bits - den.bit_length()
+            mant, rem = divmod(1 << -shift, den)
+        if 2 * rem > den or (2 * rem == den and mant & 1):
+            mant += 1
+        if mant >> bits:
+            mant, shift = mant >> 1, shift + 1
+        mantissas.append([(mant >> s) & 0xFFFFFFFF for s in range(32 * ((bits - 1) // 32), -1, -32)])
+        shifts.append(shift)
+    # the mantissa from its 32-bit parts, each step exact, then scaled exactly
+    pow10 = np.zeros(len(shifts), np.longdouble)
+    for part in np.array(mantissas, dtype=np.float64).T:
+        pow10 = pow10 * 2.0 ** 32 + part
+    shifts = np.array(shifts)
+    past = shifts + bits > ld.maxexp
+    pow10 = np.ldexp(pow10, np.where(past, 0, shifts))
+    pow10[past] = ld.max
+    k = np.arange(_K0, _K1 + 1)
+    fixed = (k >= -4) & (k <= 16)
+    kk = np.where(fixed, k, 0)
+    at = np.stack([33 * (7 + np.minimum(kk, 0)), 8 + np.maximum(kk, 0), 8 + kk]).astype(np.int16)
+    exponent = np.array([b"\0" + b"e%+03d" % e if not f else b"" for e, f in zip(k.tolist(), fixed)],
+                        dtype="S8").view("<u8")
+    c = np.arange(10 ** 4, dtype=np.int16)
+    digits = c[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
+    chunk = (digits + ord("0")).astype(np.uint8).view("<u4")[:, 0].astype(np.uint64)
+    shown = np.int16(4) - (c % 10 == 0) - (c % 100 == 0) - (c % 1000 == 0)
+    ends = np.where(c > 0, np.arange(8, 24, 4, dtype=np.int16)[:, None] + shown, np.int16(0))
+    byte = np.arange(32)
+    low = ((byte < np.arange(33)[:, None]) * np.uint8(255)).view("<u8")
+    dot = ((byte == np.arange(33)[:, None]) * np.uint8(ord("."))).view("<u8")
+    keep = (low[None, :, :] ^ low[:, None, :]).reshape(-1, 4)
+    return pow10, 2.0 * float(ld.eps), at, exponent, chunk, ends, keep.T.copy(), dot.T.copy()
+
+
+def _float_fields(x: np.ndarray) -> np.ndarray:
+    """format(v, ".17g") of each float64 v in x, as the rows of a uint8
+    array of width 28, NUL where a row's text has ended or has a gap."""
+    if len(x) < _KERNEL_MIN:
+        return _printf_fields(x)
+    pow10, band, at, exponent, chunk, ends, keep, dot = _tables()
+    ok = np.isfinite(x) & (x != 0.0)
+    a = np.abs(x)
+    a[~ok] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp) - _K0
+    a = a.astype(np.longdouble)
+    m = a * np.take(pow10, k)
+    n = m.astype(np.int64)
+    # log10 may be one off near a power of ten
+    off = (n >= 10 ** 17).astype(np.intp) - (n < 10 ** 16)
+    fix = np.flatnonzero(off)
+    k[fix] += off[fix]
+    m[fix] = a[fix] * np.take(pow10, k[fix])
+    n[fix] = m[fix].astype(np.int64)
+    # m - n is exact, and the exact product rounds as m does where m's
+    # distance from the half is beyond its error bound; a decade edge
+    # (n = 10^16 or 10^17 - 1) is left to the fallback too
+    half = (m - n).astype(np.float64) - 0.5
+    exact = ok & (np.abs(half) > m.astype(np.float64) * band) & (n > 10 ** 16) & (n < 10 ** 17 - 1)
+    n += half > 0.0
+    del a, m, half  # the longdouble temporaries, before the frame's
+    lead, n = np.divmod(n, 10 ** 16)
+    c0, n = np.divmod(n, 10 ** 12)
+    c1, n = np.divmod(n, 10 ** 8)
+    c2, c3 = np.divmod(n, 10 ** 4)
+    start, units, point = np.take(at, k, axis=1)
+    # the digits shown: through the last nonzero one, and through the units
+    end = np.maximum(np.maximum(np.take(ends[0], c0), np.take(ends[1], c1)),
+                     np.maximum(np.take(ends[2], c2), np.take(ends[3], c3)))
+    end = np.maximum(end, units)
+    point[point >= end] = 32
+    # the frame, word-major: byte 3 is "0", chunk[lead] writes "000" and the lead digit
+    body = np.zeros((4, len(x)), "<u8")
+    body[0] = np.take(chunk, lead) << 32 | 0x30000000
+    body[1] = np.take(chunk, c1) << 32 | np.take(chunk, c0)
+    body[2] = np.take(chunk, c3) << 32 | np.take(chunk, c2)
+    body &= np.take(keep, start + end, axis=1)
+    # the bytes before the point stay; those from it on move up one byte (the
+    # last word's top byte is NUL), and the point takes the byte they leave
+    head = body & np.take(keep, point, axis=1)
+    body ^= head
+    head |= np.take(dot, point, axis=1)
+    head[1:] |= body[:-1] >> 56
+    head |= body << 8
+    head[0] |= (x < 0.0) * np.uint64(ord("-") << 16)
+    head[3] |= np.take(exponent, k)
+    fields = head.T.copy().view(np.uint8)[:, 2:30]
+    fallback = np.flatnonzero(~exact)
+    fields[fallback] = _printf_fields(x[fallback])
+    return fields
+
+
+def _printf_fields(x: np.ndarray) -> np.ndarray:
+    """The kernel's fallback: "%.17g" of each float64 in x, rows as _float_fields writes them."""
+    return np.array([b"%.17g" % v for v in x.tolist()], dtype="S28").view(np.uint8).reshape(-1, 28)
+
+
+def _text_fields(column: np.ndarray) -> np.ndarray:
+    """The fields of one column of text as a uint8 array, a row each, NUL-padded."""
+    if column.dtype.kind != "S":
+        column = np.array([b"" if v is None else str(v).encode() for v in column.tolist()])
+    return column.view(np.uint8).reshape(len(column), -1)
+
+
+def _csv(header: str, *columns, empty: Optional[np.ndarray] = None) -> str:
+    """CSV text: the header line, then a row for each index of the columns,
+    all of one length, their fields joined by commas.
+
+    A float64 array writes each float as format(x, ".17g") does (nan, inf and
+    -0 included), and a bytes array its bytes.  Any other sequence writes its
+    values as str() does, None as an empty field.  No field holds a NUL.
+    Where empty (a bool array of rows by columns) is true, the field is
+    written empty.  One column at least is of floats; rows go in blocks of
+    _BLOCK floats, every float of a block written by one _float_fields call.
+    """
+    columns = [np.asanyarray(c) for c in columns]
+    floats = [c.dtype == np.float64 for c in columns]
+    rows = _BLOCK // sum(floats)
+    text = [header, "\n"]
+    for start in range(0, len(columns[0]), rows):
+        block = [c[start:start + rows] for c in columns]
+        size = len(block[0])
+        written = _float_fields(np.concatenate([c for c, f in zip(block, floats) if f]))
+        fields = []
+        for j, (c, f) in enumerate(zip(block, floats)):
+            if f:
+                field, written = written[:size], written[size:]
+            else:
+                field = _text_fields(c)
+            if empty is not None:
+                field[empty[start:start + rows, j]] = 0
+            fields.append(field)
+        line = np.empty((size, sum(f.shape[1] + 1 for f in fields)), np.uint8)
+        at = 0
+        for field in fields:
+            line[:, at:at + field.shape[1]] = field
+            at += field.shape[1] + 1
+            line[:, at - 1] = ord(",")
+        line[:, -1] = ord("\n")
+        text.append(line.tobytes().translate(None, b"\0").decode())
+    return "".join(text)
 
 
 def _finite_float(text: str) -> float:
@@ -137,26 +328,20 @@ def _cmd_eta0(args) -> str:
     prob = cs.CornerProblem(args.alpha, args.kappa)
     report = cs.classify_region(prob)
     result = cs.find_singular_exponent(prob)
-    found = (result.eta0, result.residual) if result else ()
+    found = (result.eta0, result.residual) if result else (None, None)
     return _csv("alpha,kappa,g,membership,eta0,residual",
-                ["%.17g,%.17g,%.17g,%s," + ("%.17g,%.17g\n" if result else ",\n")],
-                (args.alpha, args.kappa, report.g_value, report.membership.value, *found))
-
-
-# region-map rows: alpha, kappa, g, ell_minus, ell_plus and membership, then
-# eta0 and residual, nan where the search failed ("%.17g" writes nan as nan)
-# and empty where no exponent exists ("%.0s" writes nothing of its value)
-_MAP_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%s,"
-_MAP_FOUND = _MAP_ROW + "%.17g,%.17g\n"
-_MAP_NONE = _MAP_ROW + "%.0s,%.0s\n"
+                *zip((args.alpha, args.kappa, report.g_value, report.membership.value, *found)))
 
 
 def _cmd_region_map(args) -> str:
     m = cs.region_map((args.amin, args.amax), (args.kmin, args.kmax), args.na, args.nk)
-    rows = [_MAP_NONE if none else _MAP_FOUND for none in (np.isnan(m.eta0) & ~m.failed).tolist()]
-    columns = (m.alpha, m.kappa, m.g, m.ell_minus, m.ell_plus, m.membership, m.eta0, m.residual)
-    return _csv("alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual", rows,
-                [x for cell in zip(*(c.tolist() for c in columns)) for x in cell])
+    # eta0 and residual are nan where the search failed, written as nan, and
+    # empty where no exponent exists
+    empty = np.zeros((m.eta0.size, 8), bool)
+    empty[:, 6:] = (np.isnan(m.eta0) & ~m.failed)[:, None]
+    return _csv("alpha,kappa,g,ell_minus,ell_plus,membership,eta0,residual",
+                m.alpha, m.kappa, m.g, m.ell_minus, m.ell_plus, m.membership, m.eta0, m.residual,
+                empty=empty)
 
 
 def _cmd_corner_det(args) -> str:
@@ -165,8 +350,7 @@ def _cmd_corner_det(args) -> str:
     det = cs.transmission_determinant(prob, lam)
     nd = cs.normalized_determinant(prob, lam)
     return _csv("alpha,kappa,eta,det_re,det_im,det_normalized",
-                ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"],
-                (args.alpha, args.kappa, args.eta, det.real, det.imag, nd))
+                *zip((args.alpha, args.kappa, args.eta, det.real, det.imag, nd)))
 
 
 def _cmd_kernel1d(args) -> str:
@@ -176,15 +360,13 @@ def _cmd_kernel1d(args) -> str:
         dom = kernel1d.ThreeSegmentDomain(args.delta)
     closed = dom.critical_contrasts()
     _require(args.samples >= 1, "--samples must be positive")
-    text = _csv("root_index,critical_contrast", ["%s,%.17g\n" * len(closed.roots)],
-                [x for pair in enumerate(closed.roots) for x in pair])
+    text = _csv("root_index,critical_contrast", range(len(closed.roots)), closed.roots)
     if args.kappa is not None:
         basis = kernel1d.kernel_basis(dom, args.kappa)
         _require(basis is not None,
                  f"kappa={args.kappa} is not a critical contrast of this domain")
         table = basis.sample(args.samples)
-        text += _csv("x,v,v1,v2", ["%.17g,%.17g,%.17g,%.17g\n" * len(table)],
-                     table.ravel().tolist())
+        text += _csv("x,v,v1,v2", *table.T)
     return text
 
 
@@ -283,6 +465,8 @@ def _rhs_from_spec(grid: Grid2D, spec: str) -> np.ndarray:
         field = np.zeros(grid.interior.shape)
         # each (x, y) goes to the nearest node, ties to the even index
         index, values = _load_cells(spec[5:], field.shape, lambda xy: np.rint(xy / grid.h))
+        # rows on boundary nodes are legal, but a file of them alone would solve with f = 0
+        _require(grid.interior[index].any(), f"{spec[5:]}: no row names an interior node of the domain")
         field[index] = values
         return field
     raise ValueError(f"unknown rhs spec '{spec}' ({'|'.join(_RHS_SPECS)})")
@@ -301,22 +485,13 @@ def _cmd_solve(args) -> str:
 def _solve_csv(grid: Grid2D, v: np.ndarray) -> str:
     """x,y,value at every interior node, in np.nonzero(grid.interior) order.
 
-    The coordinates go into the row templates, "<x>,<y>,%.17g" per row, with
-    each axis formatted once and the rows joined once per run of interior
-    nodes along a node column; the one "%" pass of _csv then fills in the
-    values, gathered by the same mask in the same order.
+    Each node axis is formatted once, its fields as bytes, and gathered by
+    the interior nodes' indices; the values are gathered by the same mask.
     """
-    xs = ["%.17g," % x for x in grid.node_x.tolist()]
-    ys = ["%.17g,%%.17g\n" % y for y in grid.node_y.tolist()]
-    # each column's first and last nodes are on the box's edge, never
-    # interior, so every run [a, b) starts at a step up and ends at a step down
-    step = np.diff(grid.interior.astype(np.int8), axis=1)
-    cols, starts = np.nonzero(step > 0)
-    ends = np.nonzero(step < 0)[1]
-    rows = []
-    for i, a, b in zip(cols.tolist(), (starts + 1).tolist(), (ends + 1).tolist()):
-        rows += [xs[i], xs[i].join(ys[a:b])]
-    return _csv("x,y,value", rows, v[grid.interior].tolist())
+    xs, ys = (np.array([f.tobytes().translate(None, b"\0") for f in _float_fields(axis)])
+              for axis in (grid.node_x, grid.node_y))
+    ii, jj = np.nonzero(grid.interior)
+    return _csv("x,y,value", xs[ii], ys[jj], v[grid.interior])
 
 
 def _cmd_cone(args) -> str:
@@ -326,10 +501,8 @@ def _cmd_cone(args) -> str:
     else:
         mu1 = args.mu
     lam_plus, cls = cones.classify_spectrum(args.d, mu1, args.beta, args.l)
-    alpha = () if args.alpha is None else (args.alpha,)
     return _csv("alpha,mu1,lambda_plus,classification",
-                [("%.17g," if alpha else ",") + "%.17g,%.17g,%s\n"],
-                (*alpha, mu1, lam_plus, cls.value))
+                *zip((args.alpha, mu1, lam_plus, cls.value)))
 
 
 def _cmd_classify(args) -> str:
@@ -338,8 +511,7 @@ def _cmd_classify(args) -> str:
     )
     iso = cones.isomorphism_in_dimension(args.d, args.lambda1)
     return _csv("beta,l,d,lambda1,classification,basic_index_isomorphism",
-                ["%.17g,%s,%s,%.17g,%s,%s\n"],
-                (args.beta, args.l, args.d, args.lambda1, cls.value, iso))
+                *zip((args.beta, args.l, args.d, args.lambda1, cls.value, iso)))
 
 
 # -- parser / dispatch --------------------------------------------------------

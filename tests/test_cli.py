@@ -431,6 +431,15 @@ class TestMalformedInput:
         code, out, err = invoke(capsys, *SOLVE, option, f"file:{path}")
         assert (code, out, err) == (1, "", f"error: {path}: line 1 is a data row, not a header\n")
 
+    @pytest.mark.parametrize("rows", ["0.75,0.75,1.0", "0.5,0.5,1.0\n0,0.25,2.0\n1.0,1.0,5.0"],
+                             ids=["missing-quadrant", "boundary-nodes"])
+    def test_rhs_file_naming_no_interior_node_exits_1(self, capsys, tmp_path, rows):
+        # (0.75, 0.75) lies in the L's missing quadrant, and the other rows on its
+        # boundary, so the rhs would be 0 at every interior node
+        path = write(tmp_path, "rhs.csv", f"x,y,value\n{rows}\n")
+        assert invoke(capsys, *SOLVE, "--rhs", f"file:{path}") == (
+            1, "", f"error: {path}: no row names an interior node of the domain\n")
+
     def test_rhs_file_in_range(self, capsys, tmp_path):
         path = write(tmp_path, "rhs.csv", "x,y,value\n0.25,0.25,1.0\n1.0,1.0,5.0\n")
         code, out, _ = invoke(capsys, *SOLVE, "--rhs", f"file:{path}")
@@ -510,7 +519,8 @@ def per_field_csv(header, rows) -> str:
 
 class TestTemplateWriter:
     """Each subcommand's CSV against the per-field writer, fed the records
-    the subcommand reads from the library."""
+    the subcommand reads from the library, and the column writer _csv
+    against it on its own."""
 
     def assert_same(self, capsys, argv, expected):
         assert invoke(capsys, *argv) == (0, expected, "")
@@ -593,13 +603,13 @@ class TestTemplateWriter:
                                       f"--lambda1={lam!r}"), expected)
 
     def test_text_holding_percent_signs(self):
-        assert cli._csv("share,x", ["%s,%.17g\n", "%s,%.17g\n"], ("50%", 0.5, "%s %%d", 2.0)) == (
+        assert cli._csv("share,x", ["50%", "%s %%d"], [0.5, 2.0]) == (
             "share,x\n50%,0.5\n%s %%d,2\n")
 
     def test_floats_at_the_edges(self):
         values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308,
                   0.1, 1.0 / 3.0, 1e22, 1e-7, 123456789012345678.0]
-        assert cli._csv("x", ["%.17g\n"] * len(values), values) == per_field_csv(
+        assert cli._csv("x", values) == per_field_csv(
             "x", [(v,) for v in values])
 
 

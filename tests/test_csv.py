@@ -1,0 +1,148 @@
+"""Tests for the CLI's float kernel: format(x, ".17g") in bulk, byte for byte,
+with a "%.17g" fallback for every value whose rounding it cannot prove."""
+
+import subprocess
+import sys
+import warnings
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bilap import cli
+
+SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+            2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308]
+
+
+def reference(values) -> list:
+    return [format(v, ".17g") for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def kernel_text(values) -> list:
+    """Each value as _float_fields writes it, the values repeated up to the
+    kernel's least size so that the kernel, not only its fallback, runs."""
+    x = np.asarray(values, dtype=np.float64)
+    rows = cli._float_fields(np.resize(x, max(len(x), cli._KERNEL_MIN)))
+    lines = np.empty((len(rows), rows.shape[1] + 1), np.uint8)
+    lines[:, :-1], lines[:, -1] = rows, ord("\n")
+    return lines.tobytes().translate(None, b"\0").decode().split("\n")[:len(x)]
+
+
+def csv_text(values) -> list:
+    """Each value as one float column of _csv writes it, block after block."""
+    return cli._csv("x", np.asarray(values, dtype=np.float64)).split("\n")[1:-1]
+
+
+def random_bits(n: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+
+
+def decades() -> np.ndarray:
+    """10^q for every decade of float64, and its neighbours one ulp away."""
+    tens = np.array([float(f"1e{q}") for q in range(-323, 309)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+
+
+def ties(n: int, seed: int) -> np.ndarray:
+    """Values whose exact decimal has 18 digits, the last a 5: odd M/4 in
+    [10^15, 2.25e15) and odd M/8 in [10^14, 10^15), both signs."""
+    rng = np.random.default_rng(seed)
+    quarters = (2 * rng.integers(2 * 10 ** 15, 45 * 10 ** 14, n) + 1) / 4.0
+    eighths = (2 * rng.integers(4 * 10 ** 14, 4 * 10 ** 15, n) + 1) / 8.0
+    return np.concatenate([quarters, -quarters, eighths, -eighths])
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    """The number of values written by the "%.17g" fallback, counted per call."""
+    counts = []
+    printf = cli._printf_fields
+
+    def counted(x):
+        counts.append(len(x))
+        return printf(x)
+
+    monkeypatch.setattr(cli, "_printf_fields", counted)
+    return counts
+
+
+def test_ties_are_18_digits_ending_in_5():
+    digits = [Decimal(v).as_tuple().digits for v in ties(100, 3).tolist()]
+    assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                          st.integers(0, 2 ** 64 - 1).map(
+                              lambda b: np.array(b, dtype=np.uint64).view(np.float64).item())),
+                min_size=1, max_size=40))
+def test_any_float64(values):
+    # subnormals, +-0, nan (any payload and sign) and +-inf included
+    assert kernel_text(values) == reference(values)
+
+
+def test_random_bit_patterns(fallback):
+    x = random_bits(1_000_000, 30)
+    assert csv_text(x) == reference(x)
+    # the kernel decides most values; the fallback takes near-ties and edges
+    assert sum(fallback) < 0.03 * len(x)
+
+
+def test_decades_and_their_neighbours():
+    x = decades()
+    assert kernel_text(x) == reference(x) and csv_text(-x) == reference(-x)
+
+
+def test_exact_ties_go_to_the_fallback(fallback):
+    # a tie lies within any error bound of the half, so the kernel never rounds one
+    x = ties(50_000, 31)
+    assert csv_text(x) == reference(x)
+    assert sum(fallback) == len(x)
+
+
+def test_band_covering_every_value(monkeypatch, fallback):
+    # as where np.longdouble is float64: the error band then covers every
+    # value, and every value is written by "%.17g"
+    tables = cli._tables()
+    monkeypatch.setattr(cli, "_tables", lambda: (tables[0], 2.0 * np.finfo(np.float64).eps,
+                                                 *tables[2:]))
+    x = np.concatenate([random_bits(1_000_000, 30), decades(), ties(20_000, 31), SPECIALS])
+    assert csv_text(x) == reference(x)
+    assert sum(fallback) == len(x)
+
+
+def test_no_floating_point_warning():
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel_text(SPECIALS) == reference(SPECIALS)
+
+
+def test_powers_of_ten_are_correctly_rounded():
+    # each entry within half a longdouble ulp of the exact 10^q
+    pow10 = cli._tables()[0]
+    ld = np.finfo(np.longdouble)
+    bits = ld.nmant + 1
+    assert len(pow10) == cli._K1 - cli._K0 + 1
+    for k, p in zip(range(cli._K0, cli._K1 + 1), pow10):
+        exact = Fraction(10) ** (16 - k)
+        if exact > Fraction(int(ld.max)):
+            assert p == ld.max
+            continue
+        mant, e = np.frexp(p)
+        ulp = Fraction(2) ** (int(e) - bits)
+        assert abs(int(np.ldexp(mant, bits)) * ulp - exact) <= ulp / 2, k
+
+
+def test_import_builds_no_table():
+    code = "import bilap.cli as c; print(c._tables.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
+
+
+def test_small_blocks_take_the_fallback_alone(fallback):
+    x = random_bits(cli._KERNEL_MIN - 1, 32)
+    assert csv_text(x) == reference(x) and fallback == [len(x)]

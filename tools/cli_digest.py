@@ -84,6 +84,7 @@ FILES = {
     "rhs-nan.csv": "x,y,value\n0.25,0.25,nan\n",
     "rhs-inf.csv": "x,y,value\n0.25,0.25,inf\n",
     "rhs-no-header.csv": "0.25,0.25,1.0\n",
+    "rhs-off-domain.csv": "x,y,value\n0.75,0.75,1.0\n",  # a node of the L's missing quadrant
     "rhs-big.csv": "x,y,value\n" + "".join(f"{i / 16},{j / 16},1e200\n"
                                             for i in range(1, 16) for j in range(1, 16)),
 }
@@ -130,6 +131,8 @@ INVOCATIONS = [
     ["kernel1d", "--t", "-1", "--kappa", CRITICAL, "--samples", "21"],
     ["kernel1d", "--t=-1", f"--kappa={CRITICAL}"],
     ["kernel1d", "--t=-1", f"--kappa={CRITICAL}", "--samples=1"],
+    # exact zeros at the clamped ends
+    ["kernel1d", "--t=-1", f"--kappa={CRITICAL}", "--samples=1001"],
     ["kernel1d", "--t", "-1", "--kappa", CRITICAL, "--samples", "0"],
     ["kernel1d", "--t", "-1", "--samples", "-5"],
     ["kernel1d", "--t", "0", "--samples", "-5"],
@@ -202,6 +205,8 @@ INVOCATIONS = [
     # large enough that the capacitance matrix takes blocked, threaded BLAS
     ["solve", "--domain", "lshape", "--n", "256"],
     ["solve", "--domain", "notched", "--n", "256", "--sigma-file", "patch:0.1:0.3:0.1:0.3:-2:1"],
+    # the largest CSV the benchmark writes
+    ["solve", "--domain", "notched", "--n", "512", "--sigma-file", "patch:0.1:0.25:0.1:0.28:-3:1"],
     ["solve", "--domain", "rectangle", "--n", "17", "--no-correct"],
     ["solve", "--domain", "lshape", "--n", "4", "--no-correct"],
     ["solve", "--domain", "lshape", "--n", "4"],
@@ -220,6 +225,7 @@ INVOCATIONS = [
         "header-only.csv", "missing.csv")),
     *([*SOLVE, "--rhs", f"file:{name}"] for name in (
         "rhs.csv", "rhs-off-grid.csv", "rhs-nan.csv", "rhs-inf.csv", "rhs-no-header.csv",
+        "rhs-off-domain.csv",
         "header-only.csv", "missing.csv")),
     ["solve", "--domain", "rectangle", "--n", "16", "--no-correct", "--rhs", "file:rhs-big.csv"],
     # --config
