@@ -9,10 +9,10 @@ depends on the BLAS thread count (OPENBLAS_NUM_THREADS), so on larger grids
 writes through one column writer, _csv: a header, then the fields of its
 columns joined row by row.  Its floats are written by one numpy kernel,
 _float_fields, which gives the bytes of format(x, ".17g") for every float64.
-It rounds each value to 17 digits by one np.longdouble product, where that
-product's error bound decides the rounding, and writes every other value (a
-near-tie, a decade edge, 0, -0, nan, inf; about 2% of a solve's values, and
-every value where np.longdouble is float64) by "%.17g" itself.  region-map
+It rounds each value to 17 digits by an exact product with a float64 pair
+for the power of ten, where that product's error bound decides the
+rounding, and writes every other value (a near-tie, a decade edge, 0, -0,
+nan, inf; none of a solve's values, as a rule) by "%.17g" itself.  region-map
 writes the columns of one corner_spectrum.RegionMap, eight values per cell: a
 cell with no exponent writes its eta0 and residual as empty fields.  solve
 writes x,y,value at every interior node, rows in np.nonzero(grid.interior)
@@ -66,10 +66,12 @@ class _Parser(argparse.ArgumentParser):
 #
 # The float kernel writes format(x, ".17g") in bulk.  To 17 digits |x| is
 # N 10^(k - 16), N an integer in [10^16, 10^17).  N is the rounded product
-# m = |x| 10^(16 - k) in np.longdouble, taken only where m's error bound
-# decides the rounding; every other value (a near-tie, a decade edge, 0, -0,
-# nan, inf) is written by "%.17g" itself.  Its text is laid into a frame of
-# 32 bytes, NUL where nothing is written:
+# X = |x| 10^(16 - k), formed in float64 pairs: with 10^(16 - k) = hi + lo
+# to 2^-105 and p + err = |x| hi exactly (Dekker 1971), N = p + rint(err +
+# |x| lo), taken where the error bound of that sum decides the rounding;
+# every other value (a near-tie, a decade edge, 0, -0, nan, inf) is written
+# by "%.17g" itself.  Its text is laid into a frame of 32 bytes, NUL where
+# nothing is written:
 #
 #   byte 2       "-" of a negative x
 #   bytes 3-6    "0000", the leading zeros of 0.000ddd (fixed notation, k < 0)
@@ -85,6 +87,21 @@ _BLOCK = 1 << 12  # floats per kernel call, so its temporaries (a few hundred by
 # than that of "%.17g" on each
 _KERNEL_MIN = 128
 _K0, _K1 = -325, 309  # the exponents k the kernel meets: from 5e-324 and 1.8e308, one off
+# The rounding is decided where |e - rint(e)| < 1/2 - _BAND, e = fl(err + fl(|x| lo)).
+# For a kept N, p <= 10^17 < 2^57, so p is an integer (p > 10^16 > 2^53),
+# |err| <= ulp(p)/2 <= 8 and |x lo| <= p 2^-53 < 11.2: fl(|x| lo) is off by
+# at most 2^-50, the sum (below 32) by 2^-49, and the hi + lo - 10^(16 - k)
+# left out (at most hi 2^-106) adds below 10^17 2^-106 < 1.3e-15.  So e is
+# within 4e-15 of X - p, and N = p + rint(e).
+_BAND = 1e-14
+
+
+def _halves(v: np.ndarray) -> tuple:
+    """Veltkamp's split: v = high + low exactly, each of 26 bits at most, so
+    that products of halves are exact."""
+    c = v * 134217729.0  # 2^27 + 1
+    high = c - (c - v)
+    return high, v - high
 
 
 @functools.cache
@@ -92,51 +109,33 @@ def _tables() -> tuple:
     """The float kernel's tables, built on first use.  By exponent, at
     index k - _K0:
 
-    pow10     10^(16 - k) in np.longdouble, correctly rounded (the largest
-              longdouble where that is past its range)
+    pair      scale, hi, lo, hi's high half and hi's low half: |x| is
+              multiplied by scale = 2^s (s = 0, or -+1000 past |k| = 280),
+              and hi = RN(10^(16 - k) 2^-s), lo = RN(10^(16 - k) 2^-s - hi)
     at        33 times the first frame byte shown, the end of the units
               digit, and the point's byte
     exponent  the exponent's bytes, in the last frame word
 
-    and band, the bound on m's relative error as a float64: twice the
-    longdouble epsilon, for one rounding in pow10 and one in the product.
     By 4-digit chunk c < 10^4, the j-th after the lead digit (j = 0 to 3):
 
     chunk     the ASCII digits of c, as a little-endian integer
     ends[j]   the end, in frame bytes, of chunk j's digits shown, where it
               is the last nonzero one; 0 where c = 0
 
-    And as frame words, word-major, keep[33 s + e] masks bytes [s, e) (so
+    And as rows of four frame words, keep[33 s + e] masks bytes [s, e) (so
     keep[b] bytes [0, b)), and dot[b] holds "." at byte b (b = 32: none).
     """
-    ld = np.finfo(np.longdouble)
-    bits = ld.nmant + 1
-    mantissas, shifts = [], []
-    for q in range(16 - _K1, 16 - _K0 + 1)[::-1]:
-        # 10^q = mant 2^shift, mant rounded to bits bits, half to even
-        if q >= 0:
-            shift = max((10 ** q).bit_length() - bits, 0)
-            den = 1 << shift
-            mant, rem = divmod(10 ** q, den)
-        else:
-            den = 10 ** -q
-            shift = 1 - bits - den.bit_length()
-            mant, rem = divmod(1 << -shift, den)
-        if 2 * rem > den or (2 * rem == den and mant & 1):
-            mant += 1
-        if mant >> bits:
-            mant, shift = mant >> 1, shift + 1
-        mantissas.append([(mant >> s) & 0xFFFFFFFF for s in range(32 * ((bits - 1) // 32), -1, -32)])
-        shifts.append(shift)
-    # the mantissa from its 32-bit parts, each step exact, then scaled exactly
-    pow10 = np.zeros(len(shifts), np.longdouble)
-    for part in np.array(mantissas, dtype=np.float64).T:
-        pow10 = pow10 * 2.0 ** 32 + part
-    shifts = np.array(shifts)
-    past = shifts + bits > ld.maxexp
-    pow10 = np.ldexp(pow10, np.where(past, 0, shifts))
-    pow10[past] = ld.max
+    from fractions import Fraction  # here, not at import: it loads decimal too
+
     k = np.arange(_K0, _K1 + 1)
+    # past |k| = 280, 2^-+1000 keeps |x| (a subnormal too) and the entries
+    # normal, and their splits clear of overflow
+    s = np.where(np.abs(k) <= 280, 0, np.where(k > 0, -1000, 1000))
+    # float() of a Fraction divides two integers, correctly rounded
+    power = [Fraction(10) ** (16 - kk) / Fraction(2) ** ss for kk, ss in zip(k.tolist(), s.tolist())]
+    hi = np.array([float(v) for v in power])
+    lo = np.array([float(v - Fraction(h)) for v, h in zip(power, hi.tolist())])
+    pair = np.stack([np.ldexp(1.0, s), hi, lo, *_halves(hi)])
     fixed = (k >= -4) & (k <= 16)
     kk = np.where(fixed, k, 0)
     at = np.stack([33 * (7 + np.minimum(kk, 0)), 8 + np.maximum(kk, 0), 8 + kk]).astype(np.int16)
@@ -151,7 +150,32 @@ def _tables() -> tuple:
     low = ((byte < np.arange(33)[:, None]) * np.uint8(255)).view("<u8")
     dot = ((byte == np.arange(33)[:, None]) * np.uint8(ord("."))).view("<u8")
     keep = (low[None, :, :] ^ low[:, None, :]).reshape(-1, 4)
-    return pow10, 2.0 * float(ld.eps), at, exponent, chunk, ends, keep.T.copy(), dot.T.copy()
+    return pair, at, exponent, chunk, ends, keep, dot
+
+
+def _rounded(x: np.ndarray, pair: np.ndarray) -> tuple:
+    """(k - _K0, N, exact) of each float64 in x: N = round(|x| 10^(16 - k)),
+    exact where the rounding is proven and N is no decade edge.  Its pair
+    temporaries are freed before the kernel lays out its frame."""
+    a = np.abs(x)
+    # 0, nan and inf are rounded as 1, whose N = 10^16 is a decade edge
+    a[~(np.isfinite(x) & (x != 0.0))] = 1.0
+    # where log10 is one off, near a power of ten, N is past a decade edge
+    k = np.floor(np.log10(a)).astype(np.intp) - _K0
+    scale, hi, lo, high, low = (np.take(t, k) for t in pair)
+    a *= scale
+    p = a * hi
+    # Dekker's product p + err = a hi, every partial product exact
+    ah, al = _halves(a)
+    err = al * low
+    err -= ((p - ah * high) - al * high) - ah * low
+    a *= lo
+    err += a
+    whole = np.rint(err)
+    err -= whole
+    n = p.astype(np.int64)
+    n += whole.astype(np.int64)
+    return k, n, (np.abs(err) < 0.5 - _BAND) & (n > 10 ** 16) & (n < 10 ** 17 - 1)
 
 
 def _float_fields(x: np.ndarray) -> np.ndarray:
@@ -159,53 +183,36 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
     array of width 28, NUL where a row's text has ended or has a gap."""
     if len(x) < _KERNEL_MIN:
         return _printf_fields(x)
-    pow10, band, at, exponent, chunk, ends, keep, dot = _tables()
-    ok = np.isfinite(x) & (x != 0.0)
-    a = np.abs(x)
-    a[~ok] = 1.0
-    k = np.floor(np.log10(a)).astype(np.intp) - _K0
-    a = a.astype(np.longdouble)
-    m = a * np.take(pow10, k)
-    n = m.astype(np.int64)
-    # log10 may be one off near a power of ten
-    off = (n >= 10 ** 17).astype(np.intp) - (n < 10 ** 16)
-    fix = np.flatnonzero(off)
-    k[fix] += off[fix]
-    m[fix] = a[fix] * np.take(pow10, k[fix])
-    n[fix] = m[fix].astype(np.int64)
-    # m - n is exact, and the exact product rounds as m does where m's
-    # distance from the half is beyond its error bound; a decade edge
-    # (n = 10^16 or 10^17 - 1) is left to the fallback too
-    half = (m - n).astype(np.float64) - 0.5
-    exact = ok & (np.abs(half) > m.astype(np.float64) * band) & (n > 10 ** 16) & (n < 10 ** 17 - 1)
-    n += half > 0.0
-    del a, m, half  # the longdouble temporaries, before the frame's
-    lead, n = np.divmod(n, 10 ** 16)
-    c0, n = np.divmod(n, 10 ** 12)
-    c1, n = np.divmod(n, 10 ** 8)
-    c2, c3 = np.divmod(n, 10 ** 4)
+    pair, at, exponent, chunk, ends, keep, dot = _tables()
+    k, n, exact = _rounded(x, pair)
+    # N's 4-digit chunks, last first: each step keeps n's last four digits
+    # and floor-divides n by 10^4 (np.divmod is slower)
+    c3, c2, c1, c0 = [n - (n := n // 10 ** 4) * 10 ** 4 for _ in range(4)]
+    lead = n
     start, units, point = np.take(at, k, axis=1)
     # the digits shown: through the last nonzero one, and through the units
     end = np.maximum(np.maximum(np.take(ends[0], c0), np.take(ends[1], c1)),
                      np.maximum(np.take(ends[2], c2), np.take(ends[3], c3)))
     end = np.maximum(end, units)
     point[point >= end] = 32
-    # the frame, word-major: byte 3 is "0", chunk[lead] writes "000" and the lead digit
-    body = np.zeros((4, len(x)), "<u8")
-    body[0] = np.take(chunk, lead) << 32 | 0x30000000
-    body[1] = np.take(chunk, c1) << 32 | np.take(chunk, c0)
-    body[2] = np.take(chunk, c3) << 32 | np.take(chunk, c2)
-    body &= np.take(keep, start + end, axis=1)
+    # the frame, four words a row: byte 3 is "0", chunk[lead] writes "000"
+    # and the lead digit
+    body = np.zeros((len(x), 4), "<u8")
+    body[:, 0] = np.take(chunk, lead) << 32 | 0x30000000
+    body[:, 1] = np.take(chunk, c1) << 32 | np.take(chunk, c0)
+    body[:, 2] = np.take(chunk, c3) << 32 | np.take(chunk, c2)
+    body &= np.take(keep, start + end, axis=0)
     # the bytes before the point stay; those from it on move up one byte (the
-    # last word's top byte is NUL), and the point takes the byte they leave
-    head = body & np.take(keep, point, axis=1)
+    # body's last word is 0, so none crosses into the next row), and the
+    # point takes the byte they leave
+    head = body & np.take(keep, point, axis=0)
     body ^= head
-    head |= np.take(dot, point, axis=1)
-    head[1:] |= body[:-1] >> 56
+    head |= np.take(dot, point, axis=0)
+    head.ravel()[1:] |= body.ravel()[:-1] >> 56
     head |= body << 8
-    head[0] |= (x < 0.0) * np.uint64(ord("-") << 16)
-    head[3] |= np.take(exponent, k)
-    fields = head.T.copy().view(np.uint8)[:, 2:30]
+    head[:, 0] |= (x < 0.0) * np.uint64(ord("-") << 16)
+    head[:, 3] |= np.take(exponent, k)
+    fields = head.view(np.uint8)[:, 2:30]
     fallback = np.flatnonzero(~exact)
     fields[fallback] = _printf_fields(x[fallback])
     return fields
@@ -241,7 +248,8 @@ def _csv(header: str, *columns, empty: Optional[np.ndarray] = None) -> str:
     for start in range(0, len(columns[0]), rows):
         block = [c[start:start + rows] for c in columns]
         size = len(block[0])
-        written = _float_fields(np.concatenate([c for c, f in zip(block, floats) if f]))
+        parts = [c for c, f in zip(block, floats) if f]
+        written = _float_fields(parts[0] if len(parts) == 1 else np.concatenate(parts))
         fields = []
         for j, (c, f) in enumerate(zip(block, floats)):
             if f:

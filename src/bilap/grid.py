@@ -107,10 +107,12 @@ class Grid2D:
         """Per node, the sum of the values of the mask cells touching it, in
         the values' dtype; each node takes its additions in a fixed order and
         cells off the mask add 0.  The one cell-to-node scatter."""
-        vals = np.where(self.cell_mask, cell_values, 0)
-        out = np.zeros((self.nx + 1, self.ny + 1), dtype=vals.dtype)
-        for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            out[di:di + self.nx, dj:dj + self.ny] += vals
+        pad = np.zeros((self.nx + 2, self.ny + 2), dtype=cell_values.dtype)
+        np.copyto(pad[1:-1, 1:-1], cell_values, where=self.cell_mask)
+        # node (i, j) adds cells (i, j), (i-1, j), (i, j-1), (i-1, j-1), in that order
+        out = pad[1:, 1:] + pad[:-1, 1:]
+        out += pad[1:, :-1]
+        out += pad[:-1, :-1]
         return out
 
     # -- linear algebra -----------------------------------------------------
@@ -135,7 +137,7 @@ class Grid2D:
 
     def factor(self):
         """Solver for the Dirichlet Laplacian, built once per grid:
-        ``factor().solve(b)`` takes a nodal array b, reads it only at interior
+        ``factor().solve(b)`` takes a nodal array b, zero off the interior
         nodes, and returns the nodal u, zero off them, with
         ``apply_laplacian(u) = b`` at every interior node.
 
@@ -211,10 +213,11 @@ class _CapacitanceSolver:
             self.chol = cho_factor(-_capacitance(n, self.gi + 1, self.gj + 1, theta))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Nodal u, zero off the interior nodes, from b read at them."""
+        """Nodal u, zero off the interior nodes, from b zero off them, as
+        solve_poisson_dirichlet passes it.  (Gamma parts the interior nodes
+        from the rest, so b there would move u only by rounding.)"""
         dst, dstn = self.dst, self.dstn
-        y = dstn(np.where(self.inside, b[1:-1, 1:-1], 0.0), type=1, norm="ortho",
-                 overwrite_x=True)
+        y = dstn(b[1:-1, 1:-1], type=1, norm="ortho")
         y *= self.inv_eig
         if self.chol is not None:
             z = dst(y, type=1, norm="ortho", axis=1)
@@ -289,8 +292,7 @@ def _capacitance(n: int, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.
 def corner_polar(grid: Grid2D, corner: ReentrantCorner):
     """Nodal polar coordinates (r, theta) in the corner's local frame: r = 0
     at the corner node and theta = 0 on its vertical edge, both exactly."""
-    X, Y = np.meshgrid(grid.node_x, grid.node_y, indexing="ij")
-    dx, dy = X - corner.x, Y - corner.y
+    dx, dy = grid.node_x[:, None] - corner.x, grid.node_y[None, :] - corner.y
     r = np.hypot(dx, dy)
     phi = np.arctan2(dy, dx)
     theta = np.mod(corner.orientation * (phi - corner.frame_angle), 2.0 * math.pi)

@@ -131,7 +131,7 @@ def compute_dual_singularity(grid: Grid2D, corner_index: int) -> CornerSingulari
         leading = np.where(r > 0.0, r ** (-mu) * np.sin(mu * theta), 0.0)
     rhs = grid.apply_laplacian(np.where(grid.boundary, leading, 0.0))
     dual, _ = solve_poisson_dirichlet(grid, rhs)
-    dual[grid.interior] += leading[grid.interior]
+    dual += np.where(grid.interior, leading, 0.0)
     return CornerSingularity(dual=dual)
 
 

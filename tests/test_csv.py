@@ -1,6 +1,7 @@
 """Tests for the CLI's float kernel: format(x, ".17g") in bulk, byte for byte,
 with a "%.17g" fallback for every value whose rounding it cannot prove."""
 
+import math
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilap import cli
+from bilap import cli, twostep
+from bilap.grid import notched_grid
 
 SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
             2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308]
@@ -105,14 +107,21 @@ def test_exact_ties_go_to_the_fallback(fallback):
 
 
 def test_band_covering_every_value(monkeypatch, fallback):
-    # as where np.longdouble is float64: the error band then covers every
-    # value, and every value is written by "%.17g"
-    tables = cli._tables()
-    monkeypatch.setattr(cli, "_tables", lambda: (tables[0], 2.0 * np.finfo(np.float64).eps,
-                                                 *tables[2:]))
+    # a band of one half decides no rounding: every value is then written by
+    # "%.17g", and the fallback alone is byte-exact
+    monkeypatch.setattr(cli, "_BAND", 0.5)
     x = np.concatenate([random_bits(1_000_000, 30), decades(), ties(20_000, 31), SPECIALS])
     assert csv_text(x) == reference(x)
     assert sum(fallback) == len(x)
+
+
+def test_a_solve_column_takes_the_kernel(fallback):
+    g = notched_grid(64)
+    rhs = cli._rhs_from_spec(g, "generic")
+    duals = [twostep.compute_dual_singularity(g, i) for i in range(len(g.corners))]
+    x = twostep.corrected_two_step_solve(g, twostep.SigmaField.constant(g), rhs, duals).v[g.interior]
+    assert csv_text(x) == reference(x)
+    assert sum(fallback) < 0.001 * len(x)
 
 
 def test_no_floating_point_warning():
@@ -121,20 +130,24 @@ def test_no_floating_point_warning():
         assert kernel_text(SPECIALS) == reference(SPECIALS)
 
 
-def test_powers_of_ten_are_correctly_rounded():
-    # each entry within half a longdouble ulp of the exact 10^q
-    pow10 = cli._tables()[0]
-    ld = np.finfo(np.longdouble)
-    bits = ld.nmant + 1
-    assert len(pow10) == cli._K1 - cli._K0 + 1
-    for k, p in zip(range(cli._K0, cli._K1 + 1), pow10):
-        exact = Fraction(10) ** (16 - k)
-        if exact > Fraction(int(ld.max)):
-            assert p == ld.max
-            continue
-        mant, e = np.frexp(p)
-        ulp = Fraction(2) ** (int(e) - bits)
-        assert abs(int(np.ldexp(mant, bits)) * ulp - exact) <= ulp / 2, k
+def significant_bits(v: float) -> int:
+    n = abs(Fraction(v).numerator)
+    return n.bit_length() - (n & -n).bit_length() + 1 if n else 0
+
+
+def test_pair_table():
+    # per k, |x| is scaled by a power of two, 2^s, and hi + lo is within
+    # 2^-105 of 10^(16 - k) 2^-s, relative, with hi correctly rounded; hi's
+    # halves sum to it exactly, 26 bits each at most
+    pair = cli._tables()[0]
+    assert pair.shape == (5, cli._K1 - cli._K0 + 1)
+    for k, (scale, hi, lo, high, low) in zip(range(cli._K0, cli._K1 + 1), pair.T.tolist()):
+        assert math.frexp(scale)[0] == 0.5, k
+        exact = Fraction(10) ** (16 - k) / Fraction(scale)
+        assert hi == float(exact), k
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2 ** 105, k
+        assert Fraction(high) + Fraction(low) == Fraction(hi), k
+        assert significant_bits(high) <= 26 and significant_bits(low) <= 26, k
 
 
 def test_import_builds_no_table():
