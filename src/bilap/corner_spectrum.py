@@ -41,8 +41,6 @@ __all__ = [
     "normalized_determinant",
     "angular_profile",
     "region_map",
-    "growth_factor",
-    "singular_sequence_lower_bound",
 ]
 
 # below this angle x - sin(x) comes from its series, above it from x - math.sin(x),
@@ -579,30 +577,3 @@ def region_map(alpha_range: tuple, kappa_range: tuple, n_alpha: int, n_kappa: in
     return RegionMap(A, K, _g(factors, K), ell_minus, ell_plus, _membership(factors, K),
                      eta0, residual, failed)
 
-
-# ---------------------------------------------------------------------------
-# norm-growth lower bound
-
-
-def growth_factor(m: int, delta: float) -> float:
-    """The bare factor (m/2) * delta**(2/m) multiplying the profile norm."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    return 0.5 * m * delta ** (2.0 / m)
-
-
-def singular_sequence_lower_bound(
-    profile: AngularProfile, eta0: float, m: int, delta: float
-) -> float:
-    """Lower bound on the energy of the m-th truncated singular field.
-
-    Computes ||(1 + i*eta0 + 1/m)^2 phi + phi''||^2 over (0, pi) by composite
-    Gauss-Legendre quadrature and multiplies by (m/2) * delta**(2/m).  The
-    sequence grows without bound in m whenever the profile exists.
-    """
-    factor = growth_factor(m, delta)
-    lam_m = 1.0 + 1j * eta0 + 1.0 / m
-    norm2 = _profile_norm2(profile, lambda d: d[2] + lam_m * lam_m * d[0])
-    return norm2 * factor

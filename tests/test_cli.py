@@ -546,7 +546,7 @@ class TestTemplateWriter:
 
     @pytest.mark.parametrize("samples", [None, 1, 1001])
     def test_kernel1d_two_segments(self, capsys, samples):
-        closed = kernel1d.critical_contrasts_two_segment(-1.0)
+        closed = kernel1d.TwoSegmentDomain(-1.0, 1.0).critical_contrasts()
         kappa = closed.roots[0]
         expected = per_field_csv("root_index,critical_contrast", enumerate(closed.roots))
         argv = ("kernel1d", "--t=-1")
@@ -557,7 +557,7 @@ class TestTemplateWriter:
         self.assert_same(capsys, argv, expected)
 
     def test_kernel1d_three_segments(self, capsys):
-        closed = kernel1d.critical_contrasts_three_segment(0.4)
+        closed = kernel1d.ThreeSegmentDomain(0.4).critical_contrasts()
         self.assert_same(capsys, ("kernel1d", "--delta=0.4"),
                          per_field_csv("root_index,critical_contrast", enumerate(closed.roots)))
 

@@ -19,11 +19,9 @@ from bilap.corner_spectrum import (
     dispersion,
     even_derivative_at_zero,
     find_singular_exponent,
-    growth_factor,
     normalized_determinant,
     region_map,
     scaled_dispersion,
-    singular_sequence_lower_bound,
     transmission_determinant,
     transmission_matrix,
 )
@@ -734,32 +732,6 @@ class TestAngularProfile:
                             lambda *args, _build=cs.transmission_matrix: built.append(args) or _build(*args))
         again = angular_profile(p, prof.lam)
         assert len(built) == 1 and np.array_equal(again.coeffs, prof.coeffs)
-
-
-class TestGrowthBound:
-    def test_bare_factor(self):
-        assert growth_factor(1, 1.0) == 0.5
-        assert growth_factor(100, 0.5) == pytest.approx(50.0 * 0.5 ** 0.02, rel=1e-15)
-
-    def test_factor_ratio_identity(self):
-        delta = 0.5
-        expected = growth_factor(1, delta) * 100.0 * delta ** (2.0 / 100 - 2.0)
-        assert growth_factor(100, delta) == pytest.approx(expected, rel=1e-14)
-
-    def test_factor_eventually_increasing(self):
-        vals = [growth_factor(m, 0.5) for m in range(2, 1000)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_unbounded_growth(self):
-        p = CornerProblem(math.pi / 2, -10.0)
-        res = find_singular_exponent(p)
-        prof = angular_profile(p, 1.0 + 1j * res.eta0)
-        bounds = [
-            singular_sequence_lower_bound(prof, res.eta0, m, 1.0)
-            for m in (1, 10, 100, 1000, 10000)
-        ]
-        assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
-        assert bounds[-1] > 1e3
 
 
 class TestRegionMap:

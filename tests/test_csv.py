@@ -2,11 +2,13 @@
 with a "%.17g" fallback for every value whose rounding it cannot prove."""
 
 import math
+import os
 import subprocess
 import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,8 +153,10 @@ def test_pair_table():
 
 
 def test_import_builds_no_table():
+    src = Path(__file__).resolve().parents[1] / "src"
     code = "import bilap.cli as c; print(c._tables.cache_info().currsize)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert out.stdout == "0\n"
 
 

@@ -14,8 +14,6 @@ from bilap.kernel1d import (
     ThreeSegmentDomain,
     TwoSegmentDomain,
     build_kernel_system,
-    critical_contrasts_three_segment,
-    critical_contrasts_two_segment,
     _pencil,
     kernel_basis,
     scan_critical_contrasts,
@@ -24,12 +22,12 @@ from bilap.kernel1d import (
 
 class TestClosedFormContrasts:
     def test_symmetric_values(self):
-        roots = critical_contrasts_two_segment(-1.0).roots
+        roots = TwoSegmentDomain(-1.0, 1.0).critical_contrasts().roots
         assert roots[0] == pytest.approx(-7.0 - 4.0 * math.sqrt(3.0), rel=1e-14)
         assert roots[1] == pytest.approx(-7.0 + 4.0 * math.sqrt(3.0), rel=1e-14)
 
     def test_symmetric_product(self):
-        roots = critical_contrasts_two_segment(-1.0).roots
+        roots = TwoSegmentDomain(-1.0, 1.0).critical_contrasts().roots
         assert roots[0] * roots[1] == pytest.approx(1.0, rel=1e-12)
 
     def test_roots_satisfy_quadratic(self):
@@ -38,7 +36,7 @@ class TestClosedFormContrasts:
             t = -math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
             # the contrast quadratic kappa^2 + p kappa + q of ratio t
             p, q = -4.0 * t + 6.0 * t * t - 4.0 * t * t * t, t * t * t * t
-            for r in critical_contrasts_two_segment(t).roots:
+            for r in TwoSegmentDomain(-1.0, -t).critical_contrasts().roots:
                 residual = r * r + p * r + q
                 assert abs(residual) <= 1e-12 * max(r * r, abs(p * r), q)
 
@@ -46,15 +44,15 @@ class TestClosedFormContrasts:
         rng = np.random.default_rng(32)
         for _ in range(50):
             t = -math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
-            assert all(r < 0.0 for r in critical_contrasts_two_segment(t).roots)
+            assert all(r < 0.0 for r in TwoSegmentDomain(-1.0, -t).critical_contrasts().roots)
         for d in rng.uniform(0.05, 0.95, 50):
-            assert all(r < 0.0 for r in critical_contrasts_three_segment(float(d)).roots)
+            assert all(r < 0.0 for r in ThreeSegmentDomain(float(d)).critical_contrasts().roots)
 
     def test_two_segment_against_mpmath(self):
         # (base -+ root) t at 50 digits; the smaller root is about t^3/4 as
         # t -> 0, where base - root cancels in doubles
         for t in -np.logspace(-12.0, 1.0, 27):
-            roots = critical_contrasts_two_segment(float(t)).roots
+            roots = TwoSegmentDomain(-1.0, -float(t)).critical_contrasts().roots
             assert roots[0] < roots[1] < 0.0
             with mp.workdps(50):
                 tm = mp.mpf(float(t))
@@ -67,14 +65,14 @@ class TestClosedFormContrasts:
     def test_subnormal_smaller_root_is_a_numerical_failure(self, t):
         # the smaller root, about t^3/4, leaves the normal floats below |t| ~ 4.47e-103
         with pytest.raises(NumericalFailure):
-            critical_contrasts_two_segment(t)
+            TwoSegmentDomain(-1.0, -t).critical_contrasts()
 
     def test_smaller_root_just_above_underflow(self):
-        roots = critical_contrasts_two_segment(-4.47e-103).roots
+        roots = TwoSegmentDomain(-1.0, 4.47e-103).critical_contrasts().roots
         assert sys.float_info.min <= -roots[1] < 2.3e-308
 
     def test_three_segment_half(self):
-        roots = critical_contrasts_three_segment(0.5).roots
+        roots = ThreeSegmentDomain(0.5).critical_contrasts().roots
         assert roots[0] == pytest.approx(-1.0, rel=1e-15)
         assert roots[1] == pytest.approx(-1.0 / 7.0, rel=1e-15)
 
@@ -101,7 +99,7 @@ class TestKernelSystem:
 
     def test_determinant_sign_changes_at_roots(self):
         dom = TwoSegmentDomain(-1.0, 1.0)
-        for root in critical_contrasts_two_segment(-1.0).roots:
+        for root in dom.critical_contrasts().roots:
             lo, hi = np.linalg.det(build_kernel_system(dom, [root * 1.001, root * 0.999]))
             assert lo * hi < 0.0
 
@@ -189,18 +187,18 @@ class TestDeterminantScanOracle:
 
     def test_two_segment_symmetric(self):
         assert_matches(scan_critical_contrasts(TwoSegmentDomain(-1.0, 1.0)).roots,
-                       critical_contrasts_two_segment(-1.0).roots)
+                       TwoSegmentDomain(-1.0, 1.0).critical_contrasts().roots)
 
     def test_three_segment_half(self):
         assert_matches(scan_critical_contrasts(ThreeSegmentDomain(0.5)).roots,
-                       critical_contrasts_three_segment(0.5).roots)
+                       ThreeSegmentDomain(0.5).critical_contrasts().roots)
 
     def test_zero_set_equivalence_random_ratios(self):
         rng = np.random.default_rng(34)
         for _ in range(50):
             t = -math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
             dom = TwoSegmentDomain(-1.0, -t)  # a = -1, b = -t so b/a = t
-            assert_matches(scan_critical_contrasts(dom).roots, critical_contrasts_two_segment(t).roots)
+            assert_matches(scan_critical_contrasts(dom).roots, dom.critical_contrasts().roots)
 
     @pytest.mark.parametrize("family, seed", [("ends", 37), ("ratio", 38), ("three", 39)])
     def test_random_domains_match_the_closed_forms(self, family, seed):
