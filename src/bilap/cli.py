@@ -353,10 +353,8 @@ def _cmd_region_map(args) -> str:
 
 
 def _cmd_corner_det(args) -> str:
-    prob = cs.CornerProblem(args.alpha, args.kappa)
-    lam = 1.0 + 1j * args.eta
-    det = cs.transmission_determinant(prob, lam)
-    nd = cs.normalized_determinant(prob, lam)
+    M = cs.transmission_matrix(cs.CornerProblem(args.alpha, args.kappa), 1.0 + 1j * args.eta)
+    det, nd = complex(np.linalg.det(M)), cs.normalized_determinant(M)
     return _csv("alpha,kappa,eta,det_re,det_im,det_normalized",
                 *zip((args.alpha, args.kappa, args.eta, det.real, det.imag, nd)))
 

@@ -37,7 +37,6 @@ __all__ = [
     "find_singular_exponent",
     "even_derivative_at_zero",
     "transmission_matrix",
-    "transmission_determinant",
     "normalized_determinant",
     "angular_profile",
     "region_map",
@@ -444,17 +443,8 @@ def transmission_matrix(p: CornerProblem, lam: complex) -> np.ndarray:
     return M / scale[:, None]
 
 
-def transmission_determinant(p: CornerProblem, lam: complex) -> complex:
-    """Determinant of the row-scaled interface system (pivoted elimination)."""
-    return complex(np.linalg.det(transmission_matrix(p, lam)))
-
-
-def normalized_determinant(p: CornerProblem, lam: complex) -> float:
-    """|det| divided by the product of row norms; O(1) scale for conditioning tests."""
-    return _normalized_det(transmission_matrix(p, lam))
-
-
-def _normalized_det(M: np.ndarray) -> float:
+def normalized_determinant(M: np.ndarray) -> float:
+    """|det M| over the product of its row norms; O(1) scale for conditioning tests."""
     return float(abs(np.linalg.det(M)) / np.prod(np.linalg.norm(M, axis=1)))
 
 
@@ -517,7 +507,7 @@ def angular_profile(p: CornerProblem, lam: complex) -> AngularProfile:
     """
     lam = complex(lam)
     M = transmission_matrix(p, lam)  # rejects the excluded lambdas
-    nd = _normalized_det(M)
+    nd = normalized_determinant(M)
     if nd > _SINGULAR_TOL:
         raise NotSingular(
             f"normalized determinant {nd:.3e} exceeds tolerance {_SINGULAR_TOL:.1e} at {lam}"

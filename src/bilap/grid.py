@@ -5,7 +5,7 @@ box.  Nodes with all four touching cells inside are interior unknowns; nodes
 touching at least one inside cell otherwise are boundary nodes, where every
 solve takes zero Dirichlet data.  Every reentrant corner of such a polygon
 opens 3*pi/2 and is a node touched by exactly three mask cells; Grid2D finds
-each one in its mask and registers it, at the node's own coordinates, with a
+each one in its mask and registers it by its node index (i, j), with a
 local polar frame: theta = 0 lies on the corner's vertical edge (+y when the
 missing cell is above the node, -y when below) and theta sweeps from there
 into the domain, reaching the horizontal edge at 3*pi/2.
@@ -44,7 +44,7 @@ _EXP_SPAN = 300.0
 class ReentrantCorner:
     """Vertex of interior angle 3*pi/2 (REENTRANT_APERTURE) with a local polar frame.
 
-    The corner is node (i, j) of its grid, at (x, y) = (node_x[i], node_y[j]).
+    The corner is node (i, j) of its grid, at (node_x[i], node_y[j]).
     ``frame_angle`` is the absolute direction of the boundary edge carrying
     theta = 0, the corner's vertical edge: pi/2 (+y) when the cell missing at
     the node lies above it, -pi/2 (-y) when below.  ``orientation`` +1 sweeps
@@ -52,8 +52,6 @@ class ReentrantCorner:
     sits at theta = 3*pi/2.
     """
 
-    x: float
-    y: float
     frame_angle: float
     orientation: float
     i: int
@@ -99,8 +97,7 @@ class Grid2D:
         right = not (self.cell_mask[i, j - 1] and self.cell_mask[i, j])
         # from the vertical edge, counterclockwise leads away from the missing
         # cell when it lies above and right, or below and left
-        return ReentrantCorner(x=float(self.node_x[i]), y=float(self.node_y[j]),
-                               frame_angle=(0.5 if above else -0.5) * math.pi,
+        return ReentrantCorner(frame_angle=(0.5 if above else -0.5) * math.pi,
                                orientation=1.0 if above == right else -1.0, i=i, j=j)
 
     def node_sum(self, cell_values: np.ndarray) -> np.ndarray:
@@ -292,7 +289,8 @@ def _capacitance(n: int, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.
 def corner_polar(grid: Grid2D, corner: ReentrantCorner):
     """Nodal polar coordinates (r, theta) in the corner's local frame: r = 0
     at the corner node and theta = 0 on its vertical edge, both exactly."""
-    dx, dy = grid.node_x[:, None] - corner.x, grid.node_y[None, :] - corner.y
+    x, y = grid.node_x[corner.i], grid.node_y[corner.j]
+    dx, dy = grid.node_x[:, None] - x, grid.node_y[None, :] - y
     r = np.hypot(dx, dy)
     phi = np.arctan2(dy, dx)
     theta = np.mod(corner.orientation * (phi - corner.frame_angle), 2.0 * math.pi)

@@ -145,7 +145,10 @@ def _pair(ws: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 def pairing_weights(grid: Grid2D) -> np.ndarray:
     """Nodal weights of the cellwise trapezoid rule over the mask, less the
-    cells whose centers fall within four mesh widths of a registered corner.
+    cells whose centers fall within R = EXCLUSION_RADIUS_CELLS mesh widths of
+    a registered corner, decided on cell indices as one pattern at every n:
+    near corner node (i, j), cell (a, b) goes when (2(a - i) + 1)^2 +
+    (2(b - j) + 1)^2 < (2R)^2, its center's distance in half widths squared.
 
     Each kept cell gives a quarter of its area to each of its four nodes: the
     weights are the kept-cell count per node, scattered as int8, times h^2/4,
@@ -155,18 +158,17 @@ def pairing_weights(grid: Grid2D) -> np.ndarray:
     refinement.  On an lshape grid with n <= 6 every cell is dropped, so the
     pairing matrix is zero and a corrected solve raises SingularPairingMatrix.
     """
-    h = grid.h
     keep = grid.cell_mask.astype(np.int8)
-    # cells at least this many indices from a corner lie beyond the radius
-    reach = math.ceil(EXCLUSION_RADIUS_CELLS) + 1
+    # a dropped cell lies within this many indices of its corner node
+    reach = math.ceil(EXCLUSION_RADIUS_CELLS)
     for c in grid.corners:
         si = slice(max(c.i - reach, 0), min(c.i + reach, grid.nx))
         sj = slice(max(c.j - reach, 0), min(c.j + reach, grid.ny))
-        cx = (np.arange(grid.nx)[si] + 0.5) * h
-        cy = (np.arange(grid.ny)[sj] + 0.5) * h
-        dist = np.hypot(cx[:, None] - c.x, cy[None, :] - c.y)
-        keep[si, sj] &= dist >= EXCLUSION_RADIUS_CELLS * h
-    return grid.node_sum(keep) * (h * h / 4.0)
+        # each cell center's offset from the corner, in half mesh widths
+        a = 2 * (np.arange(si.start, si.stop) - c.i) + 1
+        b = 2 * (np.arange(sj.start, sj.stop) - c.j) + 1
+        keep[si, sj] &= a[:, None] ** 2 + b ** 2 >= (2.0 * EXCLUSION_RADIUS_CELLS) ** 2
+    return grid.node_sum(keep) * (grid.h * grid.h / 4.0)
 
 
 # -- corrected solve ----------------------------------------------------------

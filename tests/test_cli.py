@@ -572,12 +572,17 @@ class TestTemplateWriter:
                                        [(alpha, kappa, report.g_value, report.membership.value,
                                          *found)]))
 
-    def test_corner_det(self, capsys):
+    def test_corner_det(self, capsys, monkeypatch):
         p, lam = cs.CornerProblem(1.0, -2.0), 1.0 + 0.3j
-        det = cs.transmission_determinant(p, lam)
-        row = (1.0, -2.0, 0.3, det.real, det.imag, cs.normalized_determinant(p, lam))
+        M = cs.transmission_matrix(p, lam)
+        det = complex(np.linalg.det(M))
+        row = (1.0, -2.0, 0.3, det.real, det.imag, cs.normalized_determinant(M))
+        built = []
+        monkeypatch.setattr(cs, "transmission_matrix",
+                            lambda *args, _build=cs.transmission_matrix: built.append(args) or _build(*args))
         self.assert_same(capsys, ("corner-det", "--alpha=1", "--kappa=-2", "--eta=0.3"),
                          per_field_csv("alpha,kappa,eta,det_re,det_im,det_normalized", [row]))
+        assert len(built) == 1  # both determinants read one interface system
 
     def test_cone(self, capsys):
         header = "alpha,mu1,lambda_plus,classification"

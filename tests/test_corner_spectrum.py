@@ -22,7 +22,6 @@ from bilap.corner_spectrum import (
     normalized_determinant,
     region_map,
     scaled_dispersion,
-    transmission_determinant,
     transmission_matrix,
 )
 from bilap import corner_spectrum as cs
@@ -647,12 +646,12 @@ class TestTransmissionSystem:
         for alpha, kappa in ((math.pi / 2, -10.0), (math.pi / 3, -20.0), (1.0, -25.0)):
             p = CornerProblem(alpha, kappa)
             res = find_singular_exponent(p)
-            assert normalized_determinant(p, 1.0 + 1j * res.eta0) <= 1e-8
+            assert normalized_determinant(transmission_matrix(p, 1.0 + 1j * res.eta0)) <= 1e-8
 
     def test_determinant_bounded_away_outside(self):
         p = CornerProblem(math.pi / 2, -1.0)
         for eta in (0.5, 1.0, 2.0):
-            assert normalized_determinant(p, 1.0 + 1j * eta) > 1e-6
+            assert normalized_determinant(transmission_matrix(p, 1.0 + 1j * eta)) > 1e-6
 
     def test_overflow_is_a_numerical_failure(self):
         # the outer entries grow like cosh((pi - alpha) * eta)
@@ -664,8 +663,8 @@ class TestTransmissionSystem:
     def test_conjugate_reality(self):
         p = CornerProblem(1.2, -4.0)
         for eta in (0.4, 1.3):
-            dp = transmission_determinant(p, 1.0 + 1j * eta)
-            dm = transmission_determinant(p, 1.0 - 1j * eta)
+            dp = complex(np.linalg.det(transmission_matrix(p, 1.0 + 1j * eta)))
+            dm = complex(np.linalg.det(transmission_matrix(p, 1.0 - 1j * eta)))
             assert abs(dp) == pytest.approx(abs(dm), rel=1e-12)
 
 

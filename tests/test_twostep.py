@@ -1,7 +1,6 @@
 """Tests for the masked-grid Poisson solver, dual singular fields, the
 corrected two-step solve and the pairing-matrix machinery."""
 
-import dataclasses
 import math
 from collections import Counter
 
@@ -96,7 +95,7 @@ def assert_frame(grid, corner, up, across, length):
     ``across`` in x, each ``length`` nodes long."""
     i, j = corner.i, corner.j
     r, theta = corner_polar(grid, corner)
-    assert (corner.x, corner.y) == (grid.node_x[i], grid.node_y[j]) and r[i, j] == 0.0
+    assert r[i, j] == 0.0
     steps = np.arange(1, length + 1)
     vertical = (np.full(length, i), j + up * steps)
     horizontal = (i + across * steps, np.full(length, j))
@@ -118,7 +117,7 @@ class TestGrid:
         g = lshape_grid(16)
         assert len(g.corners) == 1
         c = g.corners[0]
-        assert (c.x, c.y) == (0.5, 0.5)
+        assert (g.node_x[c.i], g.node_y[c.j]) == (0.5, 0.5)
         r, theta = corner_polar(g, c)
         i0 = 8
         assert theta[i0, i0 + 2] == pytest.approx(0.0, abs=1e-12)  # +y edge
@@ -148,7 +147,7 @@ class TestGrid:
     @pytest.mark.parametrize("n", [16, 64, 512])
     def test_frames_equal_the_domain_literals(self, n):
         def frames(g):  # x, y, frame_angle, orientation
-            return [dataclasses.astuple(c)[:4] for c in g.corners]
+            return [(g.node_x[c.i], g.node_y[c.j], c.frame_angle, c.orientation) for c in g.corners]
 
         half = 0.5 * math.pi
         assert frames(lshape_grid(n)) == [(0.5, 0.5, half, 1.0)]
@@ -358,7 +357,7 @@ class TestNodeTransfer:
                              (np.arange(grid.ny) + 0.5) * grid.h, indexing="ij")
         far = np.ones(shape, dtype=bool)
         for c in grid.corners:
-            far &= np.hypot(CX - c.x, CY - c.y) >= 4.0 * grid.h
+            far &= np.hypot(CX - grid.node_x[c.i], CY - grid.node_y[c.j]) >= 4.0 * grid.h
         ref = scatter_reference(grid, grid.cell_mask & far, np.full(shape, grid.h * grid.h / 4.0))
         assert pairing_weights(grid).tobytes() == ref.tobytes()
 

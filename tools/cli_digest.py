@@ -123,6 +123,9 @@ INVOCATIONS = [
     ["corner-det", "--alpha", "1", "--kappa=-1", "--eta", "400"],
     ["corner-det", "--alpha", "1", "--kappa=-1", "--eta", "1e300"],
     ["corner-det", "--alpha", "1", "--kappa", "-1", "--eta", "nan"],
+    # at the eta0 that eta0 reports for (1, -0.5): the near-singular system
+    ["corner-det", "--alpha=1", "--kappa=-0.5", "--eta=0.37495612626807934"],
+    ["corner-det", "--alpha=1", "--kappa=-5", "--eta=0"],  # lambda = 1 is excluded
     # kernel1d
     ["kernel1d", "--t", "-1"],
     ["kernel1d", "--t", "-2.5e0"],
