@@ -249,22 +249,14 @@ def _csv(header: str, *columns, empty: Optional[np.ndarray] = None) -> str:
         block = [c[start:start + rows] for c in columns]
         size = len(block[0])
         parts = [c for c, f in zip(block, floats) if f]
-        written = _float_fields(parts[0] if len(parts) == 1 else np.concatenate(parts))
-        fields = []
-        for j, (c, f) in enumerate(zip(block, floats)):
-            if f:
-                field, written = written[:size], written[size:]
-            else:
-                field = _text_fields(c)
-            if empty is not None:
-                field[empty[start:start + rows, j]] = 0
-            fields.append(field)
-        line = np.empty((size, sum(f.shape[1] + 1 for f in fields)), np.uint8)
-        at = 0
-        for field in fields:
-            line[:, at:at + field.shape[1]] = field
-            at += field.shape[1] + 1
-            line[:, at - 1] = ord(",")
+        # one view per float column, of the rows one kernel call writes
+        written = iter(_float_fields(np.concatenate(parts)).reshape(len(parts), size, -1))
+        fields = [next(written) if f else _text_fields(c) for c, f in zip(block, floats)]
+        if empty is not None:
+            for field, blank in zip(fields, empty[start:start + rows].T):
+                field[blank] = 0
+        comma = np.full((size, 1), ord(","), np.uint8)
+        line = np.concatenate([x for field in fields for x in (field, comma)], axis=1)
         line[:, -1] = ord("\n")
         text.append(line.tobytes().translate(None, b"\0").decode())
     return "".join(text)
@@ -426,7 +418,7 @@ def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
         return twostep.SigmaField.constant(grid, 1.0)
     kind, _, rest = spec.partition(":")
     if kind == "file":
-        cells = np.ones((grid.nx, grid.ny))
+        cells = np.ones(grid.cell_mask.shape)
         index, values = _load_cells(rest, cells.shape, lambda ij: ij)
         _require(grid.cell_mask[index].any(), f"{rest}: no row names a cell of the domain")
         cells[index] = values
@@ -447,9 +439,8 @@ def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
         values, box = [-math.inf, values[0], -math.inf, math.inf, *values[1:]], "the side x < x0"
     x0, x1, y0, y1, inside, outside = values
     _require(x0 < x1 and y0 < y1, f"sigma spec '{spec}': a patch needs x0 < x1 and y0 < y1")
-    cx = (np.arange(grid.nx) + 0.5) * grid.h
-    cy = (np.arange(grid.ny) + 0.5) * grid.h
-    inbox = ((cx >= x0) & (cx < x1))[:, None] & ((cy >= y0) & (cy < y1))
+    centres = (np.arange(grid.n) + 0.5) * grid.h
+    inbox = ((centres >= x0) & (centres < x1))[:, None] & ((centres >= y0) & (centres < y1))
     # a box holding none, or all, of the domain's cells would give a constant sigma
     held = inbox[grid.cell_mask]
     _require(held.any(), f"sigma spec '{spec}': {box} holds no cell centre of the domain")
@@ -460,7 +451,7 @@ def _sigma_from_spec(grid: Grid2D, spec: str) -> twostep.SigmaField:
 def _rhs_from_spec(grid: Grid2D, spec: str) -> np.ndarray:
     """The nodal rhs; sine2d and generic are outer products of per-axis
     factors, each node taking the operations of its meshgrid form in order."""
-    x, y = grid.node_x, grid.node_y
+    x = y = grid.nodes
     if spec == "sine2d":
         return np.multiply.outer(4.0 * math.pi ** 4 * np.sin(math.pi * x), np.sin(math.pi * y))
     if spec == "one":
@@ -491,13 +482,12 @@ def _cmd_solve(args) -> str:
 def _solve_csv(grid: Grid2D, v: np.ndarray) -> str:
     """x,y,value at every interior node, in np.nonzero(grid.interior) order.
 
-    Each node axis is formatted once, its fields as bytes, and gathered by
-    the interior nodes' indices; the values are gathered by the same mask.
+    The node axis is formatted once, its fields as bytes, and gathered by the
+    interior nodes' x and y indices; the values are gathered by the same mask.
     """
-    xs, ys = (np.array([f.tobytes().translate(None, b"\0") for f in _float_fields(axis)])
-              for axis in (grid.node_x, grid.node_y))
+    nodes = np.array([f.tobytes().translate(None, b"\0") for f in _float_fields(grid.nodes)])
     ii, jj = np.nonzero(grid.interior)
-    return _csv("x,y,value", xs[ii], ys[jj], v[grid.interior])
+    return _csv("x,y,value", nodes[ii], nodes[jj], v[grid.interior])
 
 
 def _cmd_cone(args) -> str:

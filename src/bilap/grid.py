@@ -10,7 +10,7 @@ local polar frame: theta = 0 lies on the corner's vertical edge (+y when the
 missing cell is above the node, -y when below) and theta sweeps from there
 into the domain, reaching the horizontal edge at 3*pi/2.
 
-Fields are nodal arrays of shape (nx + 1, ny + 1), in and out of every solve;
+Fields are nodal arrays of shape (n + 1, n + 1), in and out of every solve;
 the five-point operator acts on them as a slice stencil (``apply_laplacian``).
 """
 
@@ -44,7 +44,7 @@ _EXP_SPAN = 300.0
 class ReentrantCorner:
     """Vertex of interior angle 3*pi/2 (REENTRANT_APERTURE) with a local polar frame.
 
-    The corner is node (i, j) of its grid, at (node_x[i], node_y[j]).
+    The corner is node (i, j) of its grid, at (nodes[i], nodes[j]).
     ``frame_angle`` is the absolute direction of the boundary edge carrying
     theta = 0, the corner's vertical edge: pi/2 (+y) when the cell missing at
     the node lies above it, -pi/2 (-y) when below.  ``orientation`` +1 sweeps
@@ -60,25 +60,24 @@ class ReentrantCorner:
 
 class Grid2D:
     """Uniform square-cell grid over [0,1]^2 masked to a grid-aligned polygon;
-    the (nx, ny) cells are those of the mask, and ``corners`` are its
-    reentrant corners, found in the mask, in ``np.nonzero`` node order."""
+    the (n, n) cells are those of the mask, ``nodes`` is the node axis in x
+    and y, and ``corners`` the mask's reentrant corners, in ``np.nonzero`` node order."""
 
     def __init__(self, cell_mask: np.ndarray):
         cell_mask = self.cell_mask = np.asarray(cell_mask, dtype=bool)
-        nx, ny = self.nx, self.ny = cell_mask.shape
-        if nx != ny:
-            raise ValueError("square cells over the unit box require nx == ny")
+        n = self.n = math.isqrt(cell_mask.size)
+        if cell_mask.shape != (n, n):
+            raise ValueError("square cells over the unit box require an n x n mask")
         self._check_connected()  # also rejects an empty mask
-        self.h = 1.0 / nx
+        self.h = 1.0 / n
 
         # per node, the number of mask cells touching it
         touching = self.touching = self.node_sum(cell_mask.astype(np.int8))
         self.interior = touching == 4
         if not self.interior.any():
-            raise ValueError(f"cell mask over {nx}x{ny} cells has no interior node")
+            raise ValueError(f"cell mask over {n}x{n} cells has no interior node")
         self.boundary = (touching > 0) & ~self.interior
-        self.node_x = np.arange(nx + 1) * self.h
-        self.node_y = np.arange(ny + 1) * self.h
+        self.nodes = np.arange(n + 1) * self.h
         self.corners = tuple(map(self._corner, *np.nonzero(touching == 3)))
         self._factor = None
 
@@ -104,7 +103,7 @@ class Grid2D:
         """Per node, the sum of the values of the mask cells touching it, in
         the values' dtype; each node takes its additions in a fixed order and
         cells off the mask add 0.  The one cell-to-node scatter."""
-        pad = np.zeros((self.nx + 2, self.ny + 2), dtype=cell_values.dtype)
+        pad = np.zeros((self.n + 2, self.n + 2), dtype=cell_values.dtype)
         np.copyto(pad[1:-1, 1:-1], cell_values, where=self.cell_mask)
         # node (i, j) adds cells (i, j), (i-1, j), (i, j-1), (i-1, j-1), in that order
         out = pad[1:, 1:] + pad[:-1, 1:]
@@ -125,7 +124,7 @@ class Grid2D:
 
         # second differences along each axis over all nodes; keeping only the
         # interior rows and columns eliminates the boundary nodes
-        m = self.nx + 1
+        m = self.n + 1
         d2 = scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m, m))
         eye = scipy.sparse.identity(m)
         lap = (scipy.sparse.kron(d2, eye) + scipy.sparse.kron(eye, d2)).tocsr() / (self.h * self.h)
@@ -194,7 +193,7 @@ class _CapacitanceSolver:
         from scipy.linalg import cho_factor, cho_solve
 
         self.dst, self.dstn, self.cho_solve = dst, dstn, cho_solve
-        n = grid.nx
+        n = grid.n
         self.shape = grid.interior.shape
         self.inside = grid.interior[1:-1, 1:-1]
         theta = np.arange(1, n) * (math.pi / (2 * n))
@@ -289,8 +288,8 @@ def _capacitance(n: int, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.
 def corner_polar(grid: Grid2D, corner: ReentrantCorner):
     """Nodal polar coordinates (r, theta) in the corner's local frame: r = 0
     at the corner node and theta = 0 on its vertical edge, both exactly."""
-    x, y = grid.node_x[corner.i], grid.node_y[corner.j]
-    dx, dy = grid.node_x[:, None] - x, grid.node_y[None, :] - y
+    nodes = grid.nodes
+    dx, dy = nodes[:, None] - nodes[corner.i], nodes[None, :] - nodes[corner.j]
     r = np.hypot(dx, dy)
     phi = np.arctan2(dy, dx)
     theta = np.mod(corner.orientation * (phi - corner.frame_angle), 2.0 * math.pi)

@@ -53,7 +53,7 @@ class SigmaField:
 
     @classmethod
     def constant(cls, grid: Grid2D, value: float = 1.0) -> "SigmaField":
-        return cls(np.full((grid.nx, grid.ny), value))
+        return cls(np.full(grid.cell_mask.shape, value))
 
     def inverse_at_nodes(self, grid: Grid2D) -> np.ndarray:
         """1/sigma transferred cell-to-node by arithmetic mean over touching
@@ -162,8 +162,8 @@ def pairing_weights(grid: Grid2D) -> np.ndarray:
     # a dropped cell lies within this many indices of its corner node
     reach = math.ceil(EXCLUSION_RADIUS_CELLS)
     for c in grid.corners:
-        si = slice(max(c.i - reach, 0), min(c.i + reach, grid.nx))
-        sj = slice(max(c.j - reach, 0), min(c.j + reach, grid.ny))
+        si = slice(max(c.i - reach, 0), min(c.i + reach, grid.n))
+        sj = slice(max(c.j - reach, 0), min(c.j + reach, grid.n))
         # each cell center's offset from the corner, in half mesh widths
         a = 2 * (np.arange(si.start, si.stop) - c.i) + 1
         b = 2 * (np.arange(sj.start, sj.stop) - c.j) + 1
@@ -180,13 +180,11 @@ class PairingMatrix:
     and the arrays it pairs: ``sinv`` (1/sigma at the nodes), ``ws`` (the
     grid's corner-excluded pairing weights times sinv, formed once per
     assembly) and ``duals`` (the dual fields, in order).  Entry (i, j) is
-    sum(ws * duals[i] * duals[j]); ``tol`` is the relative rank tolerance
-    behind ``kernel_dim``."""
+    sum(ws * duals[i] * duals[j])."""
 
     matrix: np.ndarray
     singular_values: np.ndarray
     kernel_dim: int
-    tol: float
     sinv: np.ndarray
     ws: np.ndarray
     duals: tuple
@@ -220,7 +218,7 @@ def assemble_pairing_matrix(
     svals = np.linalg.svd(M, compute_uv=False)
     kernel = svals <= _RANK_TOL * scale if scale > 0.0 else np.ones_like(svals, bool)
     return PairingMatrix(matrix=M, singular_values=svals, kernel_dim=int(np.sum(kernel)),
-                         tol=_RANK_TOL, sinv=sinv, ws=ws, duals=duals)
+                         sinv=sinv, ws=ws, duals=duals)
 
 
 def corrected_two_step_solve(

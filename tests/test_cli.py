@@ -380,7 +380,7 @@ class TestMalformedInput:
     def test_split_x_is_the_cells_left_of_x0(self, make, x0):
         # the patch box x < x0 holds the cells whose centres lie left of x0
         grid = make()
-        centres = (np.arange(grid.nx) + 0.5) * grid.h
+        centres = (np.arange(grid.n) + 0.5) * grid.h
         ref = np.where(np.meshgrid(centres, centres, indexing="ij")[0] < x0, 1.0, -3.0)
         assert cli._sigma_from_spec(grid, f"split-x:{x0}:1:-3").cells.tobytes() == ref.tobytes()
 
@@ -530,7 +530,9 @@ class TestTemplateWriter:
         ((1.0, 2.0), (-18.817146090151702, -0.7060234342587407), 5,
          {"found", "none", "Boundary"}),
         ((1e-300, 0.1), (-12.0, -0.05), 3, {"failed"}),
-    ], ids=["found-none-boundary", "failed"])
+        # 900 cells, two blocks of rows: empty and nan fields on both sides of the boundary
+        ((1e-300, 2.0), (-18.817146090151702, -0.05), 30, {"found", "none", "failed"}),
+    ], ids=["found-none-boundary", "failed", "two-blocks"])
     def test_region_map(self, capsys, alphas, kappas, n, kinds):
         m = cs.region_map(alphas, kappas, n, n)
         kind = ["failed" if bad else "none" if math.isnan(eta0) else "found"
@@ -660,7 +662,7 @@ class TestSolveCsv:
                               "--sigma-file", "split-x:0.4:1:-3")
         g, v = solved["grid"], solved["sol"].v
         fmt = lambda x: format(float(x), ".17g")
-        ref = ["x,y,value"] + [f"{fmt(g.node_x[i])},{fmt(g.node_y[j])},{fmt(v[i, j])}"
+        ref = ["x,y,value"] + [f"{fmt(g.nodes[i])},{fmt(g.nodes[j])},{fmt(v[i, j])}"
                                for i, j in zip(*np.nonzero(g.interior))]
         assert code == 0 and out == "\n".join(ref) + "\n"
         values = [row.rsplit(",", 1)[1] for row in ref[1:]]
@@ -678,7 +680,7 @@ class TestSolveCsv:
         ii, jj = np.nonzero(grid.interior)
         v[ii[:4], jj[:4]] = 0.0, -0.0, 5e-324, -1.7976931348623157e308
         fmt = lambda x: format(float(x), ".17g")
-        ref = "".join(f"{fmt(grid.node_x[i])},{fmt(grid.node_y[j])},{fmt(v[i, j])}\n"
+        ref = "".join(f"{fmt(grid.nodes[i])},{fmt(grid.nodes[j])},{fmt(v[i, j])}\n"
                       for i, j in zip(ii, jj))
         assert cli._solve_csv(grid, v) == "x,y,value\n" + ref and "nan" not in ref
 
@@ -687,7 +689,7 @@ class TestSolveCsv:
     def test_rhs_matches_its_meshgrid_form(self, make):
         # the per-axis outer products against the elementwise meshgrid forms, bit for bit
         grid = make()
-        X, Y = np.meshgrid(grid.node_x, grid.node_y, indexing="ij")
+        X, Y = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
         ref = {"sine2d": 4.0 * math.pi ** 4 * np.sin(math.pi * X) * np.sin(math.pi * Y),
                "generic": np.sin(3.0 * X + 1.0) * np.cos(2.0 * Y) + 2.0}
         for spec, field in ref.items():
@@ -723,7 +725,7 @@ class TestCoarseGrids:
 
     @pytest.mark.parametrize("flag", ["--correct", "--no-correct"])
     def test_lshape_where_the_middle_node_misses_one_half(self, capsys, flag):
-        # node_x[49] is 0.49999999999999994 at n = 98
+        # nodes[49] is 0.49999999999999994 at n = 98
         code, out, err = invoke(capsys, "solve", "--domain", "lshape", "--n", "98", flag)
         assert code == 0 and err == "" and len(out.splitlines()) == 1 + 97 * 97 - 49 * 49
 

@@ -31,14 +31,14 @@ from bilap.twostep import (
 
 
 def nodal(grid, func):
-    X, Y = np.meshgrid(grid.node_x, grid.node_y, indexing="ij")
+    X, Y = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
     return func(X, Y)
 
 
 def patch_sigma(grid, t, radius=0.25, center=(0.5, 0.5)):
     """+1 outside a disk of cells around the corner, -t inside."""
-    cx = (np.arange(grid.nx) + 0.5) * grid.h
-    cy = (np.arange(grid.ny) + 0.5) * grid.h
+    cx = (np.arange(grid.n) + 0.5) * grid.h
+    cy = (np.arange(grid.n) + 0.5) * grid.h
     CX, CY = np.meshgrid(cx, cy, indexing="ij")
     inside = np.hypot(CX - center[0], CY - center[1]) < radius
     return SigmaField(np.where(inside, -t, 1.0))
@@ -49,7 +49,7 @@ def pair(grid, a, b, exclude_corners=True):
     otherwise each mask cell gives a quarter of its area to each of its nodes."""
     if exclude_corners:
         return float(np.sum(pairing_weights(grid) * a * b))
-    quarter = np.full((grid.nx, grid.ny), grid.h * grid.h / 4.0)
+    quarter = np.full((grid.n, grid.n), grid.h * grid.h / 4.0)
     return float(np.sum(scatter_reference(grid, grid.cell_mask, quarter) * a * b))
 
 
@@ -83,7 +83,7 @@ def disk_grid(n):
 def scatter_reference(grid, keep, cell_values):
     """Per-cell np.add.at of the kept cells' values onto their four nodes."""
     ci, cj = np.nonzero(keep)
-    out = np.zeros((grid.nx + 1, grid.ny + 1))
+    out = np.zeros((grid.n + 1, grid.n + 1))
     for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
         np.add.at(out, (ci + di, cj + dj), cell_values[ci, cj])
     return out
@@ -117,7 +117,7 @@ class TestGrid:
         g = lshape_grid(16)
         assert len(g.corners) == 1
         c = g.corners[0]
-        assert (g.node_x[c.i], g.node_y[c.j]) == (0.5, 0.5)
+        assert (g.nodes[c.i], g.nodes[c.j]) == (0.5, 0.5)
         r, theta = corner_polar(g, c)
         i0 = 8
         assert theta[i0, i0 + 2] == pytest.approx(0.0, abs=1e-12)  # +y edge
@@ -147,7 +147,7 @@ class TestGrid:
     @pytest.mark.parametrize("n", [16, 64, 512])
     def test_frames_equal_the_domain_literals(self, n):
         def frames(g):  # x, y, frame_angle, orientation
-            return [(g.node_x[c.i], g.node_y[c.j], c.frame_angle, c.orientation) for c in g.corners]
+            return [(g.nodes[c.i], g.nodes[c.j], c.frame_angle, c.orientation) for c in g.corners]
 
         half = 0.5 * math.pi
         assert frames(lshape_grid(n)) == [(0.5, 0.5, half, 1.0)]
@@ -334,8 +334,8 @@ class TestNodeTransfer:
     @pytest.mark.parametrize("grid", [rectangle_grid(16), lshape_grid(32), notched_grid(32)],
                              ids=["rectangle", "lshape", "notched"])
     def test_bitwise_equal_to_scatter(self, grid):
-        rng = np.random.default_rng(grid.nx + len(grid.corners))
-        shape = (grid.nx, grid.ny)
+        rng = np.random.default_rng(grid.n + len(grid.corners))
+        shape = (grid.n, grid.n)
         cells = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 3.0, shape)
         sigma = SigmaField(cells)
         assert (cells < 0).any() and (cells > 0).any()
@@ -352,12 +352,12 @@ class TestNodeTransfer:
         # the scattered kept-cell counts times h^2 / 4 against the quarter areas
         # of the kept cells added onto their nodes one by one
         grid = make(n)
-        shape = (grid.nx, grid.ny)
-        CX, CY = np.meshgrid((np.arange(grid.nx) + 0.5) * grid.h,
-                             (np.arange(grid.ny) + 0.5) * grid.h, indexing="ij")
+        shape = (grid.n, grid.n)
+        CX, CY = np.meshgrid((np.arange(grid.n) + 0.5) * grid.h,
+                             (np.arange(grid.n) + 0.5) * grid.h, indexing="ij")
         far = np.ones(shape, dtype=bool)
         for c in grid.corners:
-            far &= np.hypot(CX - grid.node_x[c.i], CY - grid.node_y[c.j]) >= 4.0 * grid.h
+            far &= np.hypot(CX - grid.nodes[c.i], CY - grid.nodes[c.j]) >= 4.0 * grid.h
         ref = scatter_reference(grid, grid.cell_mask & far, np.full(shape, grid.h * grid.h / 4.0))
         assert pairing_weights(grid).tobytes() == ref.tobytes()
 

@@ -116,6 +116,9 @@ INVOCATIONS = [
      "--na=2", "--nk=2"],
     ["region-map", "--amin=1.0", "--amax=2.0", "--kmin=-18.817146090151702",
      "--kmax=-0.7060234342587407", "--na=5", "--nk=5"],
+    # 900 cells in two blocks, with empty and nan fields on both sides of the boundary
+    ["region-map", "--amin=1e-300", "--amax=2.0", "--kmin=-18.817146090151702", "--kmax=-0.05",
+     "--na=30", "--nk=30"],
     ["region-map", "--bogus", "1"],
     ["region-map", "--na", "100000000000"],
     # corner-det
@@ -211,6 +214,8 @@ INVOCATIONS = [
     # the largest CSV the benchmark writes
     ["solve", "--domain", "notched", "--n", "512", "--sigma-file", "patch:0.1:0.25:0.1:0.28:-3:1"],
     ["solve", "--domain", "rectangle", "--n", "17", "--no-correct"],
+    # a box that differs in x and y, on a square with no corners
+    ["solve", "--domain", "rectangle", "--n", "16", "--sigma-file", "patch:0.1:0.3:0.5:0.9:-2:1"],
     ["solve", "--domain", "lshape", "--n", "4", "--no-correct"],
     ["solve", "--domain", "lshape", "--n", "4"],
     ["solve", "--domain", "rectangle", "--n", "1"],
@@ -284,12 +289,17 @@ def digest(argv: list) -> str:
 def main() -> None:
     warnings.simplefilter("error", RuntimeWarning)
     os.environ["COLUMNS"] = "80"
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for name, text in FILES.items():
-            with open(name, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        for argv in INVOCATIONS:
-            print(digest(argv), shlex.join(argv), flush=True)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in FILES.items():
+                with open(name, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            for argv in INVOCATIONS:
+                print(digest(argv), shlex.join(argv), flush=True)
+        finally:
+            os.chdir(home)
 
 
 if __name__ == "__main__":
