@@ -253,8 +253,10 @@ def _csv(header: str, *columns, empty: Optional[np.ndarray] = None) -> str:
         written = iter(_float_fields(np.concatenate(parts)).reshape(len(parts), size, -1))
         fields = [next(written) if f else _text_fields(c) for c, f in zip(block, floats)]
         if empty is not None:
-            for field, blank in zip(fields, empty[start:start + rows].T):
-                field[blank] = 0
+            for k, blank in enumerate(empty[start:start + rows].T):
+                if not floats[k]:  # a bytes column's fields are a view of it
+                    fields[k] = fields[k].copy()
+                fields[k][blank] = 0
         comma = np.full((size, 1), ord(","), np.uint8)
         line = np.concatenate([x for field in fields for x in (field, comma)], axis=1)
         line[:, -1] = ord("\n")

@@ -141,7 +141,10 @@ class Grid2D:
         and Widlund 1976): a DST-I solve on the unit square's (n-1)^2 interior
         nodes, corrected to vanish on Gamma, the mask's boundary nodes strictly
         inside the square.  Its dense K x K capacitance matrix, K = |Gamma|,
-        is built in closed form in K^2 n flops and Cholesky-factored.
+        is built in closed form in K^2 n flops and Cholesky-factored.  A
+        solve takes two 2D DST-I transforms, and reads the fast solve on
+        Gamma, and spreads its correction, along the few grid lines that
+        hold Gamma.
         """
         if self._factor is None:
             self._factor = _CapacitanceSolver(self)
@@ -176,23 +179,33 @@ class _CapacitanceSolver:
     suffices: C is exact to rounding, so what is left on Gamma is the fast
     solves' own rounding, which a second round does not reduce.
 
-    S is a DST along y, then one along x.  P S y and S P^T q take the one
-    along x only on Gamma's J distinct columns, so a solve takes two 2D
-    transforms, two 1D passes along y and two on J columns along x, where
-    the fast solves of y and of P^T q would take four 2D transforms.
+    S is a DST-I along each axis.  Gamma is covered by grid lines: each of
+    its nodes goes to its row (fixed x index) when that row holds more of
+    Gamma than the node's column, else to its column, which gives 2 lines on
+    the L and 3 on the notched square at every n.  Along row i, S y is the
+    DST of s(i)^T y, and along column j the DST of y s(j), with s(i) the
+    vector s_k(i) over k; so P S y is one product per line and a 1D DST of
+    each.  With q_m the part of q on line m, S P^T q is the sum of
+    s(i) (S q_m)^T over the rows and (S q_m) s(j)^T over the columns, one
+    product of rank the number of lines.  A solve takes two 2D transforms,
+    where the fast solves of y and of P^T q would take four.  A staircase
+    Gamma needs about as many lines as it has columns, and its products
+    then cost about what the transforms they replace do.
 
-    All of its dense algebra, C's block products, the Cholesky factor and
-    the solves with it, runs in scipy's BLAS (the DSTs call none).  numpy's
-    and scipy's wheels each bundle an OpenBLAS with a thread pool of its
-    own; a product in numpy's next to a factorisation in scipy's puts both
-    pools' threads on the same cores, and they oversubscribe them.
+    All of its dense algebra, C's block products, the products along the
+    lines, the Cholesky factor and the solves with it, runs in scipy's BLAS
+    (the DSTs call none).  numpy's and scipy's wheels each bundle an
+    OpenBLAS with a thread pool of its own; a product in numpy's next to a
+    factorisation in scipy's puts both pools' threads on the same cores, and
+    they oversubscribe them.
     """
 
     def __init__(self, grid: Grid2D):
         from scipy.fft import dst, dstn
         from scipy.linalg import cho_factor, cho_solve
+        from scipy.linalg.blas import dgemm
 
-        self.dst, self.dstn, self.cho_solve = dst, dstn, cho_solve
+        self.dst, self.dstn, self.cho_solve, self.dgemm = dst, dstn, cho_solve, dgemm
         n = grid.n
         self.shape = grid.interior.shape
         self.inside = grid.interior[1:-1, 1:-1]
@@ -201,36 +214,61 @@ class _CapacitanceSolver:
         self.inv_eig = -(grid.h * grid.h) / (lam[:, None] + lam[None, :])
         gi, gj = np.nonzero(grid.boundary[1:-1, 1:-1])
         order = np.argsort(gj, kind="stable")
-        self.gi, self.gj = gi[order], gj[order]
-        # Gamma's distinct columns, and each node's place among them
-        self.cols, self.col_of = np.unique(self.gj, return_inverse=True)
+        gi, gj = self.gi, self.gj = gi[order], gj[order]
         self.chol = None
-        if len(self.gi):
-            self.chol = cho_factor(-_capacitance(n, self.gi + 1, self.gj + 1, theta))
+        if len(gi):
+            # each node of Gamma goes to its row (fixed x index) when that
+            # holds more of Gamma than its column, else to its column
+            on_row = np.bincount(gi)[gi] > np.bincount(gj)[gj]
+            rows, cols = np.unique(gi[on_row]), np.unique(gj[~on_row])
+            self.rows = len(rows)
+            # per node, its line, rows first, and its place along that line
+            self.line = np.where(on_row, np.searchsorted(rows, gi),
+                                 len(rows) + np.searchsorted(cols, gj))
+            self.along = np.where(on_row, gj, gi)
+            # s_k at each line, one F-contiguous column per line
+            self.sines = np.asfortranarray(_sines(n, np.concatenate([rows, cols]) + 1))
+            self.chol = cho_factor(-_capacitance(n, gi + 1, gj + 1, theta))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Nodal u, zero off the interior nodes, from b zero off them, as
         solve_poisson_dirichlet passes it.  (Gamma parts the interior nodes
         from the rest, so b there would move u only by rounding.)"""
-        dst, dstn = self.dst, self.dstn
-        y = dstn(b[1:-1, 1:-1], type=1, norm="ortho")
-        y *= self.inv_eig
+        dst, dstn, dgemm = self.dst, self.dstn, self.dgemm
+        t = dstn(b[1:-1, 1:-1], type=1, norm="ortho")
         if self.chol is not None:
-            z = dst(y, type=1, norm="ortho", axis=1)
-            on_cols = dst(z[:, self.cols], type=1, norm="ortho", axis=0, overwrite_x=True)
-            # check_finite=False lets a nan in b reach the caller's residual check
-            q = self.cho_solve(self.chol, on_cols[self.gi, self.col_of], check_finite=False)
-            on_cols.fill(0.0)
-            on_cols[self.gi, self.col_of] = q
-            z.fill(0.0)
-            z[:, self.cols] = dst(on_cols, type=1, norm="ortho", axis=0, overwrite_x=True)
-            z = dst(z, type=1, norm="ortho", axis=1, overwrite_x=True)
-            z *= self.inv_eig
-            y += z
+            y = t * self.inv_eig
+            r, sines = self.rows, self.sines
+            # S y along each line: s(i)^T y along row i, y s(j) along column
+            # j, each then a DST along the line; y.T is y's F-contiguous view
+            on_lines = np.empty_like(sines)
+            on_lines[:, :r] = dgemm(1.0, y.T, sines[:, :r])
+            on_lines[:, r:] = dgemm(1.0, y.T, sines[:, r:], trans_a=True)
+            on_lines = dst(on_lines, type=1, norm="ortho", axis=0, overwrite_x=True)
+            # check_finite=False spares a scan of the K x K factor per solve
+            q = self.cho_solve(self.chol, on_lines[self.along, self.line], check_finite=False)
+            spread = np.zeros_like(sines)
+            spread[self.along, self.line] = q
+            spread = dst(spread, type=1, norm="ortho", axis=0, overwrite_x=True)
+            # S P^T q = [s_rows | S q_cols] [S q_rows | s_cols]^T, added to t
+            # in place as its transpose, whose F-contiguous view is t.T; then
+            # D t = y + D S P^T q
+            left = sines.copy(order="F")
+            left[:, r:] = spread[:, r:]
+            spread[:, r:] = sines[:, r:]
+            dgemm(1.0, spread, left, beta=1.0, c=t.T, trans_b=True, overwrite_c=True)
+        t *= self.inv_eig
         u = np.zeros(self.shape)
-        np.copyto(u[1:-1, 1:-1], dstn(y, type=1, norm="ortho", overwrite_x=True),
+        np.copyto(u[1:-1, 1:-1], dstn(t, type=1, norm="ortho", overwrite_x=True),
                   where=self.inside)
         return u
+
+
+def _sines(n: int, i: np.ndarray) -> np.ndarray:
+    """s_k(i) = sqrt(2/n) sin(k pi i/n), k = 1 .. n - 1 down the rows, one
+    column per index in i: the orthonormal DST-I's columns at i."""
+    table = np.sin(np.arange(2 * n) * (math.pi / n))
+    return math.sqrt(2.0 / n) * table[np.outer(np.arange(1, n), i) % (2 * n)]
 
 
 def _capacitance(n: int, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -254,13 +292,11 @@ def _capacitance(n: int, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.
     """
     from scipy.linalg.blas import dgemm
 
-    k = np.arange(1, n)
     sin_t = np.sin(theta)
     mu = (2.0 * np.arcsinh(sin_t))[:, None]
     # 2 sinh(mu) (1 - e^(-2 n mu)), with 2 sinh mu = 4 sin t sqrt(1 + sin^2 t)
     den = (4.0 * sin_t * np.sqrt(1.0 + sin_t * sin_t))[:, None] * -np.expm1(-2.0 * n * mu)
-    table = np.sin(np.arange(2 * n) * (math.pi / n))
-    S = math.sqrt(2.0 / n) * table[np.outer(k, i) % (2 * n)]
+    S = _sines(n, i)
     edges = np.flatnonzero(np.diff((j - j[0]) // (_EXP_SPAN / mu[-1, 0]))) + 1
     blocks = [slice(a, b) for a, b in zip([0, *edges], [*edges, len(j)])]
     centres = [0.5 * (j[b][0] + j[b][-1]) for b in blocks]
@@ -318,16 +354,19 @@ def solve_poisson_dirichlet(grid: Grid2D, rhs: np.ndarray):
     ``rhs`` is a full nodal array, read at the interior nodes; the returned
     (u, residual) has u zero on the boundary and outside the domain.  A
     solve that misses the residual target 1e-10 relative to ||rhs|| is
-    refined once with its residual; NumericalFailure is raised when the
-    refined solve still misses it, or when the residual is not a number.
+    refined once with its residual; NumericalFailure is raised when rhs
+    holds a nan or an inf at an interior node, when the refined solve still
+    misses the target, or when the residual is not a number.
     """
     b = np.where(grid.interior, rhs, 0.0)
+    # both norms over one scale, max|b|, so that no square overflows; b = 0
+    # leaves r = 0
+    scale = float(np.abs(b).max()) or 1.0
+    if not math.isfinite(scale):
+        raise NumericalFailure("Poisson right-hand side holds a nan or an inf")
     solver = grid.factor()
     u = solver.solve(b)
     r = _residual(grid, b, u)
-    # both norms over one scale, max|b|, so that no square overflows: b = 0
-    # leaves r = 0, and a nan in b makes the scale nan and fails below
-    scale = float(np.abs(b).max()) or 1.0
     bnorm = max(_norm(b, scale), 1e-300)
     residual = _norm(r, scale) / bnorm
     if not residual <= _RESIDUAL_TOL:

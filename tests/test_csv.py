@@ -174,3 +174,12 @@ def test_import_builds_no_table():
 def test_small_blocks_take_the_fallback_alone(fallback):
     x = random_bits(cli._KERNEL_MIN - 1, 32)
     assert csv_text(x) == reference(x) and fallback == [len(x)]
+
+
+def test_empty_leaves_a_bytes_column_unchanged():
+    # a bytes column's fields are a view of it, so blanking one in place
+    # would write into the caller's array
+    col = np.array([b"abc", b"de"])
+    text = cli._csv("a,b", col, np.array([1.0, 2.0]), empty=np.array([[True, False], [False, False]]))
+    assert col.tolist() == [b"abc", b"de"]
+    assert text == "a,b\n,1\nde,2\n"

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse.linalg as splinalg
 from scipy.fft import dstn
 
-from bilap.errors import SingularPairingMatrix
+from bilap.errors import NumericalFailure, SingularPairingMatrix
 from bilap.grid import (
     Grid2D,
     corner_polar,
@@ -236,9 +236,10 @@ class TestPoisson:
                              ids=["lshape-32", "lshape-64", "notched-32", "notched-64",
                                   "staircase-64", "disk-64"])
     def test_solve_matches_four_transform_formula(self, make, n):
-        # the solve reads P S y and forms S P^T q without 2D transforms; the
-        # reference is fast(b) + fast(P^T (-C)^-1 P fast(b)), each fast solve
-        # two 2D transforms
+        # the solve reads P S y and forms S P^T q along the lines that cover
+        # Gamma, with no 2D transform; the reference is
+        # fast(b) + fast(P^T (-C)^-1 P fast(b)), each fast solve two 2D
+        # transforms
         g = make(n)
         solver = g.factor()
         gi, gj = solver.gi, solver.gj
@@ -256,6 +257,26 @@ class TestPoisson:
         u = solver.solve(b)
         assert np.all(u[~g.interior] == 0.0)
         assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    @pytest.mark.parametrize("make,rows,cols", [(lshape_grid, 1, 1), (notched_grid, 2, 1)],
+                             ids=["lshape", "notched"])
+    def test_gamma_covered_by_few_lines(self, make, rows, cols, n):
+        # the L's corner ties and goes to its column; the slot's corners go
+        # to its two sides, which are longer than its floor
+        solver = make(n).factor()
+        gi, gj, line, along = solver.gi, solver.gj, solver.line, solver.along
+        assert solver.rows == rows and solver.sines.shape == (n - 1, rows + cols)
+        on_row = line < rows
+        assert np.array_equal(along, np.where(on_row, gj, gi))
+        # each line is one row or column, read at its own sines
+        fixed = np.where(on_row, gi, gj)
+        at = [np.unique(fixed[line == m]) for m in range(rows + cols)]
+        assert all(len(i) == 1 for i in at)
+        assert len(np.unique(at[:rows])) == rows and len(np.unique(at[rows:])) == cols
+        assert np.array_equal(solver.sines, bilap.grid._sines(n, np.concatenate(at) + 1))
+        # every node of Gamma is read once, at its own place on its line
+        assert len(set(zip(line.tolist(), along.tolist()))) == len(gi)
 
     @pytest.mark.parametrize("make,n", [(lshape_grid, 512), (notched_grid, 512), (lshape_grid, 1024)])
     def test_capacitance_solve_residual(self, make, n):
@@ -284,6 +305,21 @@ class TestPoisson:
         ref = splinalg.splu(g.laplacian().tocsc()).solve(b)
         assert residual <= 1e-10
         assert np.max(np.abs(u[g.interior] - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("make", [rectangle_grid, lshape_grid, notched_grid])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rhs_raises(self, make, bad):
+        # the documented failure, not a LinAlgError from the Cholesky solve,
+        # a RuntimeWarning nor a field of nans; (5, 3) is an interior node of
+        # all three grids, and a nan off the interior nodes is not read
+        g = make(16)
+        f = np.ones((17, 17))
+        f[~g.interior] = math.nan
+        u, _ = solve_poisson_dirichlet(g, f)
+        assert np.isfinite(u).all()
+        f[5, 3] = bad
+        with pytest.raises(NumericalFailure, match="nan or an inf"):
+            solve_poisson_dirichlet(g, f)
 
     @pytest.mark.parametrize("make,n", [(rectangle_grid, 64), (lshape_grid, 64), (notched_grid, 64)])
     def test_solve_matches_colamd_reference(self, make, n):

@@ -273,8 +273,8 @@ INVOCATIONS = [
 ]
 
 
-def digest(argv: list) -> str:
-    """sha256 of the exit code, stdout and stderr of one run(argv)."""
+def capture(argv: list) -> tuple:
+    """(exit code, stdout, stderr) of one run(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -283,10 +283,18 @@ def digest(argv: list) -> str:
             code = exc.code
         except Exception as exc:  # a RuntimeWarning raised as an error, say
             code = f"{type(exc).__name__}: {exc}"
-    return hashlib.sha256(repr((code, out.getvalue(), err.getvalue())).encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
 
 
-def main() -> None:
+def digest(argv: list) -> str:
+    """sha256 of the exit code, stdout and stderr of one run(argv)."""
+    return hashlib.sha256(repr(capture(argv)).encode()).hexdigest()
+
+
+@contextlib.contextmanager
+def inputs():
+    """What the list runs under: RuntimeWarnings raised as errors, help at
+    80 columns, and a temporary working directory holding FILES."""
     warnings.simplefilter("error", RuntimeWarning)
     os.environ["COLUMNS"] = "80"
     home = os.getcwd()
@@ -296,10 +304,15 @@ def main() -> None:
             for name, text in FILES.items():
                 with open(name, "w", encoding="utf-8") as fh:
                     fh.write(text)
-            for argv in INVOCATIONS:
-                print(digest(argv), shlex.join(argv), flush=True)
+            yield
         finally:
             os.chdir(home)
+
+
+def main() -> None:
+    with inputs():
+        for argv in INVOCATIONS:
+            print(digest(argv), shlex.join(argv), flush=True)
 
 
 if __name__ == "__main__":
