@@ -3,7 +3,7 @@
 Subcommands: region-map, eta0, corner-det, kernel1d, solve, cone, classify.
 Output is CSV text with floats at 17 significant digits, so identical
 invocations under the same BLAS settings produce byte-identical files: a
-solve's blocked matrix products and Cholesky factor sum in an order that
+solve's matrix products and Cholesky factor sum in an order that
 depends on the BLAS thread count (OPENBLAS_NUM_THREADS), so on larger grids
 (lshape at n = 256, say) the last digits move with it.  Every subcommand
 writes through one column writer, _csv: a header, then the fields of its
@@ -86,6 +86,9 @@ _BLOCK = 1 << 12  # floats per kernel call, so its temporaries (a few hundred by
 # below this many values the kernel's fixed cost, some 60 numpy calls, is more
 # than that of "%.17g" on each
 _KERNEL_MIN = 128
+# a blanked float is formatted as this, which the kernel writes itself, and
+# its field then blanked: nan would cost a "%.17g" call
+_BLANKED = 0.5
 _K0, _K1 = -325, 309  # the exponents k the kernel meets: from 5e-324 and 1.8e308, one off
 # The rounding is decided where |e - rint(e)| < 1/2 - _BAND, e = fl(err + fl(|x| lo)).
 # For a kept N, p <= 10^17 < 2^57, so p is an integer (p > 10^16 > 2^53),
@@ -243,6 +246,9 @@ def _csv(header: str, *columns, empty: Optional[np.ndarray] = None) -> str:
     """
     columns = [np.asanyarray(c) for c in columns]
     floats = [c.dtype == np.float64 for c in columns]
+    if empty is not None:
+        columns = [np.where(blank, _BLANKED, c) if f else c
+                   for c, f, blank in zip(columns, floats, empty.T)]
     rows = _BLOCK // sum(floats)
     text = [header, "\n"]
     for start in range(0, len(columns[0]), rows):

@@ -160,8 +160,7 @@ def _series(alpha, kappa) -> np.ndarray:
     alpha, kappa = np.asarray(alpha, dtype=float), np.asarray(kappa, dtype=float)
     # the parts in alpha alone are formed once per distinct alpha
     a, column = np.unique(alpha, return_inverse=True)
-    c, d, e, f = np.array([_factors(np.longdouble(x), np.sin) for x in a.tolist()],
-                          dtype=np.longdouble).T[:, column]
+    c, d, e, f = (v[column] for v in _factors(a.astype(np.longdouble), np.sin))
     k = kappa.astype(np.longdouble)
     t1 = ((c * k + d) / (1 - k) * ((e * k + f) / (1 - k))).astype(float)
     b = math.pi - a + _PI_LO
@@ -205,22 +204,25 @@ def scaled_dispersion(p: CornerProblem, eta):
 
 
 def _x_minus_sin(x, sin=math.sin):
-    """x - sin(x), for a float or an np.longdouble with sin=np.sin; below
-    _SERIES_ANGLE the series x^3/3! - ... + x^19/19!, whose next term is
-    under 1.2e-19 relative."""
-    if x >= _SERIES_ANGLE:
+    """x - sin(x), for a float, or with sin=np.sin for an np.longdouble or
+    an array of them, elementwise; below _SERIES_ANGLE the series
+    x^3/3! - ... + x^19/19!, whose next term is under 1.2e-19 relative."""
+    array = isinstance(x, np.ndarray)
+    if not array and x >= _SERIES_ANGLE:
         return x - sin(x)
     y, t = x * x, 1.0
     for d in (342.0, 272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):  # (2j)(2j+1), j = 9..2
         t = 1.0 - y / d * t
-    return x * y / 6.0 * t
+    series = x * y / 6.0 * t
+    return np.where(x < _SERIES_ANGLE, series, x - sin(x)) if array else series
 
 
 def _factors(alpha, sin=math.sin) -> tuple:
     """(c, d, e, f) with g = 2 (c k + d)(e k + f), the eta^2 coefficient at
     contrast k: c = a - sin a, d = b + sin a, e = a + sin a and
     f = b - sin a = b - sin b, where a = alpha and b = pi - a; in the
-    precision of alpha, a float or, with sin=np.sin, an np.longdouble."""
+    precision of alpha, a float or, with sin=np.sin, an np.longdouble or an
+    array of them."""
     s = sin(alpha)
     b = math.pi - alpha + _PI_LO
     return _x_minus_sin(alpha, sin), b + s, alpha + s, _x_minus_sin(b, sin)

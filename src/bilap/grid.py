@@ -35,9 +35,14 @@ __all__ = [
 REENTRANT_APERTURE = 1.5 * math.pi
 # relative residual that a factored Poisson solve must reach
 _RESIDUAL_TOL = 1e-10
-# largest mu * (j - j') within one block of the capacitance matrix, so that
-# every exponential it forms stays below e^300
-_EXP_SPAN = 300.0
+# The capacitance matrix's line tables are built for runs of consecutive
+# lines at once, in stacks of at most _TABLE values (larger temporaries cost
+# page faults: at 2^18 values a diamond mask at n = 64 took 3x as long) and
+# of lines of at most _STACK nodes on average.  Short lines then share
+# numpy's per-call cost; a stack also forms its own blocks below the
+# diagonal, which a long line alone takes as the mirror of those above.
+_TABLE = 1 << 16
+_STACK = 64
 
 
 @dataclass(frozen=True)
@@ -141,10 +146,10 @@ class Grid2D:
         and Widlund 1976): a DST-I solve on the unit square's (n-1)^2 interior
         nodes, corrected to vanish on Gamma, the mask's boundary nodes strictly
         inside the square.  Its dense K x K capacitance matrix, K = |Gamma|,
-        is built in closed form in K^2 n flops and Cholesky-factored.  A
-        solve takes two 2D DST-I transforms, and reads the fast solve on
-        Gamma, and spreads its correction, along the few grid lines that
-        hold Gamma.
+        is read from one 2D DCT-I of the square's inverse eigenvalues, in
+        O(n^2 log n + K^2) work, and Cholesky-factored.  A solve takes two
+        2D DST-I transforms, and reads the fast solve on Gamma, and spreads
+        its correction, along the few grid lines that hold Gamma.
         """
         if self._factor is None:
             self._factor = _CapacitanceSolver(self)
@@ -173,11 +178,12 @@ class _CapacitanceSolver:
     and D = ``inv_eig`` = -h^2/(lam_k + lam_l), lam_k = 4 sin^2(k pi/2n).
     A solve places b on the mask's interior nodes and returns
     u = S (y + D S P^T q), y = D S b, with C q = -P S y, C = P Lap_R^-1 P^T
-    and P the restriction to Gamma.  Then u vanishes on Gamma, and on the
-    mask's interior nodes, whose neighbours lie in the mask, on Gamma or on
-    the square's edge, it solves the masked system.  One correction round
-    suffices: C is exact to rounding, so what is left on Gamma is the fast
-    solves' own rounding, which a second round does not reduce.
+    and P the restriction to Gamma, held in (line, along) order (below).
+    Then u vanishes on Gamma, and on the mask's interior nodes, whose
+    neighbours lie in the mask, on Gamma or on the square's edge, it solves
+    the masked system.  One correction round suffices: C is exact to
+    rounding, so what is left on Gamma is the fast solves' own rounding,
+    which a second round does not reduce.
 
     S is a DST-I along each axis.  Gamma is covered by grid lines: each of
     its nodes goes to its row (fixed x index) when that row holds more of
@@ -192,12 +198,13 @@ class _CapacitanceSolver:
     Gamma needs about as many lines as it has columns, and its products
     then cost about what the transforms they replace do.
 
-    All of its dense algebra, C's block products, the products along the
-    lines, the Cholesky factor and the solves with it, runs in scipy's BLAS
-    (the DSTs call none).  numpy's and scipy's wheels each bundle an
-    OpenBLAS with a thread pool of its own; a product in numpy's next to a
-    factorisation in scipy's puts both pools' threads on the same cores, and
-    they oversubscribe them.
+    C is read from one table along the same lines (``_capacitance``).  All
+    of its dense algebra, the products along the lines, the Cholesky factor
+    and the solves with it, runs in scipy's BLAS (the transforms and C's
+    reads call none).  numpy's and scipy's wheels each bundle an OpenBLAS
+    with a thread pool of its own; a product in numpy's next to a
+    factorisation in scipy's puts both pools' threads on the same cores,
+    and they oversubscribe them.
     """
 
     def __init__(self, grid: Grid2D):
@@ -212,9 +219,7 @@ class _CapacitanceSolver:
         theta = np.arange(1, n) * (math.pi / (2 * n))
         lam = 4.0 * np.sin(theta) ** 2
         self.inv_eig = -(grid.h * grid.h) / (lam[:, None] + lam[None, :])
-        gi, gj = np.nonzero(grid.boundary[1:-1, 1:-1])
-        order = np.argsort(gj, kind="stable")
-        gi, gj = self.gi, self.gj = gi[order], gj[order]
+        gi, gj = self.gi, self.gj = np.nonzero(grid.boundary[1:-1, 1:-1])
         self.chol = None
         if len(gi):
             # each node of Gamma goes to its row (fixed x index) when that
@@ -222,13 +227,17 @@ class _CapacitanceSolver:
             on_row = np.bincount(gi)[gi] > np.bincount(gj)[gj]
             rows, cols = np.unique(gi[on_row]), np.unique(gj[~on_row])
             self.rows = len(rows)
-            # per node, its line, rows first, and its place along that line
-            self.line = np.where(on_row, np.searchsorted(rows, gi),
-                                 len(rows) + np.searchsorted(cols, gj))
-            self.along = np.where(on_row, gj, gi)
+            # per node, its line, rows first, and its place along that line;
+            # Gamma is held in (line, along) order
+            line = np.where(on_row, np.searchsorted(rows, gi), len(rows) + np.searchsorted(cols, gj))
+            along = np.where(on_row, gj, gi)
+            order = np.lexsort((along, line))
+            self.gi, self.gj, self.line, self.along = gi[order], gj[order], line[order], along[order]
+            at = np.concatenate([rows, cols])
             # s_k at each line, one F-contiguous column per line
-            self.sines = np.asfortranarray(_sines(n, np.concatenate([rows, cols]) + 1))
-            self.chol = cho_factor(-_capacitance(n, gi + 1, gj + 1, theta))
+            self.sines = np.asfortranarray(_sines(n, at + 1))
+            self.chol = cho_factor(_capacitance(self.inv_eig, self.rows, at, self.line, self.along),
+                                   overwrite_a=True)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Nodal u, zero off the interior nodes, from b zero off them, as
@@ -271,53 +280,83 @@ def _sines(n: int, i: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0 / n) * table[np.outer(np.arange(1, n), i) % (2 * n)]
 
 
-def _capacitance(n: int, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """C = P Lap_R^-1 P^T over the nodes (i, j), 1 <= i, j <= n - 1, sorted by j.
+def _capacitance(inv_eig: np.ndarray, rows: int, at: np.ndarray, line: np.ndarray,
+                 along: np.ndarray) -> np.ndarray:
+    """-C = -P Lap_R^-1 P^T over Gamma's nodes in (line, along) order: node p
+    lies on line line[p], the row (fixed x index) at[line[p]] for the first
+    ``rows`` lines and the column at[line[p]] for the rest, at place along[p]
+    on it (indices into the square's inner nodes).
 
-    Along x, Lap_R^-1 is diagonal in s_k; along y, its k-th block inverts
-    tridiag(1, -2 - lam_k, 1) with Dirichlet ends at 0 and n, whose Green's
-    function is sinh(mu a) sinh(mu (n - b)) / (sinh mu sinh n mu) for a <= b,
-    with cosh mu = 1 + lam_k/2, i.e. mu = 2 asinh(sin theta_k).  So
+    With s_k(a) s_k(b) = (cos(k pi (a - b)/n) - cos(k pi (a + b)/n))/n along
+    each axis, -Lap_R^-1 between nodes (x, y) and (x', y') is
 
-        C = -h^2 sum_k s_k(i) s_k(i') f_k(min(j, j')) g_k(max(j, j')),
+        F(|dx|, |dy|) - F(|dx|, sx) - F(sx, |dy|) + F(sx, sy),
 
-    f_k(a) = sinh(mu a) and g_k(b) = sinh(mu (n - b)) / (sinh mu sinh n mu):
-    with j sorted, every block of C is one matmul.  The factors are formed
-    as e^(+-mu (j - c)) times expm1 terms, about a centre c per block of j
-    values spanning at most _EXP_SPAN / mu_max, so nothing overflows.
-
-    Each block is one scipy dgemm on F-contiguous views, which f2py passes
-    without a copy, so the products run in the BLAS that factors C and not
-    in numpy's, whose thread pool would contend with scipy's for the cores.
+    sx = x + x', sy = y + y', with F the 2D DCT-I of D = ``inv_eig`` padded
+    with a zero border, times -1/(4 n^2), held for 0 <= a, b <= n; a sum
+    past n is read at 2n - sum, as F(2n - a, b) = F(a, b).  D is symmetric,
+    so F is too, and a column line reads F as a row line does.  Between
+    nodes at places a and a' on two lines of one orientation at fixed
+    indices c and c', an entry is T(|a - a'|) - T(a + a'), with
+    T = F(|c - c'|, .) - F(c + c', .): one table per line against itself
+    and the lines after it of its orientation, two reads per entry; the
+    tables of consecutive short lines are built together (_TABLE, _STACK).
+    Between the rows and the columns an entry takes four reads.  Each entry
+    is formed as its mirror is, or copied from it, so -C is symmetric to
+    the last bit.
     """
-    from scipy.linalg.blas import dgemm
+    from scipy.fft import dctn
 
-    sin_t = np.sin(theta)
-    mu = (2.0 * np.arcsinh(sin_t))[:, None]
-    # 2 sinh(mu) (1 - e^(-2 n mu)), with 2 sinh mu = 4 sin t sqrt(1 + sin^2 t)
-    den = (4.0 * sin_t * np.sqrt(1.0 + sin_t * sin_t))[:, None] * -np.expm1(-2.0 * n * mu)
-    S = _sines(n, i)
-    edges = np.flatnonzero(np.diff((j - j[0]) // (_EXP_SPAN / mu[-1, 0]))) + 1
-    blocks = [slice(a, b) for a, b in zip([0, *edges], [*edges, len(j)])]
-    centres = [0.5 * (j[b][0] + j[b][-1]) for b in blocks]
-    X, Y = [], []
-    for b, c in zip(blocks, centres):
-        jb = j[b][None, :]
-        X.append(S[:, b] * np.exp(mu * (jb - c)) * -np.expm1(-2.0 * mu * jb))
-        Y.append(S[:, b] * np.exp(-mu * (jb - c)) * -np.expm1(-2.0 * mu * (n - jb)) / den)
-    C = np.empty((len(j), len(j)))
-    with np.errstate(under="ignore"):
-        for r, (br, cr) in enumerate(zip(blocks, centres)):
-            for s in range(r, len(blocks)):
-                # A.T @ Y[s], both operands passed as F-contiguous views
-                A = X[r] * np.exp(mu * (cr - centres[s]))
-                M = dgemm(1.0, A.T, Y[s].T, trans_b=True)
-                if s == r:
-                    jr = j[br]
-                    M = np.where(jr[:, None] <= jr[None, :], M, M.T)
-                C[br, blocks[s]] = M
-                C[blocks[s], br] = M.T
-    C *= -1.0 / (n * n)
+    n = len(inv_eig) + 1
+    F = np.zeros((n + 1, n + 1))
+    np.multiply(inv_eig, -0.25 / (n * n), out=F[1:-1, 1:-1])
+    F = dctn(F, type=1, overwrite_x=True)
+
+    def fold(s):  # n - |n - s|, in place of the sums s
+        s -= n
+        np.abs(s, out=s)
+        return np.subtract(n, s, out=s)
+
+    c, a = at + 1, along + 1
+    split = np.searchsorted(line, rows)
+    C = np.empty((len(line), len(line)))
+    for lines, nodes in ((slice(0, rows), slice(0, split)),
+                         (slice(rows, len(at)), slice(split, len(line)))):
+        cs, an, ln = c[lines], a[nodes], line[nodes] - lines.start
+        count = len(cs)
+        ends = np.searchsorted(ln, np.arange(count + 1))
+        # the tables of `step` consecutive lines, each against the lines
+        # from the first of them on, are stacked in one array
+        step = max(1, min(_TABLE // max(count * (n + 1), 1),
+                          _STACK * count // max(len(an), 1)))
+        first = ln // step * step  # per node, the first line of its stack
+        # per pair of these nodes, the flat indices of |a - a'| and a + a'
+        # into the first node's stack, at the row of its line against the
+        # second node's
+        diff, summ = np.subtract.outer(an, an), fold(np.add.outer(an, an))
+        np.abs(diff, out=diff)
+        for flat in (diff, summ):
+            flat += (((ln - first) * (count - first) - first) * (n + 1))[:, None]
+            flat += ln * (n + 1)
+        dc, sc = np.abs(np.subtract.outer(cs, cs)), fold(np.add.outer(cs, cs))
+        block = C[nodes, nodes]
+        for m0 in range(0, count, step):
+            r0, r1 = ends[m0], ends[min(m0 + step, count)]
+            T = F[dc[m0:m0 + step, m0:]]
+            T -= F[sc[m0:m0 + step, m0:]]
+            np.subtract(T.take(diff[r0:r1, r0:]), T.take(summ[r0:r1, r0:]), out=block[r0:r1, r0:])
+            # the blocks below are these blocks' mirrors
+            block[r1:, r0:r1] = block[r0:r1, r1:].T
+    # the column nodes (x', y') = (a', c') down against the row nodes
+    # (x, y) = (c, a) across, so that F's second index runs along each row
+    x, y = c[line[:split]], a[:split]
+    x2, y2 = a[split:, None], c[line[split:], None]
+    dx, sx, dy, sy = np.abs(x - x2), fold(x + x2), np.abs(y - y2), fold(y + y2)
+    cross = C[split:, :split]
+    np.subtract(F[dx, dy], F[dx, sy], out=cross)
+    cross -= F[sx, dy]
+    cross += F[sx, sy]
+    C[:split, split:] = cross.T
     return C
 
 

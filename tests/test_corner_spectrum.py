@@ -215,6 +215,21 @@ class TestTaylorCoefficient:
             assert rhs == pytest.approx(lhs, rel=1e-12)
 
 
+    def test_longdouble_factors_in_one_pass(self):
+        # _series forms the factors over the array of its distinct alphas at
+        # once: they are the ones formed an alpha at a time, to the last bit,
+        # on both sides of _SERIES_ANGLE for alpha and for pi - alpha
+        rng = np.random.default_rng(36)
+        edge = cs._SERIES_ANGLE
+        alpha = np.concatenate([rng.uniform(0.0, edge, 40), rng.uniform(edge, math.pi - edge, 40),
+                                math.pi - rng.uniform(0.0, edge, 40),
+                                [1e-300, edge, math.pi - edge, math.pi - 1e-9]])
+        together = _factors(alpha.astype(np.longdouble), np.sin)
+        apart = np.array([_factors(np.longdouble(a), np.sin) for a in alpha.tolist()],
+                         dtype=np.longdouble).T
+        assert all(x.dtype == np.longdouble and np.array_equal(x, y) for x, y in zip(together, apart))
+
+
 class TestTaylorOracle:
     """g = 2 F_- F_+ against 2 a2 k^2 - 4 a1 k + 2 a0 in 60-digit mpmath, with
     a2 = a^2 - sin^2 a, a1 = a2 - pi a and a0 = (pi - a)^2 - sin^2 a, on random

@@ -183,3 +183,26 @@ def test_empty_leaves_a_bytes_column_unchanged():
     text = cli._csv("a,b", col, np.array([1.0, 2.0]), empty=np.array([[True, False], [False, False]]))
     assert col.tolist() == [b"abc", b"de"]
     assert text == "a,b\n,1\nde,2\n"
+
+
+def test_blanked_floats_skip_the_fallback(monkeypatch):
+    # region-map blanks eta0 and residual where no exponent exists, and they
+    # are nan there; a blanked field is never formatted by "%.17g", while a
+    # nan that is written (a failed cell's) still is
+    seen = []
+    printf = cli._printf_fields
+    monkeypatch.setattr(cli, "_printf_fields", lambda x: (seen.append(x.copy()), printf(x))[1])
+    rng = np.random.default_rng(34)
+    size = 3 * cli._BLOCK // 2
+    x = rng.uniform(-1.0, 1.0, (size, 2))
+    empty = np.zeros((size, 3), bool)
+    empty[:, 1:] = (rng.uniform(size=size) < 0.4)[:, None]
+    x[empty[:, 1:]] = np.nan
+    written = ~empty[:, 1] & (rng.uniform(size=size) < 0.05)
+    x[written, 1] = np.nan
+    labels = [str(i) for i in range(size)]
+    text = cli._csv("i,a,b", labels, x[:, 0], x[:, 1], empty=empty)
+    rows = [[i, *("" if e else v for v, e in zip(reference(r), blank))]
+            for i, r, blank in zip(labels, x, empty[:, 1:])]
+    assert text == "i,a,b\n" + "".join(",".join(r) + "\n" for r in rows)
+    assert np.isnan(np.concatenate(seen)).sum() == written.sum() > 0

@@ -67,6 +67,14 @@ def square_solve(solver, w):
     return dstn(w, type=1, norm="ortho")
 
 
+def capacitance(solver):
+    """C = P Lap_R^-1 P^T over the solver's Gamma, in its order."""
+    gi, gj, line, rows = solver.gi, solver.gj, solver.line, solver.rows
+    # each line's fixed index, read at its first node
+    at = np.where(line < rows, gi, gj)[np.unique(line, return_index=True)[1]]
+    return -bilap.grid._capacitance(solver.inv_eig, rows, at, line, solver.along)
+
+
 def staircase_grid(n, step):
     """Cells below a staircase of square steps ``step`` cells wide, from the
     top of the left edge to the right of the bottom edge."""
@@ -78,6 +86,13 @@ def disk_grid(n):
     """Cells whose centres lie within 0.45 of the square's centre."""
     c = (np.arange(n) + 0.5) / n - 0.5
     return Grid2D(np.hypot(c[:, None], c[None, :]) < 0.45)
+
+
+def diamond_grid(n):
+    """Cells whose centres lie within 0.45 of the square's centre in the
+    1-norm."""
+    c = np.abs((np.arange(n) + 0.5) / n - 0.5)
+    return Grid2D(c[:, None] + c[None, :] < 0.45)
 
 
 def scatter_reference(grid, keep, cell_values):
@@ -210,25 +225,42 @@ class TestPoisson:
         u, _ = solve_poisson_dirichlet(g, f)
         assert np.all(u[g.interior] >= 0.0)
 
-    @pytest.mark.parametrize("make", [lshape_grid, notched_grid])
-    @pytest.mark.parametrize("span", [300.0, 5.0], ids=["one-block", "many-blocks"])
-    def test_capacitance_matches_fast_solves(self, monkeypatch, make, span):
-        # the closed form against P Lap_R^-1 P^T built column by column with
-        # the DST-I solve on the square; a short span splits Gamma's j values
-        # into blocks of about three, as n = 1024 splits them into blocks of 170
-        monkeypatch.setattr(bilap.grid, "_EXP_SPAN", span)
+    @pytest.mark.parametrize("make", [lshape_grid, notched_grid, lambda n: staircase_grid(n, 4),
+                                      disk_grid, diamond_grid],
+                             ids=["lshape", "notched", "staircase", "disk", "diamond"])
+    def test_capacitance_matches_fast_solves(self, make):
+        # the table reads against P Lap_R^-1 P^T built column by column with
+        # the DST-I solve on the square, on Gammas of 2 and 3 lines and of
+        # many short ones; C is symmetric to the last bit
         n = 32
         solver = make(n).factor()
         gi, gj = solver.gi, solver.gj
-        theta = np.arange(1, n) * (math.pi / (2 * n))
-        C = bilap.grid._capacitance(n, gi + 1, gj + 1, theta)
+        C = capacitance(solver)
         ref = np.empty_like(C)
         for q in range(len(gi)):
             w = np.zeros(solver.inside.shape)
             w[gi[q], gj[q]] = 1.0
             ref[:, q] = square_solve(solver, w)[gi, gj]
-        assert len(gi) == {lshape_grid: n - 1, notched_grid: 5 * n // 4 - 1}[make]
+        if make is lshape_grid or make is notched_grid:
+            assert len(gi) == {lshape_grid: n - 1, notched_grid: 5 * n // 4 - 1}[make]
+        else:
+            assert solver.rows >= 4 and len(solver.sines.T) - solver.rows >= 4
+        assert np.array_equal(C, C.T)
         assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("make", [lambda n: staircase_grid(n, 4), disk_grid, diamond_grid],
+                             ids=["staircase", "disk", "diamond"])
+    def test_capacitance_stacks_agree(self, monkeypatch, make):
+        # short lines' tables are stacked; stacks of one, two and three
+        # lines (_TABLE cut down) give the default stacks' matrix to the
+        # last bit
+        n = 32
+        solver = make(n).factor()
+        C = capacitance(solver)
+        count = max(solver.rows, len(solver.sines.T) - solver.rows)
+        for step in (1, 2, 3):
+            monkeypatch.setattr(bilap.grid, "_TABLE", step * count * (n + 1))
+            assert np.array_equal(capacitance(solver), C)
 
     @pytest.mark.parametrize("make,n", [(lshape_grid, 32), (lshape_grid, 64), (notched_grid, 32),
                                         (notched_grid, 64), (lambda n: staircase_grid(n, 4), 64),
@@ -249,8 +281,7 @@ class TestPoisson:
         rng = np.random.default_rng(n + len(gi))
         b = np.where(g.interior, rng.uniform(-1.0, 1.0, g.interior.shape), 0.0)
         first = square_solve(solver, b[1:-1, 1:-1])
-        theta = np.arange(1, n) * (math.pi / (2 * n))
-        C = bilap.grid._capacitance(n, gi + 1, gj + 1, theta)
+        C = capacitance(solver)
         w = np.zeros_like(first)
         w[gi, gj] = np.linalg.solve(-C, first[gi, gj])
         ref = np.pad(np.where(solver.inside, first + square_solve(solver, w), 0.0), 1)

@@ -15,7 +15,7 @@ print comparable lines:
     diff before.txt after.txt
 
 Run both trees under the same BLAS thread settings: the solves at n = 256
-sum their blocked matrix products and Cholesky factor in an order that
+sum their matrix products and Cholesky factor in an order that
 depends on the thread count, so their bytes move with it.
 
 An exception that escapes run (a RuntimeWarning, say) is digested in place
@@ -208,7 +208,8 @@ INVOCATIONS = [
         "patch:0:1:0:1:-2:1")),
     ["solve", "--domain", "notched", "--n", "32"],
     ["solve", "--domain", "notched", "--n", "64", "--sigma-file", "split-x:0.5:1:-3"],
-    # large enough that the capacitance matrix takes blocked, threaded BLAS
+    # large enough that the capacitance matrix's Cholesky factor takes
+    # blocked, threaded BLAS
     ["solve", "--domain", "lshape", "--n", "256"],
     ["solve", "--domain", "notched", "--n", "256", "--sigma-file", "patch:0.1:0.3:0.1:0.3:-2:1"],
     # the largest CSV the benchmark writes
