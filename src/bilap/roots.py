@@ -24,7 +24,9 @@ def bracketed_roots(f, lo, hi, tol: float) -> np.ndarray:
     Takahashi's ITP method, ACM TOMS 47, 2020).  The bracket keeps the side
     where the signs of f differ, until hi - lo <= tol * (1 + |mid|); the
     result is then its midpoint, or the point where f is exactly zero when
-    the search meets one.  A row's arithmetic never depends on the other rows
+    the search meets one.  Steps work on the rows still searched, packed anew
+    only when some stop, and bound each bracket by one scalar 2**(7 - k)
+    times its hi - lo.  A row's arithmetic never depends on the other rows
     of the call, and no rows means no call of f.  ValueError unless tol is at
     least 2**-52: below it two adjacent floats need not meet the stop rule,
     and the search would never end.
@@ -32,42 +34,40 @@ def bracketed_roots(f, lo, hi, tol: float) -> np.ndarray:
     if not tol >= _TOL_MIN:  # a nan tol fails too
         raise ValueError(f"tol must be at least 2**-52, got {tol!r}")
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    n = lo.size
-    if not n:
+    if not (n := lo.size):
         return lo
-    rows = np.arange(n)
-    f_ends = np.asarray(f(np.concatenate([rows, rows]), np.concatenate([lo, hi])), dtype=float)
-    # a: the newest end, b: the other end, c: the end dropped last (beyond a)
-    a, fa, b, fb = hi, f_ends[n:], lo, f_ends[:n]
-    c, fc = a.copy(), fa.copy()
-    root = np.where(fb == 0.0, b, np.where(fa == 0.0, a, np.nan))
-    live = np.isnan(root)
-    budget = (hi - lo) * 2.0 ** _SPARE_STEPS
+    f_ends = np.asarray(f(np.arange(2 * n) % n, np.concatenate([lo, hi])), dtype=float)
+    root = np.where(f_ends[:n] == 0.0, lo, np.where(f_ends[n:] == 0.0, hi, np.nan))
     with np.errstate(all="ignore"):
+        # the rows still searched; a: the newest end, b: the other end, c: the end dropped last
+        rows = np.flatnonzero(np.isnan(root))
+        a, fa, b, fb = hi[rows], f_ends[n:][rows], lo[rows], f_ends[:n][rows]
+        c, fc, width, k, miss = a, fa, a - b, 0, True  # miss: f(a) is not exactly zero
         while True:
-            mid = 0.5 * (a + b)
-            active = np.flatnonzero(live & (np.abs(b - a) > tol * (1.0 + np.abs(mid))))
-            if not active.size:
-                return np.where(live, mid, root)
-            ar, br, cr, m = a[active], b[active], c[active], mid[active]
-            far, fbr, fcr = fa[active], fb[active], fc[active]
+            mid, d = 0.5 * (a + b), b - a
+            w, s = np.abs(d), 1.0 + np.abs(mid)
+            keep = (w > tol * s) & miss
+            if np.count_nonzero(keep) < rows.size:
+                root[rows[~keep]] = np.where(miss, mid, a)[~keep]
+                rows, width, a, fa, b, fb, c, fc, mid, d, w, s = (
+                    v[keep] for v in (rows, width, a, fa, b, fb, c, fc, mid, d, w, s))
+            if not rows.size:
+                return root
+            k += 1
             # c = a before the first step makes xi = phi = 1: a bisection
-            xi = (ar - br) / (cr - br)
-            phi = (far - fbr) / (fcr - fbr)
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
             iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            t = np.where(iqi, far / (fbr - far) * fcr / (fbr - fcr)
-                         + (cr - ar) / (br - ar) * far / (fcr - far) * fbr / (fcr - fbr), 0.5)
-            margin = 0.25 * tol * (1.0 + np.abs(m)) / np.abs(br - ar)
-            x = ar + np.clip(t, margin, 1.0 - margin) * (br - ar)
-            budget[active] *= 0.5
-            reach = np.maximum(budget[active] - 0.5 * np.abs(br - ar), 0.0)
-            x = np.clip(x, m - reach, m + reach)
-            fx = np.asarray(f(active, x), dtype=float)
+            t = (np.where(iqi, fa / (fb - fa) * fc / (fb - fc)
+                          + (c - a) / d * fa / (fc - fa) * fb / (fc - fb), 0.5)
+                 if np.count_nonzero(iqi) else 0.5)
+            margin = 0.25 * tol * s / w
+            x = a + np.minimum(np.maximum(t, margin), 1.0 - margin) * d
+            reach = np.maximum(width * 2.0 ** (_SPARE_STEPS - k) - 0.5 * w, 0.0)
+            x = np.minimum(np.maximum(x, mid - reach), mid + reach)
+            fx = np.asarray(f(rows, x), dtype=float)
             # f(x) of the sign of f(a): a is dropped, else b is, and a takes its place
-            keep_b = np.sign(fx) == np.sign(far)
-            c[active], fc[active] = np.where(keep_b, ar, br), np.where(keep_b, far, fbr)
-            b[active], fb[active] = np.where(keep_b, br, ar), np.where(keep_b, fbr, far)
-            a[active], fa[active] = x, fx
-            hit = fx == 0.0
-            root[active[hit]] = x[hit]
-            live[active[hit]] = False
+            keep_b = np.sign(fx) == np.sign(fa)
+            c, fc = np.where(keep_b, a, b), np.where(keep_b, fa, fb)
+            b, fb = np.where(keep_b, b, a), np.where(keep_b, fb, fa)
+            a, fa, miss = x, fx, fx != 0.0

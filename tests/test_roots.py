@@ -27,6 +27,20 @@ class Counted:
         return self.g(np.asarray(rows), np.asarray(x))
 
 
+def searched_alone_and_batched(g, lo, hi, tol):
+    """(roots, Counted) of the batch of rows g(rows, x) on [lo, hi], after
+    checking that each row gets the bytes and the number of evaluations of f
+    it gets when searched alone."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    batch = Counted(lo.size, g)
+    x = bracketed_roots(batch, lo, hi, tol)
+    for i in range(lo.size):
+        alone = Counted(1, lambda rows, v, i=i: g(np.full_like(rows, i), v))
+        assert bracketed_roots(alone, lo[i:i + 1], hi[i:i + 1], tol).tobytes() == x[i:i + 1].tobytes(), i
+        assert alone.evals[0] == batch.evals[i], i
+    return x, batch
+
+
 def plain_bisection(f, lo: float, hi: float, tol: float):
     """(midpoint, steps) of plain bisection on the sign of the scalar f, with
     the same stop rule hi - lo <= tol * (1 + |mid|)."""
@@ -122,10 +136,62 @@ class TestContract:
         def g(rows, x):
             return np.array([funcs[i](xi - r[i]) for i, xi in zip(rows.tolist(), x.tolist())])
 
-        batch = bracketed_roots(g, np.full(6, 1e-100), np.full(6, 10.0), 1e-14)
-        for i in range(6):
-            alone = bracketed_roots(lambda _, x, i=i: funcs[i](x - r[i]), [1e-100], [10.0], 1e-14)
-            assert alone.tobytes() == batch[i:i + 1].tobytes(), i
+        _, f = searched_alone_and_batched(g, np.full(6, 1e-100), np.full(6, 10.0), 1e-14)
+        assert len(set(f.evals.tolist())) > 1
+
+    def test_a_bracket_wider_than_2_to_the_1017_warns_nothing(self):
+        # 2**7 (hi - lo) overflows; the guard still holds, and no overflow
+        # warning escapes (RuntimeWarnings are errors under pytest)
+        f = Counted(1, lambda rows, x: np.tanh(x - 1.0))
+        x = bracketed_roots(f, [0.0], [1e307], 1e-14)
+        assert abs(x[0] - 1.0) <= 2e-14
+        assert f.evals[0] - 2 <= math.ceil(math.log2(1e307) - math.log2(1e-14)) + SPARE_STEPS
+
+
+class TestPacking:
+    """Each step searches the rows still live, packed, and packs them again
+    where some stop: by the stop rule, on an exact zero, or all at once.  A
+    row gets the same bits and evaluations as when it is searched alone."""
+
+    def test_exact_zeros_at_the_ends_among_searched_rows(self):
+        # zero at lo, searched, zero at hi, searched, zero at both (lo wins)
+        zeros = np.array([1.0, 2.5, 7.0, 4.0, 3.0])
+        lo, hi = [1.0, 0.0, 3.0, 0.0, 2.0], [5.0, 10.0, 7.0, 10.0, 6.0]
+
+        def g(rows, x):
+            return np.where(rows == 4, 0.0, np.tanh(x - zeros[rows]))
+
+        x, f = searched_alone_and_batched(g, lo, hi, 1e-14)
+        assert x[[0, 2, 4]].tolist() == [1.0, 7.0, 2.0]
+        assert f.evals[[0, 2, 4]].tolist() == [2, 2, 2] and min(f.evals[[1, 3]]) > 3
+
+    def test_a_stop_and_an_exact_zero_in_one_step(self):
+        # the first step bisects: row 0 meets its zero at 5 exactly, and
+        # row 1's [0, 0.015] halves below tol = 1e-2, while row 2 goes on
+        def g(rows, x):
+            return np.where(rows == 0, x - 5.0, np.tanh(x - np.where(rows == 1, 0.01, 2.0)))
+
+        x, f = searched_alone_and_batched(g, [0.0, 0.0, 0.0], [10.0, 0.015, 10.0], 1e-2)
+        assert x[0] == 5.0 and x[1] == 0.01125
+        assert f.evals[:2].tolist() == [3, 3] and f.evals[2] > 3
+
+    def test_every_row_stops_in_the_same_step(self):
+        r = np.array([0.1, 0.37, 0.77, 0.9])
+        x, f = searched_alone_and_batched(lambda rows, v: np.tanh(v - r[rows]),
+                                          np.zeros(4), np.ones(4), 1e-6)
+        assert np.all(np.abs(x - r) <= 2e-6) and len(set(f.evals.tolist())) == 1
+
+    def test_a_row_of_nan_stops_within_the_ceiling(self):
+        # f is nan inside row 1's bracket, so its signs never decide a step;
+        # it still stops within the ceiling, and the rows around it keep
+        # their bits
+        def g(rows, x):
+            inside = np.where((x > 0.0) & (x < 10.0), np.nan, np.sign(x - 5.0))
+            return np.where(rows == 1, inside, np.tanh(x - 1.0 - 3.0 * rows))
+
+        x, f = searched_alone_and_batched(g, [0.0, 0.0, 0.0], [10.0, 10.0, 10.0], 1e-14)
+        assert f.evals[1] - 2 <= math.ceil(math.log2(10.0 / 1e-14)) + SPARE_STEPS
+        assert abs(x[0] - 1.0) <= 2e-14 and abs(x[2] - 7.0) <= 1e-13
 
 
 class TestWorstCase:

@@ -119,6 +119,8 @@ INVOCATIONS = [
     # 900 cells in two blocks, with empty and nan fields on both sides of the boundary
     ["region-map", "--amin=1e-300", "--amax=2.0", "--kmin=-18.817146090151702", "--kmax=-0.05",
      "--na=30", "--nk=30"],
+    # Inside cells whose searches stop at widely different steps
+    ["region-map", "--amin=0.2", "--amax=1.2", "--kmin=-9", "--kmax=-1", "--na=20", "--nk=20"],
     ["region-map", "--bogus", "1"],
     ["region-map", "--na", "100000000000"],
     # corner-det
@@ -164,6 +166,7 @@ INVOCATIONS = [
     *(["kernel1d", "--t=-2.5e0", f"--kappa={root}", "--samples", "21"] for root in T_ROOTS),
     # cone
     ["cone", "--alpha=1.2"],
+    ["cone", "--alpha=2.8"],  # near the top of the aperture range
     ["cone", "--mu=2"],
     ["cone", "--alpha=0.0476"],
     ["cone", "--alpha=0.0477"],
