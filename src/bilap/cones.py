@@ -21,7 +21,6 @@ __all__ = [
     "WeightedIndex",
     "Classification",
     "exponent_pair",
-    "legendre_p",
     "cap_first_eigenvalue",
     "fredholm_classify",
     "isomorphism_in_dimension",
@@ -85,7 +84,9 @@ def exponent_pair(d: int, mu: float) -> tuple:
 
 def _series(nu: float, z: float) -> float:
     """P_nu(1 - 2z) as the hypergeometric series 2F1(-nu, nu + 1; 1; z),
-    accumulated to relative 1e-14 (NumericalFailure if the term cap trips)."""
+    accumulated to relative 1e-14; it terminates exactly at integer degree.
+    Near z = 1 convergence slows, and the term cap may trip
+    (NumericalFailure)."""
     term, total = 1.0, 1.0
     for j in range(_SERIES_CAP):
         term *= (j - nu) * (j + nu + 1.0) / ((j + 1.0) * (j + 1.0)) * z
@@ -93,17 +94,6 @@ def _series(nu: float, z: float) -> float:
         if abs(term) <= 1e-14 * abs(total):
             return total
     raise NumericalFailure(f"Legendre series cap {_SERIES_CAP} hit at nu={nu}, z={z}")
-
-
-def legendre_p(nu: float, x: float) -> float:
-    """Legendre function of the first kind, real degree nu >= 0, on (-1, 1]:
-    _series at z = (1 - x)/2, which terminates exactly at integer degree; near
-    x = -1 convergence slows and the term cap may trip (NumericalFailure)."""
-    if nu < 0.0:
-        raise ValueError("degree nu must be non-negative")
-    if not -1.0 < x <= 1.0:
-        raise ValueError("argument must lie in (-1, 1]")
-    return _series(nu, 0.5 * (1.0 - x))
 
 
 def cap_first_eigenvalue(alpha: float) -> float:

@@ -35,14 +35,6 @@ __all__ = [
 REENTRANT_APERTURE = 1.5 * math.pi
 # relative residual that a factored Poisson solve must reach
 _RESIDUAL_TOL = 1e-10
-# The capacitance matrix's line tables are built for runs of consecutive
-# lines at once, in stacks of at most _TABLE values (larger temporaries cost
-# page faults: at 2^18 values a diamond mask at n = 64 took 3x as long) and
-# of lines of at most _STACK nodes on average.  Short lines then share
-# numpy's per-call cost; a stack also forms its own blocks below the
-# diagonal, which a long line alone takes as the mirror of those above.
-_TABLE = 1 << 16
-_STACK = 64
 
 
 @dataclass(frozen=True)
@@ -146,8 +138,9 @@ class Grid2D:
         and Widlund 1976): a DST-I solve on the unit square's (n-1)^2 interior
         nodes, corrected to vanish on Gamma, the mask's boundary nodes strictly
         inside the square.  Its dense K x K capacitance matrix, K = |Gamma|,
-        is read from one 2D DCT-I of the square's inverse eigenvalues, in
-        O(n^2 log n + K^2) work, and Cholesky-factored.  A solve takes two
+        is read from one 2D DCT-I of the square's inverse eigenvalues, one
+        table per grid line that holds Gamma, in O(n^2 log n + K^2) work on
+        a Gamma of a few lines, and Cholesky-factored.  A solve takes two
         2D DST-I transforms, and reads the fast solve on Gamma, and spreads
         its correction, along the few grid lines that hold Gamma.
         """
@@ -198,13 +191,14 @@ class _CapacitanceSolver:
     Gamma needs about as many lines as it has columns, and its products
     then cost about what the transforms they replace do.
 
-    C is read from one table along the same lines (``_capacitance``).  All
-    of its dense algebra, the products along the lines, the Cholesky factor
-    and the solves with it, runs in scipy's BLAS (the transforms and C's
-    reads call none).  numpy's and scipy's wheels each bundle an OpenBLAS
-    with a thread pool of its own; a product in numpy's next to a
-    factorisation in scipy's puts both pools' threads on the same cores,
-    and they oversubscribe them.
+    C is read one line at a time, each line's rows from one table of up to
+    (n+1)^2 values (``_capacitance``); a Gamma of many lines pays for a
+    table each.  All of its dense algebra, the products along the lines,
+    the Cholesky factor and the solves with it, runs in scipy's BLAS (the
+    transforms and C's reads call none).  numpy's and scipy's wheels each
+    bundle an OpenBLAS with a thread pool of its own; a product in numpy's
+    next to a factorisation in scipy's puts both pools' threads on the same
+    cores, and they oversubscribe them.
     """
 
     def __init__(self, grid: Grid2D):
@@ -236,7 +230,7 @@ class _CapacitanceSolver:
             at = np.concatenate([rows, cols])
             # s_k at each line, one F-contiguous column per line
             self.sines = np.asfortranarray(_sines(n, at + 1))
-            self.chol = cho_factor(_capacitance(self.inv_eig, self.rows, at, self.line, self.along),
+            self.chol = cho_factor(_capacitance(self.inv_eig, self.rows, self.gi, self.gj, self.line),
                                    overwrite_a=True)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -280,30 +274,26 @@ def _sines(n: int, i: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0 / n) * table[np.outer(np.arange(1, n), i) % (2 * n)]
 
 
-def _capacitance(inv_eig: np.ndarray, rows: int, at: np.ndarray, line: np.ndarray,
-                 along: np.ndarray) -> np.ndarray:
+def _capacitance(inv_eig: np.ndarray, rows: int, gi: np.ndarray, gj: np.ndarray,
+                 line: np.ndarray) -> np.ndarray:
     """-C = -P Lap_R^-1 P^T over Gamma's nodes in (line, along) order: node p
-    lies on line line[p], the row (fixed x index) at[line[p]] for the first
-    ``rows`` lines and the column at[line[p]] for the rest, at place along[p]
-    on it (indices into the square's inner nodes).
+    is inner node (gi[p], gj[p]) of the square, on line line[p], a row (fixed
+    x index) for the first ``rows`` lines and a column for the rest.
 
     With s_k(a) s_k(b) = (cos(k pi (a - b)/n) - cos(k pi (a + b)/n))/n along
     each axis, -Lap_R^-1 between nodes (x, y) and (x', y') is
 
-        F(|dx|, |dy|) - F(|dx|, sx) - F(sx, |dy|) + F(sx, sy),
+        F(|x - x'|, |y - y'|) - F(|x - x'|, sy) - F(sx, |y - y'|) + F(sx, sy),
 
     sx = x + x', sy = y + y', with F the 2D DCT-I of D = ``inv_eig`` padded
     with a zero border, times -1/(4 n^2), held for 0 <= a, b <= n; a sum
-    past n is read at 2n - sum, as F(2n - a, b) = F(a, b).  D is symmetric,
-    so F is too, and a column line reads F as a row line does.  Between
-    nodes at places a and a' on two lines of one orientation at fixed
-    indices c and c', an entry is T(|a - a'|) - T(a + a'), with
-    T = F(|c - c'|, .) - F(c + c', .): one table per line against itself
-    and the lines after it of its orientation, two reads per entry; the
-    tables of consecutive short lines are built together (_TABLE, _STACK).
-    Between the rows and the columns an entry takes four reads.  Each entry
-    is formed as its mirror is, or copied from it, so -C is symmetric to
-    the last bit.
+    past n is read at 2n - sum, as F(2n - a, b) = F(a, b).  A row at x = c
+    takes, over the distinct x' = u of the nodes from its first on, one
+    table T(u, .) = F(|c - u|, .) - F(c + u, .), and its node at y against
+    node (x', y') reads T(x', |y - y'|) - T(x', y + y').  D is symmetric,
+    so F is too, and a column reads F as a row does, x and y swapped.  The
+    entries below a line's block are the mirror of those beside it, so -C is
+    symmetric to the last bit.
     """
     from scipy.fft import dctn
 
@@ -317,46 +307,22 @@ def _capacitance(inv_eig: np.ndarray, rows: int, at: np.ndarray, line: np.ndarra
         np.abs(s, out=s)
         return np.subtract(n, s, out=s)
 
-    c, a = at + 1, along + 1
-    split = np.searchsorted(line, rows)
+    x, y = gi + 1, gj + 1
+    ends = np.searchsorted(line, np.arange(line[-1] + 2))
     C = np.empty((len(line), len(line)))
-    for lines, nodes in ((slice(0, rows), slice(0, split)),
-                         (slice(rows, len(at)), slice(split, len(line)))):
-        cs, an, ln = c[lines], a[nodes], line[nodes] - lines.start
-        count = len(cs)
-        ends = np.searchsorted(ln, np.arange(count + 1))
-        # the tables of `step` consecutive lines, each against the lines
-        # from the first of them on, are stacked in one array
-        step = max(1, min(_TABLE // max(count * (n + 1), 1),
-                          _STACK * count // max(len(an), 1)))
-        first = ln // step * step  # per node, the first line of its stack
-        # per pair of these nodes, the flat indices of |a - a'| and a + a'
-        # into the first node's stack, at the row of its line against the
-        # second node's
-        diff, summ = np.subtract.outer(an, an), fold(np.add.outer(an, an))
-        np.abs(diff, out=diff)
-        for flat in (diff, summ):
-            flat += (((ln - first) * (count - first) - first) * (n + 1))[:, None]
-            flat += ln * (n + 1)
-        dc, sc = np.abs(np.subtract.outer(cs, cs)), fold(np.add.outer(cs, cs))
-        block = C[nodes, nodes]
-        for m0 in range(0, count, step):
-            r0, r1 = ends[m0], ends[min(m0 + step, count)]
-            T = F[dc[m0:m0 + step, m0:]]
-            T -= F[sc[m0:m0 + step, m0:]]
-            np.subtract(T.take(diff[r0:r1, r0:]), T.take(summ[r0:r1, r0:]), out=block[r0:r1, r0:])
-            # the blocks below are these blocks' mirrors
-            block[r1:, r0:r1] = block[r0:r1, r1:].T
-    # the column nodes (x', y') = (a', c') down against the row nodes
-    # (x, y) = (c, a) across, so that F's second index runs along each row
-    x, y = c[line[:split]], a[:split]
-    x2, y2 = a[split:, None], c[line[split:], None]
-    dx, sx, dy, sy = np.abs(x - x2), fold(x + x2), np.abs(y - y2), fold(y + y2)
-    cross = C[split:, :split]
-    np.subtract(F[dx, dy], F[dx, sy], out=cross)
-    cross -= F[sx, dy]
-    cross += F[sx, sy]
-    C[:split, split:] = cross.T
+    for m, (p0, p1) in enumerate(zip(ends[:-1], ends[1:])):
+        across, along = (x, y) if m < rows else (y, x)
+        c = across[p0]
+        u, at = np.unique(across[p0:], return_inverse=True)
+        T = F[np.abs(c - u)]
+        T -= F[fold(c + u)]
+        # flat indices into T of |a - a'| and a + a' at the row of node a'
+        a, a2, row = along[p0:p1, None], along[p0:], at * (n + 1)
+        diff, summ = np.abs(a - a2), fold(a + a2)
+        diff += row
+        summ += row
+        np.subtract(T.take(diff), T.take(summ), out=C[p0:p1, p0:])
+        C[p1:, p0:p1] = C[p0:p1, p1:].T
     return C
 
 

@@ -20,7 +20,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # exported names with no caller yet, each with the ROADMAP item that claims it
 CLAIMED = {
-    "cones.legendre_p": "5",
     "corner_spectrum.dispersion": "8",
     "corner_spectrum.critical_interval": "1 and 8",
     "corner_spectrum.even_derivative_at_zero": "1b",

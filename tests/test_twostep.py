@@ -69,10 +69,7 @@ def square_solve(solver, w):
 
 def capacitance(solver):
     """C = P Lap_R^-1 P^T over the solver's Gamma, in its order."""
-    gi, gj, line, rows = solver.gi, solver.gj, solver.line, solver.rows
-    # each line's fixed index, read at its first node
-    at = np.where(line < rows, gi, gj)[np.unique(line, return_index=True)[1]]
-    return -bilap.grid._capacitance(solver.inv_eig, rows, at, line, solver.along)
+    return -bilap.grid._capacitance(solver.inv_eig, solver.rows, solver.gi, solver.gj, solver.line)
 
 
 def staircase_grid(n, step):
@@ -93,6 +90,21 @@ def diamond_grid(n):
     1-norm."""
     c = np.abs((np.arange(n) + 0.5) / n - 0.5)
     return Grid2D(c[:, None] + c[None, :] < 0.45)
+
+
+def strip_grid(n, axis):
+    """Cells below 3/4 in x (axis 0) or in y (axis 1): Gamma is one row or
+    one column."""
+    below = np.arange(n) < 3 * n // 4
+    return Grid2D(np.broadcast_to(below[:, None] if axis == 0 else below[None, :], (n, n)))
+
+
+def lshape_plus_grid(n):
+    """The L with its cell (n/2, n/2) restored: Gamma's node (n/2 + 1,
+    n/2 + 1) is alone on its column."""
+    mask = lshape_grid(n).cell_mask.copy()
+    mask[n // 2, n // 2] = True
+    return Grid2D(mask)
 
 
 def scatter_reference(grid, keep, cell_values):
@@ -225,13 +237,16 @@ class TestPoisson:
         u, _ = solve_poisson_dirichlet(g, f)
         assert np.all(u[g.interior] >= 0.0)
 
-    @pytest.mark.parametrize("make", [lshape_grid, notched_grid, lambda n: staircase_grid(n, 4),
-                                      disk_grid, diamond_grid],
-                             ids=["lshape", "notched", "staircase", "disk", "diamond"])
-    def test_capacitance_matches_fast_solves(self, make):
+    @pytest.mark.parametrize("make,lines", [
+        (lshape_grid, (1, 1)), (notched_grid, (2, 1)), (lambda n: staircase_grid(n, 4), None),
+        (disk_grid, None), (diamond_grid, None), (lambda n: strip_grid(n, 0), (1, 0)),
+        (lambda n: strip_grid(n, 1), (0, 1)), (lshape_plus_grid, (1, 2))],
+        ids=["lshape", "notched", "staircase", "disk", "diamond", "strip-x", "strip-y", "lshape-plus"])
+    def test_capacitance_matches_fast_solves(self, make, lines):
         # the table reads against P Lap_R^-1 P^T built column by column with
-        # the DST-I solve on the square, on Gammas of 2 and 3 lines and of
-        # many short ones; C is symmetric to the last bit
+        # the DST-I solve on the square, on Gammas of (rows, columns) lines,
+        # one of them a single node on the L with its corner cell restored,
+        # and of many short ones (None); C is symmetric to the last bit
         n = 32
         solver = make(n).factor()
         gi, gj = solver.gi, solver.gj
@@ -241,26 +256,17 @@ class TestPoisson:
             w = np.zeros(solver.inside.shape)
             w[gi[q], gj[q]] = 1.0
             ref[:, q] = square_solve(solver, w)[gi, gj]
+        rows, cols = solver.rows, len(solver.sines.T) - solver.rows
+        if lines is None:
+            assert rows >= 4 and cols >= 4
+        else:
+            assert (rows, cols) == lines
         if make is lshape_grid or make is notched_grid:
             assert len(gi) == {lshape_grid: n - 1, notched_grid: 5 * n // 4 - 1}[make]
-        else:
-            assert solver.rows >= 4 and len(solver.sines.T) - solver.rows >= 4
+        if make is lshape_plus_grid:
+            assert np.bincount(solver.line).min() == 1
         assert np.array_equal(C, C.T)
         assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("make", [lambda n: staircase_grid(n, 4), disk_grid, diamond_grid],
-                             ids=["staircase", "disk", "diamond"])
-    def test_capacitance_stacks_agree(self, monkeypatch, make):
-        # short lines' tables are stacked; stacks of one, two and three
-        # lines (_TABLE cut down) give the default stacks' matrix to the
-        # last bit
-        n = 32
-        solver = make(n).factor()
-        C = capacitance(solver)
-        count = max(solver.rows, len(solver.sines.T) - solver.rows)
-        for step in (1, 2, 3):
-            monkeypatch.setattr(bilap.grid, "_TABLE", step * count * (n + 1))
-            assert np.array_equal(capacitance(solver), C)
 
     @pytest.mark.parametrize("make,n", [(lshape_grid, 32), (lshape_grid, 64), (notched_grid, 32),
                                         (notched_grid, 64), (lambda n: staircase_grid(n, 4), 64),

@@ -20,15 +20,13 @@ cap_first_eigenvalue at four apertures up to 0.9 pi.
 
 import json
 import math
-import os
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-HERE = Path(__file__).resolve().parent
+from two_trees import main
+
 REPEATS = 30
 # the spectral-scan edge band: 1e-7 or 1e-8 (relative) inside ell_minus or
 # ell_plus, as bench/workloads.py places them
@@ -88,29 +86,14 @@ def emit() -> None:
     print(json.dumps(out))
 
 
-def collect(src: Path) -> dict:
-    """The samples of emit under the tree whose src directory is src."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    run = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--emit"],
-                         env=env, check=True, capture_output=True, text=True)
-    return json.loads(run.stdout)
-
-
-def main(args: list) -> int:
-    if args[:1] == ["--emit"]:
-        emit()
-        return 0
-    if len(args) not in (1, 2):
-        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
-        return 2
-    rounds = int(args[1]) if len(args) == 2 else 5
-    trees = {"theirs": Path(args[0]).resolve(), "ours": HERE.parent / "src"}
+def report(runs: list, rounds: int) -> int:
+    """Print each case's medians, their ratio and its evaluation counts;
+    1 where a case's count varies."""
     samples, evals = {"theirs": {}, "ours": {}}, {}
-    for r in range(rounds):
-        for side in (("theirs", "ours") if r % 2 == 0 else ("ours", "theirs")):
-            for name, (count, *ms) in collect(trees[side]).items():
-                samples[side].setdefault(name, []).extend(ms)
-                evals.setdefault(name, set()).add(count)
+    for side, out in runs:
+        for name, (count, *ms) in out.items():
+            samples[side].setdefault(name, []).extend(ms)
+            evals.setdefault(name, set()).add(count)
     print(f"# {rounds} rounds x {REPEATS} samples, medians in ms")
     print(f"{'case':<22}{'OTHER_SRC':>11}{'this tree':>11}{'ratio':>8}{'evals':>8}")
     for name, theirs in samples["theirs"].items():
@@ -121,4 +104,4 @@ def main(args: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(sys.argv[1:], __file__, __doc__, emit, report))
