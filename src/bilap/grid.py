@@ -328,12 +328,20 @@ def _capacitance(inv_eig: np.ndarray, rows: int, gi: np.ndarray, gj: np.ndarray,
 
 def corner_polar(grid: Grid2D, corner: ReentrantCorner):
     """Nodal polar coordinates (r, theta) in the corner's local frame: r = 0
-    at the corner node and theta = 0 on its vertical edge, both exactly."""
+    at the corner node, and theta in [0, 2*pi) with +0.0 on its vertical
+    edge, both exactly.
+
+    theta = orientation * (phi - frame_angle), phi from np.arctan2, lies in
+    [-3*pi/2, 3*pi/2]; adding 2*pi where it is negative and +0.0 elsewhere
+    is np.mod(theta, 2*pi) to the last bit, and turns the -0.0 that a
+    clockwise frame gives on its vertical edge into +0.0, as np.mod does."""
     nodes = grid.nodes
     dx, dy = nodes[:, None] - nodes[corner.i], nodes[None, :] - nodes[corner.j]
     r = np.hypot(dx, dy)
-    phi = np.arctan2(dy, dx)
-    theta = np.mod(corner.orientation * (phi - corner.frame_angle), 2.0 * math.pi)
+    theta = np.arctan2(dy, dx)
+    theta -= corner.frame_angle
+    theta *= corner.orientation
+    theta += np.where(theta < 0.0, 2.0 * math.pi, 0.0)
     return r, theta
 
 

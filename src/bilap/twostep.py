@@ -123,15 +123,22 @@ def compute_dual_singularity(grid: Grid2D, corner_index: int) -> CornerSingulari
     at each interior node.  (The zero-data solve with rhs Lap(leading) gives
     the same field in exact arithmetic, but its rhs is of order h^(-8/3) at
     the corner, and in doubles it is about ten times less accurate.)
+
+    The leading term is formed in place over corner_polar's two arrays.  The
+    corner node, the only node with r = 0, where r^(-mu) is inf, is set
+    to 0.
     """
     corner = grid.corners[corner_index]
     mu = math.pi / REENTRANT_APERTURE
-    r, theta = corner_polar(grid, corner)
-    with np.errstate(divide="ignore"):
-        leading = np.where(r > 0.0, r ** (-mu) * np.sin(mu * theta), 0.0)
+    leading, theta = corner_polar(grid, corner)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.power(leading, -mu, out=leading)
+        theta *= mu
+        leading *= np.sin(theta, out=theta)
+    leading[corner.i, corner.j] = 0.0
     rhs = grid.apply_laplacian(np.where(grid.boundary, leading, 0.0))
     dual, _ = solve_poisson_dirichlet(grid, rhs)
-    dual += np.where(grid.interior, leading, 0.0)
+    np.add(dual, leading, out=dual, where=grid.interior)
     return CornerSingularity(dual=dual)
 
 

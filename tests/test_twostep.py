@@ -107,6 +107,54 @@ def lshape_plus_grid(n):
     return Grid2D(mask)
 
 
+# the quadrant (x half, y half) that a mask lacks
+QUADRANTS = {"below-left": (0, 0), "below-right": (1, 0), "above-left": (0, 1),
+             "above-right": (1, 1)}
+
+
+def lacking_a_quadrant(n, missing):
+    """The square's n x n cells less the quadrant ``missing``: one corner,
+    at node (n/2, n/2)."""
+    a, b = missing
+    m = n // 2
+    mask = np.ones((n, n), dtype=bool)
+    mask[a * m:(a + 1) * m, b * m:(b + 1) * m] = False
+    return Grid2D(mask)
+
+
+# every corner frame: each quadrant-less square, at n = 16 and at n = 98,
+# where the middle node is not 1/2, and the CLI's two domains
+CORNER_GRIDS = {
+    **{f"{name}-{n}": lambda n=n, missing=missing: lacking_a_quadrant(n, missing)
+       for n in (16, 98) for name, missing in QUADRANTS.items()},
+    "lshape-64": lambda: lshape_grid(64),
+    "notched-16": lambda: notched_grid(16),
+    "notched-392": lambda: notched_grid(392),
+}
+
+
+def polar_reference(grid, corner):
+    """(r, theta) with theta wrapped by np.mod, which corner_polar's in-place
+    wrap must equal to the last bit."""
+    nodes = grid.nodes
+    dx, dy = nodes[:, None] - nodes[corner.i], nodes[None, :] - nodes[corner.j]
+    phi = np.arctan2(dy, dx)
+    return np.hypot(dx, dy), np.mod(corner.orientation * (phi - corner.frame_angle), 2.0 * math.pi)
+
+
+def dual_reference(grid, index):
+    """The dual field formed from the np.mod polar coordinates with
+    np.where passes: r^(-mu) sin(mu theta) off the corner node, its boundary
+    trace lifted by one solve, and the term added at the interior nodes."""
+    mu = math.pi / bilap.grid.REENTRANT_APERTURE
+    r, theta = polar_reference(grid, grid.corners[index])
+    with np.errstate(divide="ignore"):
+        leading = np.where(r > 0.0, r ** -mu * np.sin(mu * theta), 0.0)
+    rhs = grid.apply_laplacian(np.where(grid.boundary, leading, 0.0))
+    dual, _ = solve_poisson_dirichlet(grid, rhs)
+    return dual + np.where(grid.interior, leading, 0.0)
+
+
 def scatter_reference(grid, keep, cell_values):
     """Per-cell np.add.at of the kept cells' values onto their four nodes."""
     ci, cj = np.nonzero(keep)
@@ -151,17 +199,23 @@ class TestGrid:
         assert theta[i0 + 2, i0] == pytest.approx(1.5 * math.pi, rel=1e-12)  # +x edge
 
     @pytest.mark.parametrize("n", [16, 98])
-    @pytest.mark.parametrize("missing", [(0, 0), (1, 0), (0, 1), (1, 1)],
-                             ids=["below-left", "below-right", "above-left", "above-right"])
+    @pytest.mark.parametrize("missing", list(QUADRANTS.values()), ids=list(QUADRANTS))
     def test_frames_on_masks_lacking_a_quadrant(self, n, missing):
         # at n = 98 the middle node sits at 0.49999999999999994, not 1/2
         a, b = missing
         m = n // 2
-        mask = np.ones((n, n), dtype=bool)
-        mask[a * m:(a + 1) * m, b * m:(b + 1) * m] = False
-        g = Grid2D(mask)
+        g = lacking_a_quadrant(n, missing)
         assert [(c.i, c.j) for c in g.corners] == [(m, m)]
         assert_frame(g, g.corners[0], up=2 * b - 1, across=2 * a - 1, length=m)
+
+    @pytest.mark.parametrize("make", list(CORNER_GRIDS.values()), ids=list(CORNER_GRIDS))
+    def test_polar_equals_the_np_mod_reference(self, make):
+        # bit for bit, sign of zero included: theta = +0.0 on the vertical
+        # edge, where a clockwise frame's product is -0.0
+        g = make()
+        for corner in g.corners:
+            for got, ref in zip(corner_polar(g, corner), polar_reference(g, corner)):
+                assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [16, 392])
     def test_notched_frames(self, n):
@@ -495,6 +549,13 @@ class TestDualSingularity:
             ref = leading[ii, jj] + lift
             assert np.max(np.abs(dual[ii, jj] - ref)) <= 1e-13 * np.max(np.abs(ref))
             assert np.all(dual[~g.interior] == 0.0)
+
+    @pytest.mark.parametrize("make", list(CORNER_GRIDS.values()), ids=list(CORNER_GRIDS))
+    def test_equals_the_where_reference(self, make):
+        g = make()
+        for index in range(len(g.corners)):
+            dual = compute_dual_singularity(g, index).dual
+            assert dual.tobytes() == dual_reference(g, index).tobytes()
 
     def test_pairing_with_smooth_laplacians(self, lshape64):
         g, s = lshape64

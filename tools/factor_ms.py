@@ -7,21 +7,21 @@ Each of ROUNDS rounds (default 5) runs one process per tree, OTHER_SRC
 alternating from round to round, each with this environment, so at one BLAS
 thread setting.  A process times factor() on a freshly built grid of every
 case below, REPEATS times each (the grid build is not timed); the tool
-prints, per case, each tree's median over all its samples in ms and the
-ratio of this tree's to OTHER_SRC's.  The cases are the CLI's lshape and
-notched domains at n = 256, 512 and 1024, and two masks whose Gamma spans
-many rows and columns, a staircase of 4-cell steps and a disk, at n = 64 to
-512.
+prints, per case, the summary of tools/two_trees.py: each tree's median
+over its processes of their medians in ms, with quartiles, the ratio of
+this tree's to OTHER_SRC's and the rounds this tree won.  The cases are the
+CLI's lshape and notched domains at n = 256, 512 and 1024, and two masks
+whose Gamma spans many rows and columns, a staircase of 4-cell steps and a
+disk, at n = 64 to 512.
 """
 
 import json
-import os
 import sys
 import time
 
 import numpy as np
 
-from two_trees import main
+from two_trees import main, summary
 
 REPEATS = 3
 
@@ -68,17 +68,8 @@ def emit() -> None:
 
 
 def report(runs: list, rounds: int) -> int:
-    """Print each case's medians and their ratio."""
-    samples = {"theirs": {}, "ours": {}}
-    for side, out in runs:
-        for name, ms in out.items():
-            samples[side].setdefault(name, []).extend(ms)
-    print(f"# OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
-          f"{rounds} rounds x {REPEATS} samples, medians in ms")
-    print(f"{'case':<16}{'OTHER_SRC':>11}{'this tree':>11}{'ratio':>8}")
-    for name, theirs in samples["theirs"].items():
-        a, b = np.median(theirs), np.median(samples["ours"][name])
-        print(f"{name:<16}{a:>11.2f}{b:>11.2f}{b / a:>8.3f}")
+    """Print each case's summary."""
+    summary(runs, rounds)
     return 0
 
 

@@ -7,9 +7,11 @@ Each of ROUNDS rounds (default 5) runs one process per tree, OTHER_SRC
 alternating from round to round.  A process times every case below REPEATS
 times, after one untimed call, then counts in one more untimed call the
 evaluations of f that the case's bracketed_roots calls make.  The tool
-prints, per case, each tree's median over all its samples in ms, the ratio
-of this tree's to OTHER_SRC's, and the evaluation count, which must be the
-same on both trees and in every round: it exits 1 where it is not.
+prints, per case, the summary of tools/two_trees.py (each tree's median
+over its processes of their medians in ms, with quartiles, the ratio of
+this tree's to OTHER_SRC's and the rounds this tree won) and the
+evaluation count, which must be the same on both trees and in every round:
+it exits 1 where it is not.
 
 The cases are find_singular_exponent at one point far inside the
 ill-posedness region, at the four edge-band points of the spectral-scan
@@ -23,9 +25,7 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from two_trees import main
+from two_trees import main, summary
 
 REPEATS = 30
 # the spectral-scan edge band: 1e-7 or 1e-8 (relative) inside ell_minus or
@@ -87,20 +87,9 @@ def emit() -> None:
 
 
 def report(runs: list, rounds: int) -> int:
-    """Print each case's medians, their ratio and its evaluation counts;
-    1 where a case's count varies."""
-    samples, evals = {"theirs": {}, "ours": {}}, {}
-    for side, out in runs:
-        for name, (count, *ms) in out.items():
-            samples[side].setdefault(name, []).extend(ms)
-            evals.setdefault(name, set()).add(count)
-    print(f"# {rounds} rounds x {REPEATS} samples, medians in ms")
-    print(f"{'case':<22}{'OTHER_SRC':>11}{'this tree':>11}{'ratio':>8}{'evals':>8}")
-    for name, theirs in samples["theirs"].items():
-        a, b = np.median(theirs), np.median(samples["ours"][name])
-        count = "/".join(map(str, sorted(evals[name])))
-        print(f"{name:<22}{a:>11.3f}{b:>11.3f}{b / a:>8.3f}{count:>8}")
-    return 0 if all(len(v) == 1 for v in evals.values()) else 1
+    """Print each case's summary with its evaluation counts; 1 where a
+    case's count varies."""
+    return 0 if summary(runs, rounds, "evals") else 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""The alternating two-tree rounds that tools/factor_ms.py and
-tools/search_ms.py share.
+"""The alternating two-tree rounds, and their summary, that
+tools/factor_ms.py, tools/search_ms.py and tools/dual_ms.py share.
 
 Such a tool runs as ``tool --emit``, which prints one process's samples as
 JSON, timed with the bilap on sys.path, and as ``tool OTHER_SRC [ROUNDS]``,
@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -25,6 +27,41 @@ def collect(script: str, src: Path) -> dict:
     run = subprocess.run([sys.executable, str(Path(script).resolve()), "--emit"],
                          env=env, check=True, capture_output=True, text=True)
     return json.loads(run.stdout)
+
+
+def summary(runs: list, rounds: int, tag: str = "") -> bool:
+    """Print one line per case of runs, the (side, {case: [ms, ...]}) of
+    every process in the order run.  Each process's samples of a case count
+    as one value, their median, so one loaded process moves a tree's figure
+    by one value out of ROUNDS.  A line gives each tree's median of those
+    values with their quartiles, the ratio of this tree's median to
+    OTHER_SRC's, and in how many rounds this tree's value was the lower.
+
+    With a tag title, a case's samples are [tag, ms, ...] instead, the tag
+    a result that must repeat on both trees and in every round; a last
+    column shows the first 16 characters of each distinct tag.  Returns
+    whether every case's tag repeated."""
+    medians, tags = {"theirs": {}, "ours": {}}, {}
+    for side, out in runs:
+        for name, ms in out.items():
+            if tag:
+                tags.setdefault(name, set()).add(ms[0])
+                ms = ms[1:]
+            medians[side].setdefault(name, []).append(float(np.median(ms)))
+    width = max(map(len, medians["theirs"])) + 2
+    print(f"# OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
+          f"{rounds} rounds; ms: median of the per-process medians [quartiles]")
+    print(f"{'case':<{width}}{'OTHER_SRC':>30}{'this tree':>30}{'ratio':>8}{'won':>7}  {tag}".rstrip())
+    for name, theirs in medians["theirs"].items():
+        ours = medians["ours"][name]
+        # each round runs one process per tree, so its two values are a pair
+        won = sum(b < a for a, b in zip(theirs, ours))
+        cells = "".join(f"{np.median(v):.3f} [{np.percentile(v, 25):.3f}, "
+                        f"{np.percentile(v, 75):.3f}]".rjust(30) for v in (theirs, ours))
+        shown = "/".join(str(t)[:16] for t in sorted(tags.get(name, ())))
+        print(f"{name:<{width}}{cells}{np.median(ours) / np.median(theirs):>8.3f}"
+              f"{f'{won}/{len(ours)}':>7}  {shown}".rstrip())
+    return all(len(t) == 1 for t in tags.values())
 
 
 def main(args: list, script: str, doc: str, emit, report) -> int:
