@@ -1,37 +1,37 @@
-"""Print one digest line per CLI invocation, to compare the CLI's bytes
-between two source trees.
+"""Compare the CLI's output under this source tree and another.
 
-Runs a fixed list of argv through bilap.cli.run in one process, with
-RuntimeWarnings raised as errors, and prints for each the sha256 of its exit
-code, stdout and stderr, then the argv.  The list covers every subcommand at
-its defaults and the edge inputs of tests/test_cli.py, --config and file:
-cases included.  Their files are written under relative names in a temporary
-directory that is the working directory while the list runs, so two runs
-print comparable lines:
+    python tools/cli_digest.py OTHER_SRC
 
-    export OPENBLAS_NUM_THREADS=2
-    PYTHONPATH=<other tree>/src python tools/cli_digest.py > before.txt
-    PYTHONPATH=src python tools/cli_digest.py > after.txt
-    diff before.txt after.txt
+Runs a fixed list of argv through bilap.cli.run under OTHER_SRC (another
+tree's src directory) and under this tree's src, through tools/two_trees.py,
+and prints the argv of each line whose exit code, stdout or stderr differs,
+with what differs.  A solve line may differ in its CSV values alone: where
+both trees exit 0 with the same stderr and the same x,y columns, it prints
+max|dv|/max|v| between the value columns, v being OTHER_SRC's.  It ends
+with one summary line and exits 1 where any other line differs.
 
-Run both trees under the same BLAS thread settings: the solves at n = 256
-sum their matrix products and Cholesky factor in an order that
+Both trees run at this environment's BLAS thread setting: the solves at
+n = 256 sum their matrix products and Cholesky factor in an order that
 depends on the thread count, so their bytes move with it.
 
-An exception that escapes run (a RuntimeWarning, say) is digested in place
-of the exit code as its type and message, and the exit of -h as its code;
-help is wrapped at 80 columns whatever the terminal.
+The list covers every subcommand at its defaults and the edge inputs of
+tests/test_cli.py, --config and file: cases included.  An exception that
+escapes run (a RuntimeWarning, say) stands in place of the exit code as its
+type and message, and the exit of -h as its code.
 """
 
 import contextlib
-import hashlib
 import io
+import json
 import os
 import shlex
+import sys
 import tempfile
 import warnings
 
-from bilap.cli import run
+import numpy as np
+
+from two_trees import SRC, blas, collect, main
 
 SOLVE = ["solve", "--domain", "lshape", "--n", "16"]
 SINGULAR_PATCH = "patch:0.25:0.75:0.25:0.75:-0.4782838593387099:1"
@@ -279,6 +279,8 @@ INVOCATIONS = [
 
 def capture(argv: list) -> tuple:
     """(exit code, stdout, stderr) of one run(argv)."""
+    from bilap.cli import run
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -290,34 +292,64 @@ def capture(argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def digest(argv: list) -> str:
-    """sha256 of the exit code, stdout and stderr of one run(argv)."""
-    return hashlib.sha256(repr(capture(argv)).encode()).hexdigest()
-
-
-@contextlib.contextmanager
-def inputs():
-    """What the list runs under: RuntimeWarnings raised as errors, help at
-    80 columns, and a temporary working directory holding FILES."""
+def emit() -> None:
+    """Print the (exit code, stdout, stderr) of every argv of the list as
+    JSON, run by the bilap on sys.path with RuntimeWarnings raised as
+    errors, help at 80 columns, and a temporary working directory holding
+    FILES."""
     warnings.simplefilter("error", RuntimeWarning)
     os.environ["COLUMNS"] = "80"
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        try:
-            for name, text in FILES.items():
-                with open(name, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            yield
-        finally:
-            os.chdir(home)
+        for name, text in FILES.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        runs = [capture(argv) for argv in INVOCATIONS]
+        os.chdir(home)
+    print(json.dumps(runs))
 
 
-def main() -> None:
-    with inputs():
-        for argv in INVOCATIONS:
-            print(digest(argv), shlex.join(argv), flush=True)
+def split(text: str) -> tuple:
+    """(header and x,y fields of every row, values) of one solve CSV."""
+    header, *rows = text.splitlines()
+    fields = [row.rsplit(",", 1) for row in rows]
+    return [header, *(f[0] for f in fields)], np.array([f[1] for f in fields], dtype=np.float64)
+
+
+def check(argv: list, theirs: list, ours: list):
+    """None where the (exit code, stdout, stderr) of argv under OTHER_SRC
+    and this tree are identical; max|dv|/max|v| where only the values of a
+    solve CSV differ; else what differs, a failure."""
+    differs = [name for name, a, b in zip(("exit code", "stdout", "stderr"), theirs, ours) if a != b]
+    if not differs:
+        return None
+    if differs != ["stdout"] or theirs[0] != 0 or argv[0] != "solve" or "-h" in argv:
+        return "different " + " and ".join(differs)
+    (xy_a, v_a), (xy_b, v_b) = split(theirs[1]), split(ours[1])
+    if xy_a != xy_b:
+        return "different x,y columns"
+    scale = np.abs(v_a).max(initial=0.0)
+    diff = np.abs(v_b - v_a).max(initial=0.0)
+    return float(diff / scale) if scale else float(diff)
+
+
+def compare(other) -> int:
+    """Print each line that differs and the summary; 1 where a line fails."""
+    theirs, ours = collect(__file__, other), collect(__file__, SRC)
+    moved, failed, worst = 0, 0, 0.0
+    for argv, a, b in zip(INVOCATIONS, theirs, ours):
+        result = check(argv, a, b)
+        if isinstance(result, str):
+            failed += 1
+            print(f"FAIL {result}:", shlex.join(argv))
+        elif result is not None:
+            moved, worst = moved + 1, max(worst, result)
+            print(f"{result:.1e}", shlex.join(argv))
+    print(f"# {blas()}: {len(INVOCATIONS) - moved - failed} of {len(INVOCATIONS)} lines identical, "
+          f"{moved} solve CSVs within {worst:.1e} of max|v|, {failed} failed")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:], __doc__, emit, compare))
